@@ -48,6 +48,21 @@ def _default_jobs() -> int:
         return 1
 
 
+def _checked(convert, ok, requirement: str):
+    """argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_side = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_tol = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+
+
 def _parse_sigma(args, d: int) -> ScatteringMatrix:
     if args.sigma_entries:
         rows = [[float(v) for v in row.split(",")]
@@ -314,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     _add_sigma_flags(p)
     p.add_argument("--process", default="gdp", choices=["gdp", "poisson"])
-    p.add_argument("--L", type=float, required=True, help="box side")
+    p.add_argument("--L", type=_side, required=True, help="box side")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--tol", type=_tol, default=1e-6)
+    p.add_argument("--replicates", type=_checked(int, lambda v: v >= 1, ">= 1"), default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -343,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--null-replicates", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--L", type=float, default=None,
+    p.add_argument("--L", type=_side, default=None,
                    help="box side for null simulation (default 2 * R_used)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
@@ -375,10 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="simulation fidelity report")
     p.add_argument("--d", type=int, required=True)
     _add_sigma_flags(p)
-    p.add_argument("--L", type=float, required=True)
-    p.add_argument("--replicates", type=int, default=200)
+    p.add_argument("--L", type=_side, required=True)
+    p.add_argument("--replicates", type=_checked(int, lambda v: v >= 2, ">= 2"), default=200)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tol, default=1e-6)
     p.add_argument("--bin-width", type=float, default=0.1)
     p.add_argument("--r-max", type=float, default=2.0)
     p.add_argument("--out", required=True)

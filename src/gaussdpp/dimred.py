@@ -1,16 +1,14 @@
-"""Spectral dimension reduction from pairwise repulsion structure, with a
-PCA baseline and ROC evaluation.
+"""Spectral dimension reduction from pairwise differences, with a PCA
+baseline and ROC evaluation.
 
-The embedding treats dataset rows as a point pattern and forms the same
-matrix as the scattering estimator: an identity term minus the (scaled)
-sum of outer products of pairwise differences.  Only the data-dependent
-term carries directional information, and neither the identity shift nor
-the positive scale factor moves the eigenvectors, so components are
-ranked by the spectrum of the pair-difference sum itself, descending.
-That matches extracting singular vectors of the data term, puts the
-direction of strongest pairwise spread first, and is the ordering that
-reproduces the published benchmark behavior; the scree reports the same
-spectrum.
+The DPP embedding ranks directions by the descending spectrum of the
+pair-difference sum S(r) = sum over i != j with |Xi - Xj| < r of
+(Xi - Xj)(Xi - Xj)', the data term of the scattering estimator.  Over all
+pairs (the default) S = 2N Xc'Xc, Xc the column-centered rows, so the
+embedding is covariance PCA and "DPP vs PCA" at the defaults compares
+covariance PCA with correlation PCA.  Only a finite r gives a local,
+repulsion-based embedding: S(r) is then the graph-Laplacian form
+2 X'(D - A)X of the 0/1 matrix A of pairs closer than r and its row sums D.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import unit_ball_volume
+_BLOCK_ENTRIES = 1 << 20  # distance entries per row block (8 MB of float64)
 
 
 @dataclass(frozen=True)
@@ -103,51 +101,87 @@ def _standardize(x: np.ndarray, center: bool, scale: bool) -> np.ndarray:
     return out
 
 
-def pair_difference_sum(x: np.ndarray, r: float | None = None,
-                        block: int = 64) -> tuple[np.ndarray, int]:
+def _sq_dist_blocks(xc: np.ndarray):
+    """Yield (first row, squared distances from a block of rows to all rows,
+    rounding bound), from the Gram form |a|^2 + |b|^2 - 2 a.b of centered
+    rows.  Entries within the bound of a threshold may lie on either side
+    of it and must be recomputed from the differences."""
+    n, d = xc.shape
+    sq = np.einsum("ij,ij->i", xc, xc)
+    # Both this form and the sum of squared differences round by at most
+    # about d eps (|a|^2 + |b|^2); the factor leaves a wide margin.
+    rel = 8 * (d + 2) * np.finfo(float).eps
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        sq_b = sq[start:start + step]
+        d2 = xc[start:start + step] @ xc.T
+        d2 *= -2.0
+        d2 += sq_b[:, None]
+        d2 += sq
+        yield start, d2, rel * (sq_b.max() + sq.max())
+
+
+def pair_difference_sum(x: np.ndarray,
+                        r: float | None = None) -> tuple[np.ndarray, int]:
     """Sum of (Xi - Xj)(Xi - Xj)' over ordered pairs i != j.
 
     With a cutoff r, only pairs at distance strictly below r contribute.
-    Computed in row blocks to keep the O(N^2 d^2) work vectorized without
-    materializing all pairwise differences at once.  Returns the matrix
-    and the number of contributing ordered pairs.
+    Returns the matrix and the number of contributing ordered pairs.
+
+    Over all pairs (r None or infinite) the sum is 2N Xc'Xc, Xc the
+    column-centered rows.  With a finite r it is 2 Xc'(D - A)Xc, A the 0/1
+    matrix of close pairs and D its row sums, accumulated by row blocks.
+    Distances within rounding of r are recomputed from the differences,
+    so the pair set is exactly the one defined above.
     """
     n, d = x.shape
-    total = np.zeros((d, d))
+    xc = x - x.mean(axis=0)  # the sum is translation invariant
+    if r is None or math.isinf(r):
+        return 2.0 * n * (xc.T @ xc), n * (n - 1)
+    r2 = r * r
+    half = np.zeros((d, d))
     pairs = 0
-    for start in range(0, n, block):
-        xb = x[start:start + block]
-        diff = xb[:, None, :] - x[None, :, :]
-        if r is None:
-            for i in range(xb.shape[0]):
-                diff[i, start + i, :] = 0.0
-            pairs += xb.shape[0] * (n - 1)
-            total += np.einsum("ibk,ibl->kl", diff, diff)
-        else:
-            dist2 = np.einsum("ibk,ibk->ib", diff, diff)
-            mask = dist2 < r * r
-            for i in range(xb.shape[0]):
-                mask[i, start + i] = False
-            pairs += int(mask.sum())
-            sel = diff[mask]
-            total += sel.T @ sel
-    return total, pairs
+    for start, d2, tol in _sq_dist_blocks(xc):
+        adj = d2 < r2
+        near_i, near_j = np.nonzero(np.abs(d2 - r2) <= tol)
+        exact = np.zeros(near_i.size)
+        for k in range(d):
+            exact += (x[start + near_i, k] - x[near_j, k]) ** 2
+        adj[near_i, near_j] = exact < r2
+        np.fill_diagonal(adj[:, start:], False)
+        deg = adj.sum(axis=1)
+        pairs += int(deg.sum())
+        xb = xc[start:start + len(adj)]
+        half += (xb.T * deg) @ xb - xb.T @ (adj.astype(float) @ xc)
+    return half + half.T, pairs
+
+
+def _diameter(x: np.ndarray) -> float:
+    """Largest distance between rows: the Gram form's maximising pair,
+    recomputed from its difference."""
+    best, pair = -math.inf, (0, 0)
+    for start, d2, _ in _sq_dist_blocks(x - x.mean(axis=0)):
+        i, j = np.unravel_index(np.argmax(d2), d2.shape)
+        if d2[i, j] > best:
+            best, pair = d2[i, j], (start + i, j)
+    diff = x[pair[0]] - x[pair[1]]
+    return math.sqrt(diff @ diff)
 
 
 def dpp_embed(dataset: Dataset, k: int, r_mode: str | float = "all_pairs",
               standardize: bool = False) -> ProjectionResult:
-    """Project rows onto the leading repulsion directions.
+    """Project rows onto the leading directions of the pair-difference sum.
 
-    r_mode "all_pairs" uses r = 1 + the maximum pairwise distance so every
-    point is in every other point's neighborhood (the parameter-free
-    choice); an explicit float keeps only pairs strictly closer than r.
-    The pair sum is scaled by 1/N; since eigenvectors are invariant to any
-    positive scaling (and to the identity shift of the full estimator
-    formula), this choice has no effect on the embedding.
+    r_mode "all_pairs" sums over every pair, which equals covariance PCA
+    (`pca_embed(center=False, scale=False)`, eigenvalues times 2(N - 1));
+    r_used then reports 1 + the largest pairwise distance.  An explicit
+    positive float keeps only pairs strictly closer than r, the local
+    embedding; r = inf is all pairs again.  Eigenvalues are those of the
+    pair sum scaled by 1/N.
 
-    Rows are projected as-is unless `standardize`, which centers and
-    scales columns first (off by default; the raw-coordinate form is the
-    published benchmark configuration).
+    Rows are projected as-is, uncentered, unless `standardize`, which
+    centers and scales columns first (off by default; the raw-coordinate
+    form is the published benchmark configuration).
     """
     x = dataset.features
     n, d = x.shape
@@ -159,19 +193,12 @@ def dpp_embed(dataset: Dataset, k: int, r_mode: str | float = "all_pairs",
         x = _standardize(x, center=True, scale=True)
 
     if r_mode == "all_pairs":
-        max_d2 = 0.0
-        for start in range(0, n, 64):
-            diff = x[start:start + 64, None, :] - x[None, :, :]
-            max_d2 = max(max_d2, float(np.einsum("ibk,ibk->ib", diff, diff).max()))
-        r = 1.0 + math.sqrt(max_d2)
-        pair_sum, pairs = pair_difference_sum(x)
-    elif isinstance(r_mode, (int, float)) and not isinstance(r_mode, bool):
-        r = float(r_mode)
-        if not r > 0:
-            raise ValueError("explicit cutoff r must be positive")
-        pair_sum, pairs = pair_difference_sum(x, r=r)
+        r, cutoff = 1.0 + _diameter(x), None
+    elif isinstance(r_mode, (int, float)) and not isinstance(r_mode, bool) and r_mode > 0:
+        r = cutoff = float(r_mode)
     else:
         raise ValueError(f"r_mode must be 'all_pairs' or a positive float, got {r_mode!r}")
+    pair_sum, _ = pair_difference_sum(x, r=cutoff)
 
     w, v = np.linalg.eigh(pair_sum / n)
     order = np.argsort(w)[::-1]
@@ -194,18 +221,13 @@ def pca_embed(dataset: Dataset, k: int, center: bool = True,
         raise ValueError("need at least two rows")
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d}, got k={k}")
-    if scale:
-        sd = x.std(axis=0, ddof=1)
-        if np.any(sd == 0):
-            raise ValueError("zero-variance feature column cannot be scaled")
-        matrix = np.corrcoef(x, rowvar=False)
-    else:
-        matrix = np.cov(x, rowvar=False)
+    xs = _standardize(x, center=center, scale=scale)  # rejects zero variance
+    matrix = np.corrcoef(x, rowvar=False) if scale else np.cov(x, rowvar=False)
     w, v = np.linalg.eigh(matrix)
     order = np.argsort(w)[::-1]
     eigvals = w[order]
     eigvecs = _fix_column_signs(v[:, order[:k]])
-    coords = _standardize(x, center=center, scale=scale) @ eigvecs
+    coords = xs @ eigvecs
     return ProjectionResult(coords=coords, eigvals=eigvals, eigvecs=eigvecs,
                             method="pca")
 

@@ -32,35 +32,7 @@ DEFAULT_MODE_CAP = 2_000_000
 DEFAULT_MAX_REJECTS = 1_000_000
 
 _ENUM_SLAB = 1 << 20  # candidate rows processed per slab while enumerating
-
-try:  # optional compiled fast path for mode-value assembly
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-
-if njit is not None:
-    @njit(cache=True)
-    def _gather_modes(re, im, idx, n_cos, amp, out):
-        """out[i, b] = amp * Re/Im(prod_t exp(i theta_t[idx[t, i], b])).
-
-        Single fused pass over the output; tables re/im are small enough
-        to stay cache-resident, so this is bound by the one write of out.
-        """
-        m, nb = out.shape
-        d = idx.shape[0]
-        for i in range(m):
-            for b in range(nb):
-                zr = np.float32(1.0)
-                zi = np.float32(0.0)
-                for t in range(d):
-                    tr = re[t, idx[t, i], b]
-                    ti = im[t, idx[t, i], b]
-                    nzr = zr * tr - zi * ti
-                    zi = zr * ti + zi * tr
-                    zr = nzr
-                out[i, b] = (zr if i < n_cos else zi) * amp
-else:
-    _gather_modes = None
+_PAIR_BLOCK_ENTRIES = 1 << 18  # point pairs per block in the pair correlation
 
 
 @dataclass(frozen=True)
@@ -298,33 +270,22 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects, batch=2048):
     k_lo = k_sel.min(axis=0)
     k_hi = k_sel.max(axis=0)
     k_idx = np.stack([k_sel[:, t] - k_lo[t] for t in range(d)])
-    k_span = int((k_hi - k_lo).max()) + 1
 
     def _features_t(x, dt):
         nb = x.shape[0]
         psi_t = np.empty((m, nb), dtype=dt)
-        if _gather_modes is not None:
-            re = np.empty((d, k_span, nb), dtype=np.float32)
-            im = np.empty((d, k_span, nb), dtype=np.float32)
-            for t in range(d):
-                theta = np.outer(np.arange(k_lo[t], k_hi[t] + 1), x[:, t])
-                theta *= omega
-                re[t, :theta.shape[0]] = np.cos(theta)
-                im[t, :theta.shape[0]] = np.sin(theta)
-            _gather_modes(re, im, k_idx, n_cos, base_amp, psi_t)
-        else:
-            zt = None
-            for t in range(d):
-                table = np.exp(1j * omega * np.outer(
-                    np.arange(k_lo[t], k_hi[t] + 1),
-                    x[:, t])).astype(np.complex64)
-                if zt is None:
-                    zt = table[k_idx[t]]
-                else:
-                    zt *= table[k_idx[t]]
-            psi_t[:n_cos] = zt[:n_cos].real
-            psi_t[n_cos:] = zt[n_cos:].imag
-            psi_t *= base_amp
+        zt = None
+        for t in range(d):
+            table = np.exp(1j * omega * np.outer(
+                np.arange(k_lo[t], k_hi[t] + 1),
+                x[:, t])).astype(np.complex64)
+            if zt is None:
+                zt = table[k_idx[t]]
+            else:
+                zt *= table[k_idx[t]]
+        psi_t[:n_cos] = zt[:n_cos].real
+        psi_t[n_cos:] = zt[n_cos:].imag
+        psi_t *= base_amp
         if const_cols.size:
             psi_t[const_cols] *= math.sqrt(0.5)
         return psi_t
@@ -544,14 +505,15 @@ def empirical_pair_correlation(patterns, bin_edges) -> list[tuple[float, float]]
             raise ValueError("all patterns must share the same window")
         pts = pat.points
         n = pts.shape[0]
-        if n < 2:
-            continue
-        diff = np.abs(pts[:, None, :] - pts[None, :, :])
-        diff = np.minimum(diff, side - diff)
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        iu = np.triu_indices(n, k=1)
-        counts, _ = np.histogram(dist[iu], bins=edges)
-        totals += 2.0 * counts  # ordered pairs
+        # Row blocks against the points from their first row on; pairs i < j.
+        step = max(1, _PAIR_BLOCK_ENTRIES // max(n, 1))
+        for start in range(0, n - 1, step):
+            diff = np.abs(pts[start:start + step, None, :] - pts[None, start:, :])
+            diff = np.minimum(diff, side - diff)
+            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            upper = np.triu_indices(dist.shape[0], 1, dist.shape[1])
+            counts, _ = np.histogram(dist[upper], bins=edges)
+            totals += 2.0 * counts  # ordered pairs
     est = totals / (len(patterns) * shell)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return list(zip(centers.tolist(), est.tolist()))

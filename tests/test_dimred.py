@@ -6,6 +6,7 @@ import pytest
 from gaussdpp import (BallWindow, Dataset, EstimatorConfig, PointPattern,
                       dpp_embed, estimate_scattering, pca_embed, risk_scores,
                       roc_auc, scree)
+from gaussdpp import dimred
 from gaussdpp.dimred import pair_difference_sum
 
 
@@ -144,6 +145,78 @@ class TestDppEmbed:
             dpp_embed(ds, 6)
         with pytest.raises(ValueError):
             dpp_embed(Dataset(np.zeros((1, 3))), 1)
+
+
+def loop_pair_sum(x, r):
+    total = np.zeros((x.shape[1], x.shape[1]))
+    count = 0
+    for i in range(len(x)):
+        for j in range(len(x)):
+            u = x[i] - x[j]
+            if i != j and u @ u < r * r:
+                total += np.outer(u, u)
+                count += 1
+    return total, count
+
+
+class TestPairSumForms:
+    def test_all_pairs_embedding_is_covariance_pca(self):
+        rng = np.random.default_rng(20)
+        ds = make_dataset(rng, n=60)
+        a = dpp_embed(ds, 3)
+        b = pca_embed(ds, 3, center=False, scale=False)
+        sign = np.sign(np.sum(a.eigvecs * b.eigvecs, axis=0))
+        assert np.allclose(a.eigvecs, sign * b.eigvecs, rtol=0, atol=1e-12)
+        assert np.allclose(a.coords, sign * b.coords, rtol=0, atol=1e-10)
+        assert np.allclose(a.eigvals / b.eigvals, 2 * (ds.n_rows - 1), rtol=1e-12)
+        x = ds.features
+        diameter = max(np.linalg.norm(x[i] - x[j])
+                       for i in range(len(x)) for j in range(len(x)))
+        assert a.r_used == pytest.approx(1.0 + diameter, rel=1e-12)
+
+    def test_pair_at_exactly_r_is_excluded(self):
+        # |(3, 4)| = 5 exactly; the third point moves the centroid so that
+        # the Gram form of that distance rounds below 25.
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [-9.5, -8.1]])
+        total, pairs = pair_difference_sum(x, r=5.0)
+        assert pairs == 0
+        assert np.all(total == 0.0)
+        total, pairs = pair_difference_sum(x, r=5.0 + 1e-9)
+        assert pairs == 2
+        assert np.allclose(total, 2.0 * np.outer([3.0, 4.0], [3.0, 4.0]), rtol=1e-12)
+
+    def test_translation_invariant(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((300, 4))
+        base, pairs = pair_difference_sum(x, r=1.5)
+        shifted, shifted_pairs = pair_difference_sum(x + 1e6, r=1.5)
+        assert shifted_pairs == pairs
+        assert np.allclose(shifted, base, rtol=1e-9, atol=1e-9 * np.abs(base).max())
+
+    def test_infinite_r_is_all_pairs(self):
+        rng = np.random.default_rng(22)
+        ds = make_dataset(rng)
+        total, pairs = pair_difference_sum(ds.features, r=math.inf)
+        expected, expected_pairs = pair_difference_sum(ds.features)
+        assert pairs == expected_pairs == 40 * 39
+        assert np.array_equal(total, expected)
+        a = dpp_embed(ds, 2, r_mode=math.inf)
+        b = dpp_embed(ds, 2)
+        assert np.array_equal(a.coords, b.coords)
+        assert a.r_used == math.inf
+
+    def test_row_blocks_match_loop(self, monkeypatch):
+        # 37 rows in blocks of 2 leaves a last block of one row.
+        monkeypatch.setattr(dimred, "_BLOCK_ENTRIES", 100)
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((37, 3))
+        total, pairs = pair_difference_sum(x, r=1.2)
+        expected, count = loop_pair_sum(x, 1.2)
+        assert 0 < pairs == count < 37 * 36
+        assert np.allclose(total, expected, rtol=1e-12, atol=1e-12)
+        out = dpp_embed(Dataset(x), 1)
+        diameter = max(np.linalg.norm(x[i] - x[j]) for i in range(37) for j in range(37))
+        assert out.r_used == pytest.approx(1.0 + diameter, rel=1e-12)
 
 
 class TestPcaEmbed:

@@ -5,10 +5,33 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from gaussdpp import (BoxWindow, ScatteringMatrix, build_spectral_basis,
+from gaussdpp import sampling
+from gaussdpp import (BoxWindow, PointPattern, ScatteringMatrix, build_spectral_basis,
                       count_dispersion_test, empirical_pair_correlation,
                       isotropic_scattering, sample_gdp, sample_gdp_ensemble,
-                      sample_poisson)
+                      sample_poisson, unit_ball_volume)
+
+
+def dense_pair_correlation(patterns, bin_edges):
+    """Reference for empirical_pair_correlation: all N x N x d torus
+    differences of a pattern at once."""
+    edges = np.asarray(bin_edges, dtype=float)
+    side, d = patterns[0].window.side, patterns[0].window.dim
+    shell = side ** d * unit_ball_volume(d) * (edges[1:] ** d - edges[:-1] ** d)
+    totals = np.zeros(edges.size - 1)
+    for pat in patterns:
+        pts = pat.points
+        n = pts.shape[0]
+        if n < 2:
+            continue
+        diff = np.abs(pts[:, None, :] - pts[None, :, :])
+        diff = np.minimum(diff, side - diff)
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        counts, _ = np.histogram(dist[np.triu_indices(n, k=1)], bins=edges)
+        totals += 2.0 * counts
+    est = totals / (len(patterns) * shell)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return list(zip(centers.tolist(), est.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +193,35 @@ class TestEmpiricalPairCorrelation:
         pats = [sample_gdp(iso2, window, (2, i), basis=basis) for i in range(150)]
         est = empirical_pair_correlation(pats, [0.0, 0.15])
         assert est[0][1] < 0.15
+
+    def test_row_blocks_match_dense_oracle(self, monkeypatch):
+        # 37 points in blocks of 2 rows leave a last block of one row.
+        monkeypatch.setattr(sampling, "_PAIR_BLOCK_ENTRIES", 100)
+        w = BoxWindow(6.0, 2)
+        pats = [sample_poisson(1.0, w, (9, i)) for i in range(4)]
+        pats.append(PointPattern(pats[0].points[:37], w))
+        edges = np.arange(0.0, 3.01, 0.25)
+        assert empirical_pair_correlation(pats, edges) == dense_pair_correlation(pats, edges)
+
+    def test_patterns_below_two_points(self):
+        w = BoxWindow(6.0, 3)
+        pats = [PointPattern(np.zeros((0, 3)), w), PointPattern([[1.0, 2.0, 0.5]], w),
+                sample_poisson(1.0, w, 4)]
+        edges = [0.0, 0.5, 1.0, 2.0]
+        assert empirical_pair_correlation(pats, edges) == dense_pair_correlation(pats, edges)
+        assert empirical_pair_correlation(pats[:2], edges) == [(0.25, 0.0), (0.75, 0.0),
+                                                               (1.5, 0.0)]
+
+    def test_pairs_wrap_around_the_torus(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_PAIR_BLOCK_ENTRIES", 4)
+        w = BoxWindow(6.0, 2)
+        pat = PointPattern([[-2.95, 0.0], [2.95, 0.05], [0.0, 2.9], [0.1, -2.9], [1.0, 1.0]], w)
+        edges = [0.0, 0.15, 0.25, 3.0]
+        est = empirical_pair_correlation([pat], edges)
+        assert est == dense_pair_correlation([pat], edges)
+        # (-2.95, 0) and (2.95, 0.05) are 0.1118 apart across the x faces;
+        # (0, 2.9) and (0.1, -2.9) are 0.2236 apart across the y faces.
+        assert [value > 0 for _, value in est] == [True, True, True]
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least one"):
