@@ -59,7 +59,7 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
-_side = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _tol = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     _add_sigma_flags(p)
     p.add_argument("--process", default="gdp", choices=["gdp", "poisson"])
-    p.add_argument("--L", type=_side, required=True, help="box side")
+    p.add_argument("--L", type=_positive_finite, required=True, help="box side")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=_tol, default=1e-6)
     p.add_argument("--replicates", type=_checked(int, lambda v: v >= 1, ">= 1"), default=1)
@@ -355,10 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0, help="rate constant")
     p.add_argument("--calibrate", action="store_true",
                    help="Monte-Carlo null calibration instead of the analytic threshold")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--null-replicates", type=int, default=200)
+    p.add_argument("--delta", type=_tol, default=0.05)
+    p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),
+                   default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--L", type=_side, default=None,
+    p.add_argument("--L", type=_positive_finite, default=None,
                    help="box side for null simulation (default 2 * R_used)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
@@ -390,12 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="simulation fidelity report")
     p.add_argument("--d", type=int, required=True)
     _add_sigma_flags(p)
-    p.add_argument("--L", type=_side, required=True)
+    p.add_argument("--L", type=_positive_finite, required=True)
     p.add_argument("--replicates", type=_checked(int, lambda v: v >= 2, ">= 2"), default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=_tol, default=1e-6)
-    p.add_argument("--bin-width", type=float, default=0.1)
-    p.add_argument("--r-max", type=float, default=2.0)
+    p.add_argument("--bin-width", type=_positive_finite, default=0.1)
+    p.add_argument("--r-max", type=_positive_finite, default=2.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_validate)
 

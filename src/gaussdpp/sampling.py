@@ -33,6 +33,10 @@ DEFAULT_MAX_REJECTS = 1_000_000
 
 _ENUM_SLAB = 1 << 20  # candidate rows processed per slab while enumerating
 _PAIR_BLOCK_ENTRIES = 1 << 18  # point pairs per block in the pair correlation
+_MAX_BLOCK = 2048  # largest block of sampler proposals
+_GRAM_PANEL = 128  # candidate rows per product in the sampler's scan
+_TRI_BLOCK = 64  # rows per block of the triangular solve in compressions
+_FEATURE_CHUNK = 1 << 16  # phase entries per chunk of feature assembly
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,68 @@ def _cos2_inverse_cdf(u: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _sample_projection(rng, k_sel, sin_sel, side, max_rejects, batch=2048):
+def _features(k_float, shift, amp, x, side):
+    """Real Fourier features of the points x: (points, modes) float32.
+
+    Entry (b, i) is amp[i] * cos(2 pi (<k_i, x_b> / L - shift[i])); a shift
+    of a quarter turn makes it the sine of the same frequency.  The phase
+    is formed in float64 turns and reduced to [-1/2, 1/2] before the cosine
+    is taken in float32, so the absolute error stays ~3e-7 * amp at any |k|
+    (far below the spectral truncation tol).  Rows go in chunks small
+    enough for the float64 phase to stay in cache.
+    """
+    psi = np.empty((x.shape[0], k_float.shape[0]), dtype=np.float32)
+    step = max(1, _FEATURE_CHUNK // k_float.shape[0])
+    turns = x / side
+    for lo in range(0, x.shape[0], step):
+        phase = turns[lo:lo + step] @ k_float.T
+        phase -= shift
+        phase -= np.rint(phase)
+        out = psi[lo:lo + step]
+        np.multiply(phase, 2.0 * math.pi, out=out, casting="same_kind")
+        np.cos(out, out=out)
+        out *= amp
+    return psi
+
+
+def _solve_upper(a, b):
+    """Solve a w = b for upper triangular a, by blocks of rows from the
+    bottom up, so nearly all the work is matrix products."""
+    w = np.empty_like(b)
+    n = a.shape[0]
+    for lo in range((n - 1) // _TRI_BLOCK * _TRI_BLOCK, -1, -_TRI_BLOCK):
+        hi = min(lo + _TRI_BLOCK, n)
+        rhs = b[lo:hi] - a[lo:hi, hi:] @ w[hi:]
+        w[lo:hi] = np.linalg.solve(a[lo:hi, lo:hi], rhs)
+    return w
+
+
+def _orthonormal_basis(a, complement=False):
+    """Orthonormal basis of the column span of a (q, s), or of its
+    orthogonal complement.
+
+    With Householder factors a = H_1 ... H_s R, the span is the first s
+    columns of Q = H_1 ... H_s and the complement the last q - s.  The
+    compact-WY form Q = I - V T V' gives either set by products with the
+    reflectors V alone; the upper triangular T comes from
+    T^-1 = striu(V'V) + diag(1/tau).  The other columns of Q are never
+    formed.
+    """
+    q, s = a.shape
+    h, tau = np.linalg.qr(a, mode="raw")  # h.T holds R and the reflectors
+    diag = np.arange(s)
+    v = np.tril(h.T, -1)
+    v[diag, diag] = 1.0
+    t_inv = np.triu(v.T @ v, 1)
+    t_inv[diag, diag] = 1.0 / tau
+    cols = slice(s, q) if complement else slice(0, s)
+    basis = v @ _solve_upper(t_inv, v[cols].T)
+    basis *= -1.0
+    basis[cols] += np.eye(basis.shape[1], dtype=basis.dtype)
+    return basis
+
+
+def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
     """Draw the rank-m projection DPP of the selected real Fourier modes.
 
     Points are sampled sequentially; each conditional density is the
@@ -197,36 +262,47 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects, batch=2048):
     with no envelope slack, so point j+1 costs m/(m-j) proposals on
     average.
 
-    Three devices keep the cost at a few large matrix products instead of
-    one basis pass per accepted point:
+    Proposals are processed in blocks, and three devices keep the cost at
+    a few large matrix products instead of one basis pass per accepted
+    point:
 
-    * proposals are processed in blocks; inside a block the conditional
-      updates caused by fresh acceptances are tracked through their
-      projections onto the block rows (an O(block) vector per acceptance)
-      and only folded into the orthonormal basis at block boundaries;
-    * once selected directions fill half the active space, everything is
-      rewritten in an orthonormal basis of their complement, so later
-      per-proposal work scales with the remaining rank;
-    * while more than 256 points remain, the conditionals are evaluated in
-      single precision, which perturbs acceptance probabilities by less
-      than ~1e-4 relative (far below the spectral truncation error); the
-      final stretch, where conditional values are small differences of
-      large norms, runs in double precision on a re-orthonormalized basis.
+    * candidate scan: inside a block the conditional values only go down,
+      so a proposal that fails its acceptance test at block start can
+      never pass in that block.  The block is compacted to the rows that
+      pass and the sequential scan runs over those rows alone.  Their
+      conditional Gram rows come from one product per panel of candidates,
+      formed when the scan reaches the panel (so a block that ends early
+      pays only for the rows it reached), and the updates caused by fresh
+      acceptances are tracked through pending vectors (one Cholesky
+      column per acceptance) that are folded into the orthonormal basis
+      of selected directions at block boundaries;
+    * float32 phase: features are cosines of phases formed in float64
+      turns and reduced to one period before the float32 cosine.  While
+      more than 256 points remain, all linear algebra runs in single
+      precision, which perturbs acceptance probabilities by less than
+      ~1e-4 relative (far below the spectral truncation error); the final
+      stretch, where conditional values are small differences of large
+      norms, runs in double precision on a re-orthonormalized basis;
+    * WY compressions: once selected directions fill half the active
+      space, everything is rewritten in an orthonormal basis of their
+      complement, built from the Householder factors of the selected
+      directions in compact-WY form, so later per-proposal work scales
+      with the remaining rank.
     """
     m, d = k_sel.shape
     out = np.empty((m, d))
     if m == 0:
         return out
     ld = side ** float(d)
-    # Cosine modes first, sines after, so the feature matrix is assembled
-    # from two contiguous slices of the complex mode values.
+    # Cosine modes first, sines after: the mode order fixes which mode
+    # each proposal's random index picks, hence the sampled stream.
     order = np.argsort(sin_sel, kind="stable")
     k_sel = k_sel[order]
     sin_sel = sin_sel[order]
-    n_cos = int(np.count_nonzero(~sin_sel))
     is_const = ~sin_sel & np.all(k_sel == 0, axis=1)
-    base_amp = math.sqrt(2.0 / ld)
-    const_cols = np.nonzero(is_const)[0]
+    amp = np.where(is_const, math.sqrt(1.0 / ld), math.sqrt(2.0 / ld)).astype(np.float32)
+    shift = np.where(sin_sel, 0.25, 0.0)
+    k_float = k_sel.astype(float)
     omega = 2.0 * math.pi / side
 
     # Proposal machinery: mode i is drawn uniformly, the coordinates are
@@ -259,37 +335,6 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects, batch=2048):
             x[rows[live], axis[live]] = xa[live]
         return x
 
-    # exp(2 pi i <k, x> / L) factorizes over dimensions; each factor is a
-    # row gather from a per-dimension table of exponentials over the
-    # k-range.  Tables and features are kept transposed, (modes, batch),
-    # so the gathers are contiguous row copies; BLAS consumes the
-    # transposed view without further copying.  The mode values are
-    # gathered in single precision (relative error ~1e-7, far below the
-    # spectral truncation tol) and promoted to float64 for all linear
-    # algebra.
-    k_lo = k_sel.min(axis=0)
-    k_hi = k_sel.max(axis=0)
-    k_idx = np.stack([k_sel[:, t] - k_lo[t] for t in range(d)])
-
-    def _features_t(x, dt):
-        nb = x.shape[0]
-        psi_t = np.empty((m, nb), dtype=dt)
-        zt = None
-        for t in range(d):
-            table = np.exp(1j * omega * np.outer(
-                np.arange(k_lo[t], k_hi[t] + 1),
-                x[:, t])).astype(np.complex64)
-            if zt is None:
-                zt = table[k_idx[t]]
-            else:
-                zt *= table[k_idx[t]]
-        psi_t[:n_cos] = zt[:n_cos].real
-        psi_t[n_cos:] = zt[n_cos:].imag
-        psi_t *= base_amp
-        if const_cols.size:
-            psi_t[const_cols] *= math.sqrt(0.5)
-        return psi_t
-
     accept_target = 32     # sizes each block for about this many acceptances
     tail_switch = 256      # remaining rank at which float64 takes over
 
@@ -306,70 +351,82 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects, batch=2048):
             # Rebuild the complement basis in double precision for the
             # small-conditional endgame.
             if s:
-                full = np.linalg.qr(u_sel[:, :s].astype(np.float64),
-                                    mode="complete")[0]
-                comp = full[:, s:]
+                comp = _orthonormal_basis(u_sel[:, :s].astype(np.float64),
+                                          complement=True)
                 proj = comp if proj is None else proj.astype(np.float64) @ comp
             elif proj is not None:
                 proj = proj.astype(np.float64)
             if proj is not None:
-                proj = np.linalg.qr(proj, mode="reduced")[0]
+                proj = _orthonormal_basis(proj)
                 q = proj.shape[1]
             dt = np.float64
             u_sel = np.empty((q, q), dtype=dt)
             s = 0
-        nbatch = min(max(int(accept_target * m / (m - j)), 1024), batch)
+        nbatch = min(max(int(accept_target * m / (m - j)), 1024), _MAX_BLOCK)
         pcap = min(nbatch, 1024)
         x = _draw_proposals(nbatch)
         tickets = rng.random(nbatch)
-        psi_t = _features_t(x, dt)
-        nrm2 = np.einsum("ib,ib->b", psi_t, psi_t)
-        if proj is not None:
-            feats = psi_t.T @ proj
-        else:
-            feats = np.ascontiguousarray(psi_t.T)
+        psi = _features(k_float, shift, amp, x, side).astype(dt, copy=False)
+        nrm2 = np.einsum("bi,bi->b", psi, psi)
+        feats = psi if proj is None else psi @ proj
         kv = np.einsum("ij,ij->i", feats, feats)
         g = None
         if s:
             g = feats @ u_sel[:, :s]
             kv -= np.einsum("ij,ij->i", g, g)
-        # Projections of all block rows onto directions accepted within
-        # this block (not yet folded into u_sel).
-        pend = np.empty((pcap, nbatch), dtype=dt)
+        # kv only falls within a block, so a row that fails now never
+        # passes: keep the candidates alone.
+        thr = tickets * nrm2
+        cand = np.flatnonzero(thr < kv)
+        thr = thr[cand]
+        kv = kv[cand]
+        feats = feats[cand]
+        if s:
+            g = g[cand]
+        # Row l of pend holds the projections of the later candidates onto
+        # the l-th direction accepted in this block.
+        pend = np.empty((pcap, cand.size), dtype=dt)
         rows: list[int] = []
-        pos = 0
-        while pos < nbatch and j < m and len(rows) < pcap:
-            ok = tickets[pos:] * nrm2[pos:] < kv[pos:]
-            hit = int(np.argmax(ok))
-            if not ok[hit]:
-                rejects += nbatch - pos
+        nxt = 0               # next candidate to test
+        top = end = 0         # gram holds the rows of candidates top..end-1
+        while j < m and len(rows) < pcap:
+            hits = np.flatnonzero(thr[nxt:] < kv[nxt:])
+            if not hits.size:
+                # Consecutive rejections since the last acceptance: every
+                # block row after it.
+                rejects += nbatch - (int(cand[rows[-1]]) + 1 if rows else 0)
                 if rejects > max_rejects:
                     raise RuntimeError(
                         f"rejection budget of {max_rejects} exhausted "
                         f"at point {j + 1}/{m}")
                 break
-            a = pos + hit
+            a = nxt + int(hits[0])
             rejects = 0
-            out[j] = x[a]
+            out[j] = x[cand[a]]
             j += 1
             if j == m:
                 break
-            # <new direction, feature row b> for every b, via the identity
-            # resid(a) = feats[a] - U g[a] - sum_l pend_l pend_l[a].
-            c = feats @ feats[a]
-            if s:
-                c -= g @ g[a]
+            if a >= end:
+                # Conditional Gram rows of the next candidates against all
+                # later ones, formed as one product once the scan gets there.
+                top, end = a, a + _GRAM_PANEL
+                gram = feats[top:end] @ feats[top:].T
+                if s:
+                    gram -= g[top:end] @ g[top:].T
+            # <new direction, later candidate b>, from the conditional Gram
+            # row minus the directions accepted earlier in this block.
+            c = gram[a - top, a - top + 1:]
             p = len(rows)
             if p:
-                c -= pend[:p].T @ pend[:p, a]
+                c = c - pend[:p, a + 1:].T @ pend[:p, a]
             norm2 = float(kv[a])
             if norm2 <= 0.0:
                 raise RuntimeError("conditional kernel collapsed at acceptance")
-            c /= math.sqrt(norm2)
-            pend[p] = c
+            c = c / math.sqrt(norm2)
+            pend[p, a + 1:] = c
             rows.append(a)
-            kv -= c * c
-            pos = a + 1
+            kv[a + 1:] -= c * c
+            nxt = a + 1
         if j == m:
             break
         p = len(rows)
@@ -380,11 +437,10 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects, batch=2048):
             v = feats[rows]
             if s:
                 v -= g[rows] @ u_sel[:, :s].T
-            u_sel[:, s:s + p] = np.linalg.qr(v.T, mode="reduced")[0]
+            u_sel[:, s:s + p] = _orthonormal_basis(v.T)
             s += p
         if 2 * s >= q and q - s >= 16:
-            full = np.linalg.qr(u_sel[:, :s], mode="complete")[0]
-            comp = full[:, s:]
+            comp = _orthonormal_basis(u_sel[:, :s], complement=True)
             proj = comp if proj is None else proj @ comp
             q = comp.shape[1]
             u_sel = np.empty((q, q), dtype=dt)

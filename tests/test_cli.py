@@ -4,6 +4,7 @@ from gaussdpp import cli
 
 SAMPLE = ["sample", "--d", "2", "--seed", "0"]
 VALIDATE = ["validate", "--d", "2", "--seed", "0"]
+DETECT = ["detect", "--estimate", "estimate.json", "--calibrate"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -16,6 +17,10 @@ VALIDATE = ["validate", "--d", "2", "--seed", "0"]
     (SAMPLE + ["--L", "5", "--tol", "0"], "--tol: must be in (0, 1)"),
     (VALIDATE + ["--L", "5", "--tol", "1"], "--tol: must be in (0, 1)"),
     (SAMPLE + ["--L", "five"], "--L: invalid float value"),
+    (VALIDATE + ["--L", "5", "--bin-width", "0"], "--bin-width: must be positive and finite"),
+    (VALIDATE + ["--L", "5", "--r-max", "inf"], "--r-max: must be positive and finite"),
+    (DETECT + ["--delta", "1"], "--delta: must be in (0, 1)"),
+    (DETECT + ["--null-replicates", "1"], "--null-replicates: must be >= 2"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"

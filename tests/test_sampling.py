@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from gaussdpp import sampling
 from gaussdpp import (BoxWindow, PointPattern, ScatteringMatrix, build_spectral_basis,
                       count_dispersion_test, empirical_pair_correlation,
                       isotropic_scattering, sample_gdp, sample_gdp_ensemble,
-                      sample_poisson, unit_ball_volume)
+                      sample_poisson, spiked_scattering, unit_ball_volume)
 
 
 def dense_pair_correlation(patterns, bin_edges):
@@ -150,6 +151,64 @@ class TestSampleGdp:
             avg, _ = quad(lambda t: 1.0 - math.exp(-2.0 * math.pi * t ** 2),
                           lo, hi)
             assert value == pytest.approx(avg / (hi - lo), abs=0.05)
+
+
+class TestSamplerStream:
+    # Point counts and SHA-256 of points.tobytes() (float64, little-endian)
+    # recorded from the sampler before its block loop was rewritten as a
+    # candidate scan; any change to the random stream or to an acceptance
+    # decision shows here.
+    @pytest.mark.parametrize("sigma, side, count, digest", [
+        (isotropic_scattering(2), 20.0, 407,
+         "414efd20036582b0a9622910bb90a1ee87af841d0903bb3772cee3a74a9cc835"),
+        (spiked_scattering(3.0, [1.0, 0.0]), 28.0, 789,
+         "d9143d674a6c1782c6a5c9093aac76dfa6546012da2355d21d22e57c9df65b2f"),
+        (isotropic_scattering(3), 8.0, 546,
+         "27b5d8b879548f9457b444e468b0dc2de137b55d1b42d6a6f18b58eefe0ede83"),
+    ], ids=["iso2-L20", "spiked2-L28", "iso3-L8"])
+    def test_golden_stream(self, sigma, side, count, digest):
+        pts = sample_gdp(sigma, BoxWindow(side, sigma.dim), 0).points
+        assert pts.shape == (count, sigma.dim)
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
+    def test_rejection_budget(self, iso2):
+        with pytest.raises(RuntimeError, match="rejection budget of 0 exhausted"):
+            sample_gdp(iso2, BoxWindow(20.0, 2), 0, max_rejects=0)
+
+    def test_features_match_float64_reference(self):
+        side = 45.0
+        sigma = spiked_scattering(3.0, [1.0, 0.0])
+        modes = build_spectral_basis(sigma, side).modes
+        widest = modes[np.argmax(np.abs(modes).sum(axis=1))]
+        # The constant mode, the widest mode as cosine and sine, and a
+        # spread of others; more modes than one chunk of rows holds.
+        k = np.concatenate([[[0, 0]], [widest, widest], modes[::7]])
+        sin = np.zeros(k.shape[0], dtype=bool)
+        sin[2] = True
+        sin[3::2] = True
+        amp = np.where(np.all(k == 0, axis=1) & ~sin, math.sqrt(1.0 / side ** 2),
+                       math.sqrt(2.0 / side ** 2))
+        x = np.random.default_rng(4).uniform(-side / 2, side / 2, size=(300, 2))
+        x[:2] = [[-side / 2, side / 2], [side / 2, -side / 2]]
+        psi = sampling._features(k.astype(float), np.where(sin, 0.25, 0.0),
+                                 amp.astype(np.float32), x, side)
+        assert psi.dtype == np.float32 and psi.shape == (300, k.shape[0])
+        assert 300 > sampling._FEATURE_CHUNK // k.shape[0]
+        angle = 2.0 * math.pi * (x @ k.T) / side
+        ref = amp * np.where(sin, np.sin(angle), np.cos(angle))
+        assert np.all(np.abs(psi - ref) <= 1e-6 * amp)
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 5e-6)])
+    def test_orthonormal_bases_match_householder_qr(self, dtype, atol, monkeypatch):
+        # Blocks of 16 rows make the triangular solve take several steps.
+        monkeypatch.setattr(sampling, "_TRI_BLOCK", 16)
+        a = np.random.default_rng(2).standard_normal((90, 50)).astype(dtype)
+        full = np.linalg.qr(a, mode="complete")[0]
+        span = sampling._orthonormal_basis(a)
+        comp = sampling._orthonormal_basis(a, complement=True)
+        assert span.dtype == comp.dtype == dtype
+        assert np.allclose(span, full[:, :50], rtol=0, atol=atol)
+        assert np.allclose(comp, full[:, 50:], rtol=0, atol=atol)
 
 
 class TestSamplePoisson:
