@@ -6,6 +6,18 @@ reproduces the payload files byte for byte.  result.json wraps the
 payload in a schema-versioned envelope that also records the tool version
 and wall-clock time (the one field that varies between reruns).
 
+`detect --calibrate` caches the K null statistics it simulates, one JSON
+file per key under ${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/.  The key
+is the SHA-256 of the package's *.py sources, the numpy version, d, the
+null box side, the spectral tolerance, the estimator settings (r, R, C0)
+recorded in estimate.json, K (--null-replicates) and the null --seed; the
+file is named by the SHA-256 of that key.  --delta is not part of it: a
+later call with the same key reads the statistics instead of simulating
+them and takes its own threshold from them, so calibration.json and
+detect.json are the same either way.  result.json reports
+"calibration_cache": "hit" or "miss".  Deleting the directory clears the
+cache; an unreadable entry is recomputed and an unwritable one ignored.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -17,7 +29,9 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +48,11 @@ from .kernel import (ScatteringMatrix, isotropic_scattering,
 from .patterns import BoxWindow, PointPattern, extract_ball, load_pattern, save_pattern
 from .sampling import (count_dispersion_test, empirical_pair_correlation,
                        sample_gdp_ensemble, sample_poisson)
-from .spiked import (calibrate_null_threshold, detection_test,
+from .spiked import (NullCalibration, calibrate_null_threshold, detection_test,
                      detection_test_calibrated, estimate_spike)
 
 SCHEMA_VERSION = 1
+NULL_TOL = 1e-6  # spectral truncation of the null simulations
 
 
 def _default_jobs() -> int:
@@ -60,6 +75,7 @@ def _checked(convert, ok, requirement: str):
 
 
 _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _tol = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
@@ -99,7 +115,10 @@ def _write_csv(path: Path, header, rows) -> None:
                              else v for v in row])
 
 
-def _finish(args, command: str, payload: dict, t0: float) -> int:
+def _finish(args, command: str, payload: dict, t0: float,
+            status: dict | None = None) -> int:
+    """Write run_config.json and result.json; `status` goes into the
+    envelope only, beside the payload."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     argv = list(getattr(args, "_argv", []))
@@ -109,7 +128,8 @@ def _finish(args, command: str, payload: dict, t0: float) -> int:
     _write_json(out / "run_config.json", config)
     envelope = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
                 "command": command, "config": config,
-                "wall_time_s": time.perf_counter() - t0, "payload": payload}
+                "wall_time_s": time.perf_counter() - t0, **(status or {}),
+                "payload": payload}
     _write_json(out / "result.json", envelope)
     print(json.dumps({"command": command, "out": str(out), **_summary(payload)}))
     return 0
@@ -145,8 +165,11 @@ def _cmd_sample(args) -> int:
     return _finish(args, "sample", payload, t0)
 
 
-def _load_estimate_config(args) -> EstimatorConfig:
-    return EstimatorConfig(r=args.r, R=args.R, c0=args.C0)
+def _field(obj: dict, key: str, source):
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"{source}: missing key {key!r}") from None
 
 
 def _cmd_estimate(args) -> int:
@@ -154,39 +177,113 @@ def _cmd_estimate(args) -> int:
     pattern, _meta = load_pattern(args.pattern)
     if args.ball_radius is not None:
         pattern = extract_ball(pattern, args.ball_radius)
-    result = estimate_scattering(pattern, _load_estimate_config(args))
-    payload = result.to_json_dict(c_variance=args.C, c_rate=args.c)
+    config = EstimatorConfig(r=args.r, R=args.R, c0=args.C0)
+    result = estimate_scattering(pattern, config)
+    payload = {**result.to_json_dict(c_variance=args.C, c_rate=args.c),
+               "estimator": {"r": args.r, "R": args.R, "C0": args.C0}}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "estimate.json", payload)
     return _finish(args, "estimate", payload, t0)
 
 
+def _estimator_config(est: dict, source) -> EstimatorConfig:
+    """The estimator settings recorded in an estimate.json; files that
+    record none were made with the defaults."""
+    block = est.get("estimator")
+    if block is None:
+        return EstimatorConfig()
+    return EstimatorConfig(r=_field(block, "r", source), R=_field(block, "R", source),
+                           c0=_field(block, "C0", source))
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "gaussdpp" / "null"
+
+
+def _source_fingerprint() -> str:
+    """SHA-256 over the names and bytes of the package's *.py sources."""
+    import hashlib  # kept off the import path of `gaussdpp --version`
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _store_atomically(path: Path, obj) -> None:
+    """Write through a temporary file and a rename, so a reader sees a
+    whole file whatever other writers do; failures are ignored."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.NamedTemporaryFile("w", dir=path.parent, suffix=".tmp",
+                                         delete=False) as fh:
+            tmp = fh.name
+            json.dump(obj, fh)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+
+
+def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed: int,
+                      config: EstimatorConfig) -> tuple[NullCalibration, str]:
+    """Null calibration through the on-disk cache (see the module
+    docstring); returns it with "hit" or "miss"."""
+    import hashlib
+    key = {"source_sha256": _source_fingerprint(), "numpy": np.__version__,
+           "d": d, "side": side, "tol": NULL_TOL,
+           "estimator": {"r": config.r, "R": config.R, "c0": config.c0},
+           "null_replicates": n_replicates, "seed": seed}
+    name = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+    path = _cache_dir() / f"{name}.json"
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+        stats = stored["statistics"]
+        if (stored["key"] == key and isinstance(stats, list) and len(stats) == n_replicates
+                and all(type(v) is float and math.isfinite(v) for v in stats)):
+            return NullCalibration.from_statistics(stats, delta), "hit"
+    except (OSError, ValueError, KeyError, TypeError):
+        pass  # missing or unreadable: recompute and overwrite
+    cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, config=config,
+                                   tol=NULL_TOL, jobs=_default_jobs())
+    _store_atomically(path, {"key": key, "statistics": cal.statistics.tolist()})
+    return cal, "miss"
+
+
 def _cmd_detect(args) -> int:
     t0 = time.perf_counter()
     with open(args.estimate) as fh:
         est = json.load(fh)
-    d = est["dim"]
-    sigma_hat = np.asarray(est["sigma_hat"], dtype=float).reshape(d, d)
+    d = _field(est, "dim", args.estimate)
+    sigma_hat = np.asarray(_field(est, "sigma_hat", args.estimate),
+                           dtype=float).reshape(d, d)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload: dict
+    status = {}
     if args.calibrate:
-        side = args.L if args.L is not None else 2.0 * est["R_used"]
-        cal = calibrate_null_threshold(d, side, args.delta,
-                                       args.null_replicates, args.seed,
-                                       jobs=_default_jobs())
+        side = args.L if args.L is not None else 2.0 * _field(est, "R_used", args.estimate)
+        cal, status["calibration_cache"] = _calibrate_cached(
+            d, side, args.delta, args.null_replicates, args.seed,
+            _estimator_config(est, args.estimate))
         result = detection_test_calibrated(sigma_hat, cal.threshold)
         _write_json(out / "calibration.json", cal.to_json_dict())
         payload = {**result.to_json_dict(), "mode": "calibrated",
                    "delta": args.delta, "null_replicates": args.null_replicates}
     else:
-        result = detection_test(sigma_hat, est["n"], d, args.t, args.c)
+        result = detection_test(sigma_hat, _field(est, "n", args.estimate), d,
+                                args.t, args.c)
         payload = {**result.to_json_dict(), "mode": "analytic"}
     spike = estimate_spike(sigma_hat)
     payload["spike"] = spike.to_json_dict()
     _write_json(out / "detect.json", payload)
-    return _finish(args, "detect", payload, t0)
+    return _finish(args, "detect", payload, t0, status)
 
 
 def _cmd_reduce(args) -> int:
@@ -224,7 +321,7 @@ def _cmd_roc(args) -> int:
         for row in reader:
             coords.append([float(v) for v in row[1:1 + ncoord]])
             labels.append(row[-1])
-    if args.component < 1 or args.component > ncoord:
+    if args.component > ncoord:
         raise ValueError(f"--component must be in 1..{ncoord}")
     if args.positive_label is not None:
         lab = np.asarray([1 if v == str(args.positive_label) else 0
@@ -332,16 +429,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=_positive_finite, required=True, help="box side")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=_tol, default=1e-6)
-    p.add_argument("--replicates", type=_checked(int, lambda v: v >= 1, ">= 1"), default=1)
+    p.add_argument("--replicates", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("estimate", help="scattering-matrix estimate from a pattern")
     p.add_argument("--pattern", required=True,
                    help="pattern file stem (reads <stem>.csv and <stem>.json)")
-    p.add_argument("--r", type=float, default=None, help="cutoff radius (default: auto)")
-    p.add_argument("--R", type=float, default=None, help="observation ball radius")
-    p.add_argument("--ball-radius", type=float, default=None,
+    p.add_argument("--r", type=_positive_finite, default=None,
+                   help="cutoff radius (default: auto)")
+    p.add_argument("--R", type=_positive_finite, default=None,
+                   help="observation ball radius")
+    p.add_argument("--ball-radius", type=_positive_finite, default=None,
                    help="restrict a box pattern to this ball before estimating")
     p.add_argument("--C0", type=float, default=1.0, help="auto-cutoff constant")
     p.add_argument("--C", type=float, default=1.0, help="variance-bound constant")
@@ -351,10 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="spike detection test on an estimate")
     p.add_argument("--estimate", required=True, help="estimate.json from `estimate`")
-    p.add_argument("--t", type=float, default=20.0, help="analytic threshold multiplier")
+    p.add_argument("--t", type=_positive_finite, default=20.0,
+                   help="analytic threshold multiplier")
     p.add_argument("--c", type=float, default=1.0, help="rate constant")
     p.add_argument("--calibrate", action="store_true",
-                   help="Monte-Carlo null calibration instead of the analytic threshold")
+                   help="Monte-Carlo null calibration instead of the analytic threshold. "
+                        "The null statistics are cached under "
+                        "${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/, keyed by the "
+                        "package sources, numpy version, d, box side, spectral "
+                        "tolerance, estimator settings, --null-replicates and --seed "
+                        "(not --delta); delete that directory to clear it. result.json "
+                        "reports calibration_cache: hit or miss.")
     p.add_argument("--delta", type=_tol, default=0.05)
     p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),
                    default=200)
@@ -369,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-column", default=None)
     p.add_argument("--positive-label", default=None)
     p.add_argument("--method", required=True, choices=["dpp", "pca"])
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--r", type=float, default=None,
                    help="explicit DPP cutoff (default: all pairs)")
     p.add_argument("--standardize", action="store_true",
@@ -381,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roc", help="ROC/AUC of a risk score from an embedding")
     p.add_argument("--embedding", required=True, help="embedding.csv from `reduce`")
-    p.add_argument("--component", type=int, default=1, help="1-based component index")
+    p.add_argument("--component", type=_positive_int, default=1,
+                   help="1-based component index")
     p.add_argument("--flip", action="store_true", help="negate the risk scores")
     p.add_argument("--positive-label", default=None,
                    help="label value mapped to 1 (otherwise labels must be 0/1)")

@@ -150,9 +150,15 @@ def save_pattern(pattern: PointPattern, path, *, seed=None, sigma_entries=None,
 def load_pattern(path) -> tuple[PointPattern, dict]:
     """Inverse of save_pattern; returns the pattern and the sidecar metadata."""
     stem = Path(path)
-    with open(stem.with_suffix(".json")) as fh:
+    sidecar = stem.with_suffix(".json")
+    with open(sidecar) as fh:
         meta = json.load(fh)
-    window = _window_from_json(meta["window"])
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: expected a JSON object")
+    try:
+        window = _window_from_json(meta["window"])
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: missing key {exc}") from None
     rows = []
     with open(stem.with_suffix(".csv"), newline="") as fh:
         reader = csv.reader(fh)

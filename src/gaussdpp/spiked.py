@@ -143,6 +143,21 @@ class NullCalibration:
     delta: float
     statistics: np.ndarray
 
+    @classmethod
+    def from_statistics(cls, statistics, delta: float) -> NullCalibration:
+        """Threshold at level delta from K null statistics: their
+        ceil((K+1)(1-delta))-th order statistic (capped at K)."""
+        if not 0 < delta < 1:
+            raise ValueError("delta must lie in (0, 1)")
+        stats = np.array(statistics, dtype=float)
+        k = stats.size
+        if stats.ndim != 1 or k < 2:
+            raise ValueError("need at least two null statistics")
+        rank = min(k, int(math.ceil((k + 1) * (1.0 - delta))))
+        threshold = float(np.sort(stats)[rank - 1])
+        stats.setflags(write=False)
+        return cls(threshold=threshold, delta=delta, statistics=stats)
+
     def to_json_dict(self) -> dict:
         return {"threshold": self.threshold, "delta": self.delta,
                 "statistics": self.statistics.tolist()}
@@ -156,10 +171,10 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
 
     Simulates the isotropic model on the given box window, estimates the
     scattering matrix of each replicate on the inscribed ball, and returns
-    the ceil((K+1)(1-delta))-th order statistic of 2*pi ||Sigma_hat||op,
-    which keeps the false-alarm rate of a fresh replicate at or below
-    delta up to Monte-Carlo error.  Replicate statistics are kept for
-    audit.
+    the ceil((K+1)(1-delta))-th order statistic of 2*pi ||Sigma_hat||op
+    (see NullCalibration.from_statistics), which keeps the false-alarm
+    rate of a fresh replicate at or below delta up to Monte-Carlo error.
+    Replicate statistics are kept for audit.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -173,7 +188,4 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
     for i, pat in enumerate(patterns):
         est = estimate_scattering(extract_ball(pat, side / 2.0), config)
         stats[i] = TWO_PI * operator_norm(est.sigma_hat)
-    rank = min(n_replicates, int(math.ceil((n_replicates + 1) * (1.0 - delta))))
-    threshold = float(np.sort(stats)[rank - 1])
-    stats.setflags(write=False)
-    return NullCalibration(threshold=threshold, delta=delta, statistics=stats)
+    return NullCalibration.from_statistics(stats, delta)

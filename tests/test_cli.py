@@ -1,10 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from gaussdpp import cli
+from gaussdpp import EstimatorConfig, calibrate_null_threshold, cli
 
 SAMPLE = ["sample", "--d", "2", "--seed", "0"]
 VALIDATE = ["validate", "--d", "2", "--seed", "0"]
 DETECT = ["detect", "--estimate", "estimate.json", "--calibrate"]
+ESTIMATE = ["estimate", "--pattern", "pattern"]
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -21,6 +29,13 @@ DETECT = ["detect", "--estimate", "estimate.json", "--calibrate"]
     (VALIDATE + ["--L", "5", "--r-max", "inf"], "--r-max: must be positive and finite"),
     (DETECT + ["--delta", "1"], "--delta: must be in (0, 1)"),
     (DETECT + ["--null-replicates", "1"], "--null-replicates: must be >= 2"),
+    (ESTIMATE + ["--r", "0"], "--r: must be positive and finite"),
+    (ESTIMATE + ["--R", "-3"], "--R: must be positive and finite"),
+    (ESTIMATE + ["--ball-radius", "inf"], "--ball-radius: must be positive and finite"),
+    (["detect", "--estimate", "estimate.json", "--t", "0"], "--t: must be positive and finite"),
+    (["reduce", "--data", "data.csv", "--method", "pca", "--k", "0"], "--k: must be >= 1"),
+    (["roc", "--embedding", "embedding.csv", "--component", "0"],
+     "--component: must be >= 1"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -36,3 +51,158 @@ def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys
 def test_single_replicate_sample(tmp_path):
     assert cli.main(SAMPLE + ["--L", "4", "--replicates", "1", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "pattern.csv").exists()
+
+
+def _run_cli(*argv):
+    """The CLI as a separate process, as a user runs it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "gaussdpp.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def _assert_clean_runtime_error(proc, *fragments):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("gaussdpp: error: ")
+    for fragment in fragments:
+        assert fragment in proc.stderr
+
+
+@pytest.mark.parametrize("missing", ["dim", "sigma_hat"])
+def test_detect_names_a_missing_estimate_key(missing, tmp_path):
+    est = {"dim": 2, "sigma_hat": [0.2, 0.0, 0.0, 0.2], "n": 50.0, "R_used": 4.0}
+    del est[missing]
+    path = tmp_path / "estimate.json"
+    path.write_text(json.dumps(est))
+    proc = _run_cli("detect", "--estimate", str(path), "--out", str(tmp_path / "out"))
+    _assert_clean_runtime_error(proc, str(path), repr(missing))
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ({"count": 1}, "missing key 'window'"),
+    ([], "expected a JSON object"),
+])
+def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
+    stem = tmp_path / "pattern"
+    stem.with_suffix(".csv").write_text("x1,x2\n0.5,0.5\n")
+    stem.with_suffix(".json").write_text(json.dumps(sidecar))
+    proc = _run_cli("estimate", "--pattern", str(stem), "--out", str(tmp_path / "out"))
+    _assert_clean_runtime_error(proc, str(stem.with_suffix(".json")), message)
+
+
+# Null calibration cache.  The estimate fixes r = 0.8, so the null
+# estimates never take the auto cutoff and a small box is enough.
+NULL_L, NULL_K, NULL_SEED, NULL_DELTA, NULL_R = "10", "3", "7", "0.2", 0.8
+
+
+@pytest.fixture(scope="module")
+def estimate_json(tmp_path_factory):
+    work = tmp_path_factory.mktemp("estimate")
+    assert cli.main(["sample", "--d", "2", "--L", "10", "--seed", "3",
+                     "--out", str(work / "sample")]) == 0
+    assert cli.main(["estimate", "--pattern", str(work / "sample" / "pattern"),
+                     "--r", str(NULL_R), "--out", str(work / "estimate")]) == 0
+    return work / "estimate" / "estimate.json"
+
+
+def _calibrate(estimate_json, out, *, L=NULL_L, K=NULL_K, seed=NULL_SEED, delta=NULL_DELTA):
+    argv = ["detect", "--estimate", str(estimate_json), "--calibrate", "--L", L,
+            "--null-replicates", K, "--seed", seed, "--delta", delta, "--out", str(out)]
+    assert cli.main(argv) == 0
+    return json.loads((out / "result.json").read_text())["calibration_cache"]
+
+
+def _forbid_simulation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("calibrate_null_threshold called on a cache hit")
+    monkeypatch.setattr(cli, "calibrate_null_threshold", fail)
+
+
+def test_estimate_records_its_estimator_settings(estimate_json):
+    est = json.loads(estimate_json.read_text())
+    assert est["estimator"] == {"r": NULL_R, "R": None, "C0": 1.0}
+
+
+def test_calibrated_null_uses_the_estimate_settings(estimate_json, tmp_path):
+    _calibrate(estimate_json, tmp_path / "out")
+    stats = json.loads((tmp_path / "out" / "calibration.json").read_text())["statistics"]
+    cal = calibrate_null_threshold(2, float(NULL_L), float(NULL_DELTA), int(NULL_K),
+                                   int(NULL_SEED), config=EstimatorConfig(r=NULL_R))
+    assert stats == cal.statistics.tolist()
+
+
+def test_warm_calibration_is_byte_identical(estimate_json, tmp_path, monkeypatch):
+    assert _calibrate(estimate_json, tmp_path / "cold") == "miss"
+    _forbid_simulation(monkeypatch)
+    assert _calibrate(estimate_json, tmp_path / "warm") == "hit"
+    for name in ("calibration.json", "detect.json"):
+        assert ((tmp_path / "cold" / name).read_bytes()
+                == (tmp_path / "warm" / name).read_bytes())
+
+
+def test_other_delta_hits_with_its_own_threshold(estimate_json, tmp_path, monkeypatch):
+    assert _calibrate(estimate_json, tmp_path / "cold") == "miss"
+    fresh = calibrate_null_threshold(2, float(NULL_L), 0.5, int(NULL_K), int(NULL_SEED),
+                                     config=EstimatorConfig(r=NULL_R))
+    _forbid_simulation(monkeypatch)
+    assert _calibrate(estimate_json, tmp_path / "warm", delta="0.5") == "hit"
+    cal = json.loads((tmp_path / "warm" / "calibration.json").read_text())
+    det = json.loads((tmp_path / "warm" / "detect.json").read_text())
+    assert cal == fresh.to_json_dict()
+    assert det["threshold"] == fresh.threshold
+    assert fresh.threshold != json.loads(
+        (tmp_path / "cold" / "calibration.json").read_text())["threshold"]
+
+
+@pytest.mark.parametrize("change", [{"seed": "8"}, {"K": "4"}, {"L": "11"}, "sources"])
+def test_changed_inputs_miss(change, estimate_json, tmp_path, monkeypatch):
+    assert _calibrate(estimate_json, tmp_path / "cold") == "miss"
+    if change == "sources":
+        monkeypatch.setattr(cli, "_source_fingerprint", lambda: "0" * 64)
+        change = {}
+    assert _calibrate(estimate_json, tmp_path / "other", **change) == "miss"
+    assert len(list((tmp_path / "xdg-cache" / "gaussdpp" / "null").glob("*.json"))) == 2
+
+
+def test_corrupt_entry_is_recomputed_and_overwritten(estimate_json, tmp_path):
+    assert _calibrate(estimate_json, tmp_path / "cold") == "miss"
+    [entry] = (tmp_path / "xdg-cache" / "gaussdpp" / "null").glob("*.json")
+    whole = entry.read_text()
+    entry.write_text(whole[:len(whole) // 2])
+    assert _calibrate(estimate_json, tmp_path / "again") == "miss"
+    assert entry.read_text() == whole
+    assert ((tmp_path / "cold" / "calibration.json").read_bytes()
+            == (tmp_path / "again" / "calibration.json").read_bytes())
+
+
+def test_unusable_cache_location_still_succeeds(estimate_json, tmp_path, monkeypatch):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert _calibrate(estimate_json, tmp_path / "first") == "miss"
+    assert _calibrate(estimate_json, tmp_path / "second") == "miss"
+    assert blocker.read_text() == ""
+
+
+def _replayed_payload_matches(first: Path, second: Path) -> None:
+    names = sorted(p.name for p in first.iterdir() if p.name != "result.json")
+    assert names == sorted(p.name for p in second.iterdir() if p.name != "result.json")
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_config_replay_reproduces_sample(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(SAMPLE + ["--L", "6", "--out", str(first)]) == 0
+    assert cli.main(["--config", str(first / "run_config.json"), "--out", str(second)]) == 0
+    _replayed_payload_matches(first, second)
+
+
+def test_config_replay_reproduces_calibrated_detect(estimate_json, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    _calibrate(estimate_json, first)
+    assert cli.main(["--config", str(first / "run_config.json"), "--out", str(second)]) == 0
+    assert {"calibration.json", "detect.json", "run_config.json"} <= {
+        p.name for p in second.iterdir()}
+    _replayed_payload_matches(first, second)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussdpp import (EstimatorConfig, calibrate_null_threshold,
+from gaussdpp import (EstimatorConfig, NullCalibration, calibrate_null_threshold,
                       davis_kahan_reference, detection_test,
                       detection_test_calibrated, estimate_spike,
                       isotropic_scattering, operator_norm, risk_rate,
@@ -154,3 +154,16 @@ class TestCalibration:
             calibrate_null_threshold(2, 10.0, 1.5, 10, 0)
         with pytest.raises(ValueError):
             calibrate_null_threshold(2, 10.0, 0.1, 1, 0)
+
+    def test_threshold_from_given_statistics(self):
+        stats = [5.0, 1.0, 4.0, 2.0, 3.0]
+        # ceil(6 * 0.5) = 3rd smallest; ceil(6 * 0.95) = 6 is capped at K = 5
+        assert NullCalibration.from_statistics(stats, 0.5).threshold == 3.0
+        cal = NullCalibration.from_statistics(stats, 0.05)
+        assert cal.threshold == 5.0
+        assert cal.statistics.tolist() == stats
+        assert not cal.statistics.flags.writeable
+        with pytest.raises(ValueError):
+            NullCalibration.from_statistics(stats, 1.0)
+        with pytest.raises(ValueError):
+            NullCalibration.from_statistics([1.0], 0.5)
