@@ -13,10 +13,10 @@ from .patterns import (BallWindow, BoxWindow, PointPattern, extract_ball,
 from .sampling import (SpectralBasis, build_spectral_basis,
                        count_dispersion_test, empirical_pair_correlation,
                        sample_gdp, sample_gdp_ensemble, sample_poisson)
-from .estimator import (EstimateResult, EstimatorConfig, NeighborIndex,
-                        bernstein_tail, bias_bound, build_neighborhoods,
-                        count_expectation, default_cutoff, estimate_scattering,
-                        risk_rate, unit_ball_volume, variance_bound)
+from .estimator import (EstimateResult, EstimatorConfig, bernstein_tail,
+                        bias_bound, count_expectation, default_cutoff,
+                        estimate_scattering, risk_rate, unit_ball_volume,
+                        variance_bound)
 from .spiked import (DetectionResult, NullCalibration, SpikeEstimate,
                      calibrate_null_threshold, davis_kahan_reference,
                      detection_test, detection_test_calibrated, estimate_spike,
@@ -36,8 +36,8 @@ __all__ = [
     "SpectralBasis", "build_spectral_basis", "count_dispersion_test",
     "empirical_pair_correlation", "sample_gdp", "sample_gdp_ensemble",
     "sample_poisson",
-    "EstimateResult", "EstimatorConfig", "NeighborIndex", "bernstein_tail",
-    "bias_bound", "build_neighborhoods", "count_expectation", "default_cutoff",
+    "EstimateResult", "EstimatorConfig", "bernstein_tail", "bias_bound",
+    "count_expectation", "default_cutoff",
     "estimate_scattering", "risk_rate", "unit_ball_volume", "variance_bound",
     "DetectionResult", "NullCalibration", "SpikeEstimate",
     "calibrate_null_threshold", "davis_kahan_reference", "detection_test",

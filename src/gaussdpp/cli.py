@@ -115,23 +115,20 @@ def _write_csv(path: Path, header, rows) -> None:
                              else v for v in row])
 
 
-def _finish(args, command: str, payload: dict, t0: float,
-            status: dict | None = None) -> int:
+def _finish(args, out: Path, payload: dict, t0: float, status: dict) -> int:
     """Write run_config.json and result.json; `status` goes into the
     envelope only, beside the payload."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     argv = list(getattr(args, "_argv", []))
-    config = {"command": command, "argv": argv,
+    config = {"command": args.command, "argv": argv,
               "params": {k: v for k, v in vars(args).items()
                          if not k.startswith("_") and k not in ("out", "func")}}
     _write_json(out / "run_config.json", config)
     envelope = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
-                "command": command, "config": config,
-                "wall_time_s": time.perf_counter() - t0, **(status or {}),
+                "command": args.command, "config": config,
+                "wall_time_s": time.perf_counter() - t0, **status,
                 "payload": payload}
     _write_json(out / "result.json", envelope)
-    print(json.dumps({"command": command, "out": str(out), **_summary(payload)}))
+    print(json.dumps({"command": args.command, "out": str(out), **_summary(payload)}))
     return 0
 
 
@@ -141,12 +138,9 @@ def _summary(payload: dict) -> dict:
     return {k: payload[k] for k in keep if k in payload}
 
 
-def _cmd_sample(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_sample(args, out: Path) -> dict:
     sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.process == "poisson":
         patterns = [sample_poisson(1.0, window, (args.seed, i))
                     for i in range(args.replicates)]
@@ -160,9 +154,8 @@ def _cmd_sample(args) -> int:
         save_pattern(pat, stem, seed=[args.seed, i], sigma_entries=sigma.entries,
                      tol=args.tol, extra={"process": args.process})
         names.append(stem.name)
-    payload = {"patterns": names, "count": len(patterns[0]),
-               "counts": [len(p) for p in patterns]}
-    return _finish(args, "sample", payload, t0)
+    return {"patterns": names, "count": len(patterns[0]),
+            "counts": [len(p) for p in patterns]}
 
 
 def _field(obj: dict, key: str, source):
@@ -172,8 +165,7 @@ def _field(obj: dict, key: str, source):
         raise ValueError(f"{source}: missing key {key!r}") from None
 
 
-def _cmd_estimate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_estimate(args, out: Path) -> dict:
     pattern, _meta = load_pattern(args.pattern)
     if args.ball_radius is not None:
         pattern = extract_ball(pattern, args.ball_radius)
@@ -181,10 +173,8 @@ def _cmd_estimate(args) -> int:
     result = estimate_scattering(pattern, config)
     payload = {**result.to_json_dict(c_variance=args.C, c_rate=args.c),
                "estimator": {"r": args.r, "R": args.R, "C0": args.C0}}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "estimate.json", payload)
-    return _finish(args, "estimate", payload, t0)
+    return payload
 
 
 def _estimator_config(est: dict, source) -> EstimatorConfig:
@@ -256,15 +246,12 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
     return cal, "miss"
 
 
-def _cmd_detect(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
     with open(args.estimate) as fh:
         est = json.load(fh)
     d = _field(est, "dim", args.estimate)
     sigma_hat = np.asarray(_field(est, "sigma_hat", args.estimate),
                            dtype=float).reshape(d, d)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload: dict
     status = {}
     if args.calibrate:
@@ -283,11 +270,10 @@ def _cmd_detect(args) -> int:
     spike = estimate_spike(sigma_hat)
     payload["spike"] = spike.to_json_dict()
     _write_json(out / "detect.json", payload)
-    return _finish(args, "detect", payload, t0, status)
+    return payload, status
 
 
-def _cmd_reduce(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_reduce(args, out: Path) -> dict:
     dataset = load_dataset(args.data, args.label_column, args.positive_label)
     if args.method == "dpp":
         r_mode = "all_pairs" if args.r is None else args.r
@@ -296,8 +282,6 @@ def _cmd_reduce(args) -> int:
     else:
         proj = pca_embed(dataset, args.k, center=not args.no_center,
                          scale=not args.no_scale)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     labels = dataset.labels if dataset.labels is not None else [""] * dataset.n_rows
     rows = [[i, *map(float, proj.coords[i]), labels[i]]
             for i in range(dataset.n_rows)]
@@ -307,16 +291,18 @@ def _cmd_reduce(args) -> int:
     payload = {"method": proj.method, "k": args.k, "count": dataset.n_rows,
                "eigvals": proj.eigvals.tolist(), "r_used": proj.r_used}
     _write_json(out / "reduce.json", payload)
-    return _finish(args, "reduce", payload, t0)
+    return payload
 
 
-def _cmd_roc(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_roc(args, out: Path) -> dict:
     coords = []
     labels = []
     with open(args.embedding, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{args.embedding}: empty file, expected a header row") from None
         ncoord = sum(1 for h in header if h.startswith("coord"))
         for row in reader:
             coords.append([float(v) for v in row[1:1 + ncoord]])
@@ -330,19 +316,16 @@ def _cmd_roc(args) -> int:
         lab = np.asarray([int(v) for v in labels])
     scores = risk_scores(np.asarray(coords), args.component - 1, flip=args.flip)
     curve = roc_auc(scores, lab)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [[float(th), float(p[0]), float(p[1])]
             for th, p in zip(curve.thresholds, curve.points)]
     _write_csv(out / "roc.csv", ["threshold", "fpr", "tpr"], rows)
     payload = {"auc": curve.auc, "n_points": len(rows), "flip": args.flip,
                "component": args.component}
     _write_json(out / "roc.json", payload)
-    return _finish(args, "roc", payload, t0)
+    return payload
 
 
-def _cmd_validate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_validate(args, out: Path) -> dict:
     sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
     patterns = sample_gdp_ensemble(sigma, window, args.replicates, args.seed,
@@ -362,8 +345,6 @@ def _cmd_validate(args) -> int:
     theory = [1.0 + truncated_pair_correlation(
         sigma, np.zeros(args.d), np.r_[c, np.zeros(args.d - 1)])
         for c, _ in est]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "paircorr.csv", ["center", "empirical", "theoretical"],
                [[c, g, th] for (c, g), th in zip(est, theory)])
     payload = {
@@ -378,11 +359,10 @@ def _cmd_validate(args) -> int:
         "paircorr_max_abs_err": max(abs(g - th) for (_, g), th in zip(est, theory)),
     }
     _write_json(out / "validate.json", payload)
-    return _finish(args, "validate", payload, t0)
+    return payload
 
 
-def _cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_bounds(args, out: Path) -> dict:
     payload: dict = {}
     if args.bernstein:
         payload["bernstein"] = bernstein_tail(args.eps, args.R, args.d)
@@ -397,10 +377,8 @@ def _cmd_bounds(args) -> int:
         payload["count_expectation"] = count_expectation(args.R, args.d)
     if not payload:
         raise ValueError("select at least one of --bernstein/--bias/--variance/--rate/--count")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "bounds.json", payload)
-    return _finish(args, "bounds", payload, t0)
+    return payload
 
 
 def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
@@ -423,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="simulate point patterns on a box window")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     _add_sigma_flags(p)
     p.add_argument("--process", default="gdp", choices=["gdp", "poisson"])
     p.add_argument("--L", type=_positive_finite, required=True, help="box side")
@@ -442,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="observation ball radius")
     p.add_argument("--ball-radius", type=_positive_finite, default=None,
                    help="restrict a box pattern to this ball before estimating")
-    p.add_argument("--C0", type=float, default=1.0, help="auto-cutoff constant")
-    p.add_argument("--C", type=float, default=1.0, help="variance-bound constant")
-    p.add_argument("--c", type=float, default=1.0, help="rate constant")
+    p.add_argument("--C0", type=_positive_finite, default=1.0, help="auto-cutoff constant")
+    p.add_argument("--C", type=_positive_finite, default=1.0, help="variance-bound constant")
+    p.add_argument("--c", type=_positive_finite, default=1.0, help="rate constant")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 
@@ -452,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", required=True, help="estimate.json from `estimate`")
     p.add_argument("--t", type=_positive_finite, default=20.0,
                    help="analytic threshold multiplier")
-    p.add_argument("--c", type=float, default=1.0, help="rate constant")
+    p.add_argument("--c", type=_positive_finite, default=1.0, help="rate constant")
     p.add_argument("--calibrate", action="store_true",
                    help="Monte-Carlo null calibration instead of the analytic threshold. "
                         "The null statistics are cached under "
@@ -476,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positive-label", default=None)
     p.add_argument("--method", required=True, choices=["dpp", "pca"])
     p.add_argument("--k", type=_positive_int, default=2)
-    p.add_argument("--r", type=float, default=None,
-                   help="explicit DPP cutoff (default: all pairs)")
+    p.add_argument("--r", type=_checked(float, lambda v: v > 0, "positive"), default=None,
+                   help="explicit DPP cutoff (default: all pairs; inf means all pairs)")
     p.add_argument("--standardize", action="store_true",
                    help="center+scale features before the DPP pipeline")
     p.add_argument("--no-center", action="store_true", help="PCA: skip centering")
@@ -496,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roc)
 
     p = sub.add_parser("validate", help="simulation fidelity report")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     _add_sigma_flags(p)
     p.add_argument("--L", type=_positive_finite, required=True)
     p.add_argument("--replicates", type=_checked(int, lambda v: v >= 2, ">= 2"), default=200)
@@ -515,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--R", type=float, default=10.0)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=_positive_int, default=2)
     p.add_argument("--r", type=float, default=3.0)
     p.add_argument("--n", type=float, default=100.0)
     p.add_argument("--C", type=float, default=1.0)
@@ -564,7 +542,12 @@ def main(argv=None) -> int:
         cleaned.append(tok)
     args._argv = cleaned
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        result = args.func(args, out)
+        payload, status = result if isinstance(result, tuple) else (result, {})
+        return _finish(args, out, payload, t0, status)
     except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"gaussdpp: error: {exc}", file=sys.stderr)
         return 1

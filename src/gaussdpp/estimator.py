@@ -9,11 +9,12 @@ that is exactly their expectation under complete independence,
                 - 1/|B(R-r)| * sum_{i in N0} sum_{j in Ni} (Xi-Xj)(Xi-Xj)' ],
 
 with Ni the points strictly within r of Xi and N0 the points strictly
-inside the shrunk ball B(R-r) (boundary guard).  The leading constant
-makes the estimator consistent: without it the expectation of the
-bracket is the second moment of a Gaussian with covariance S/2 carrying
-a 2^(-d/2) volume factor, i.e. 2^(-(d+2)/2) v'Sv along any unit v, a
-fact easily checked by Monte Carlo.  The module also provides the
+inside the shrunk ball B(R-r) (boundary guard); the pairs come from the
+cell list `patterns.close_pairs`.  The leading constant makes the
+estimator consistent: without it the expectation of the bracket is the
+second moment of a Gaussian with covariance S/2 carrying a 2^(-d/2)
+volume factor, i.e. 2^(-(d+2)/2) v'Sv along any unit v, a fact easily
+checked by Monte Carlo.  The module also provides the
 theoretical bias, variance, rate, and count-concentration reference
 bounds, each returning None outside its validity range rather than
 extrapolating.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import TWO_PI, ScatteringMatrix
-from .patterns import BallWindow, BoxWindow, PointPattern
+from .patterns import BallWindow, BoxWindow, PointPattern, close_pairs
 
 
 def unit_ball_volume(d: int) -> float:
@@ -108,16 +109,6 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class NeighborIndex:
-    """Neighbor sets N_i (strict distance < r) and the interior set N0 (||x|| < R - r)."""
-
-    inner: np.ndarray
-    neighbors: list[np.ndarray]
-    r: float
-    R: float
-
-
-@dataclass(frozen=True)
 class EstimateResult:
     sigma_hat: np.ndarray
     n_observed: int
@@ -149,62 +140,6 @@ class EstimateResult:
             "variance_bound": var,
             "risk_rate": rate,
         }
-
-
-def build_neighborhoods(pattern: PointPattern, r: float, R: float) -> NeighborIndex:
-    """Exact neighbor sets via a uniform grid with cell size r.
-
-    Points are binned into cells of side r; only the 3^d surrounding cells
-    can contain neighbors, so the expected cost is O(N * E|Ni|).  Distance
-    comparisons use strict inequalities on both the neighbor radius and
-    the interior shrinkage, matching the estimator's definition.
-    """
-    if not 0 < r < R:
-        raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
-    pts = pattern.points
-    n, d = pts.shape
-    inner = np.nonzero(np.einsum("ij,ij->i", pts, pts) < (R - r) ** 2)[0]
-    neighbors: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * n
-    if n == 0:
-        return NeighborIndex(inner=inner, neighbors=neighbors, r=r, R=R)
-
-    cells = np.floor(pts / r).astype(np.int64)
-    buckets: dict[tuple, np.ndarray] = {}
-    order = np.lexsort(cells.T[::-1])
-    sorted_cells = cells[order]
-    boundaries = np.nonzero(np.any(np.diff(sorted_cells, axis=0) != 0, axis=1))[0] + 1
-    for chunk in np.split(order, boundaries):
-        buckets[tuple(cells[chunk[0]])] = chunk
-
-    offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d)
-    r2 = r * r
-    for cell, members in buckets.items():
-        cand = [buckets[key] for off in offsets
-                if (key := tuple(np.asarray(cell) + off)) in buckets]
-        cand = np.concatenate(cand)
-        diff = pts[members][:, None, :] - pts[cand][None, :, :]
-        close = np.einsum("ijk,ijk->ij", diff, diff) < r2
-        for row, i in enumerate(members):
-            hits = cand[close[row]]
-            neighbors[i] = np.sort(hits[hits != i])
-    return NeighborIndex(inner=inner, neighbors=neighbors, r=r, R=R)
-
-
-def build_neighborhoods_bruteforce(pattern: PointPattern, r: float, R: float) -> NeighborIndex:
-    """O(N^2) reference implementation with identical semantics."""
-    if not 0 < r < R:
-        raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
-    pts = pattern.points
-    n = pts.shape[0]
-    inner = np.nonzero(np.einsum("ij,ij->i", pts, pts) < (R - r) ** 2)[0]
-    neighbors = []
-    for i in range(n):
-        diff = pts - pts[i]
-        close = np.einsum("ij,ij->i", diff, diff) < r * r
-        close[i] = False
-        neighbors.append(np.nonzero(close)[0])
-    return NeighborIndex(inner=inner, neighbors=neighbors, r=r, R=R)
 
 
 def _window_radius(pattern: PointPattern) -> float:
@@ -267,26 +202,21 @@ def estimate_scattering(pattern: PointPattern,
     pts = pattern.points
     order = _canonical_order(pts) if pts.size else np.empty(0, dtype=np.intp)
     pts = pts[order]
-    canonical = PointPattern(pts, pattern.window)
-    index = build_neighborhoods(canonical, r, R)
-
-    ii: list[np.ndarray] = []
-    jj: list[np.ndarray] = []
-    for i in index.inner:
-        nb = index.neighbors[i]
-        if nb.size:
-            ii.append(np.full(nb.size, i, dtype=np.intp))
-            jj.append(nb)
-    pair_count = 0
-    if ii:
-        ii_arr = np.concatenate(ii)
-        jj_arr = np.concatenate(jj)
-        pair_count = ii_arr.size
-        diffs = pts[ii_arr] - pts[jj_arr]
+    inner = np.einsum("ij,ij->i", pts, pts) < (R - r) ** 2
+    # Ordered pairs (a, b) with a in N0 and b in N_a, summed in the order
+    # of a, then b.
+    i, j = close_pairs(pts, r)
+    a, b = np.concatenate([i, j]), np.concatenate([j, i])
+    keep = inner[a]
+    a, b = a[keep], b[keep]
+    ranked = np.lexsort((b, a))
+    a, b = a[ranked], b[ranked]
+    if a.size:
+        diffs = pts[a] - pts[b]
         pair_sum = np.einsum("ki,kj->ij", diffs, diffs)
         sigma_hat -= (scale / (unit_ball_volume(d) * (R - r) ** d)) * pair_sum
 
     return EstimateResult(sigma_hat=sigma_hat, n_observed=pts.shape[0],
                           n_expected=n_expected, r_used=r, R_used=R,
-                          pair_count=pair_count,
-                          diagnostics={"inner_count": int(index.inner.size)})
+                          pair_count=int(a.size),
+                          diagnostics={"inner_count": int(np.count_nonzero(inner))})

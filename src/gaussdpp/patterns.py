@@ -103,6 +103,66 @@ def extract_ball(pattern: PointPattern, radius: float) -> PointPattern:
     return PointPattern(pattern.points[keep], ball)
 
 
+def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of points strictly closer than r.
+
+    The metric is Euclidean, or that of the torus [-side/2, side/2]^d when
+    `side` is given (each coordinate difference taken the shorter way
+    round).  A cell list: points are binned into cells a hair wider than
+    r, so a point's partners lie in the 3^d cells around its own (distinct
+    offsets modulo the cell count on the torus); candidates are listed by
+    sorting and searching, with no Python loop over points or cells, and
+    kept when their exact squared distance is below r^2.  Meant for low
+    dimension.  Returns two intp arrays sorted by i, then j.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    if not r > 0:
+        raise ValueError("r must be positive")
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    # The margin keeps rounding in the binning from putting two points
+    # closer than r two cells apart; at most `bins` cells per axis keep the
+    # cell keys below 2^60 however small r is.
+    width = r * (1.0 + 1e-9)
+    bins = max(1, min(1024, int(2.0 ** (60 / d)) - 2))
+    if side is None:
+        lo = pts.min(axis=0)
+        width = max(width, float(np.max(pts.max(axis=0) - lo)) / bins)
+        cells = np.floor((pts - lo) / width).astype(np.int64)
+        radix = cells.max(axis=0) + 2  # one empty slot beyond each end
+    else:
+        m = max(1, min(bins, int(side / width)))
+        cells = np.floor((pts + side / 2) / (side / m)).astype(np.int64) % m
+        radix = np.full(d, m)
+    steps = [np.unique(np.array([-1, 0, 1]) % k) for k in radix]
+    offsets = np.stack(np.meshgrid(*steps, indexing="ij"), axis=-1).reshape(-1, d)
+
+    key = np.ravel_multi_index(tuple(cells.T), radix)
+    order = np.argsort(key, kind="stable")
+    cell_keys, first, count = np.unique(key[order], return_index=True, return_counts=True)
+    near = cells[:, None, :] + offsets
+    near = np.ravel_multi_index(tuple(np.moveaxis(near, -1, 0)), radix, mode="wrap")
+    slot = np.minimum(np.searchsorted(cell_keys, near), cell_keys.size - 1)
+    point, hit = np.nonzero(cell_keys[slot] == near)
+    slot = slot[point, hit]
+    # Expand each (point, occupied cell) into the cell's members.
+    size = count[slot]
+    i = np.repeat(point, size)
+    j = order[np.repeat(first[slot] - np.cumsum(size) + size, size) + np.arange(i.size)]
+    keep = i < j
+    i, j = i[keep], j[keep]
+
+    diff = pts[i] - pts[j]
+    if side is not None:
+        diff = np.abs(diff)
+        diff = np.minimum(diff, side - diff)
+    keep = np.einsum("ij,ij->i", diff, diff) < r * r
+    i, j = i[keep], j[keep]
+    ranked = np.lexsort((j, i))
+    return i[ranked], j[ranked]
+
+
 def _window_to_json(window) -> dict:
     if isinstance(window, BoxWindow):
         return {"type": "box", "side": window.side, "dim": window.dim}

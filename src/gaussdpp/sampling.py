@@ -25,14 +25,13 @@ import numpy as np
 
 from .estimator import unit_ball_volume
 from .kernel import ScatteringMatrix
-from .patterns import BoxWindow, PointPattern
+from .patterns import BoxWindow, PointPattern, close_pairs
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MODE_CAP = 2_000_000
 DEFAULT_MAX_REJECTS = 1_000_000
 
 _ENUM_SLAB = 1 << 20  # candidate rows processed per slab while enumerating
-_PAIR_BLOCK_ENTRIES = 1 << 18  # point pairs per block in the pair correlation
 _MAX_BLOCK = 2048  # largest block of sampler proposals
 _GRAM_PANEL = 128  # candidate rows per product in the sampler's scan
 _TRI_BLOCK = 64  # rows per block of the triangular solve in compressions
@@ -555,21 +554,19 @@ def empirical_pair_correlation(patterns, bin_edges) -> list[tuple[float, float]]
     vb1 = unit_ball_volume(d)
     shell = side ** d * vb1 * (edges[1:] ** d - edges[:-1] ** d)
 
+    # The last bin is closed: query a hair beyond its edge and let the
+    # histogram drop the rest.
+    reach = edges[-1] * (1.0 + 1e-9)
     totals = np.zeros(edges.size - 1)
     for pat in patterns:
         if pat.window != window:
             raise ValueError("all patterns must share the same window")
         pts = pat.points
-        n = pts.shape[0]
-        # Row blocks against the points from their first row on; pairs i < j.
-        step = max(1, _PAIR_BLOCK_ENTRIES // max(n, 1))
-        for start in range(0, n - 1, step):
-            diff = np.abs(pts[start:start + step, None, :] - pts[None, start:, :])
-            diff = np.minimum(diff, side - diff)
-            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            upper = np.triu_indices(dist.shape[0], 1, dist.shape[1])
-            counts, _ = np.histogram(dist[upper], bins=edges)
-            totals += 2.0 * counts  # ordered pairs
+        i, j = close_pairs(pts, reach, side)
+        diff = np.abs(pts[i] - pts[j])
+        diff = np.minimum(diff, side - diff)
+        counts, _ = np.histogram(np.sqrt(np.einsum("ij,ij->i", diff, diff)), bins=edges)
+        totals += 2.0 * counts  # ordered pairs
     est = totals / (len(patterns) * shell)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return list(zip(centers.tolist(), est.tolist()))

@@ -36,6 +36,15 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["reduce", "--data", "data.csv", "--method", "pca", "--k", "0"], "--k: must be >= 1"),
     (["roc", "--embedding", "embedding.csv", "--component", "0"],
      "--component: must be >= 1"),
+    (["sample", "--d", "0", "--L", "5", "--seed", "0"], "--d: must be >= 1"),
+    (["validate", "--d", "0", "--L", "5", "--seed", "0"], "--d: must be >= 1"),
+    (["bounds", "--variance", "--d", "0"], "--d: must be >= 1"),
+    (ESTIMATE + ["--C0", "0"], "--C0: must be positive and finite"),
+    (ESTIMATE + ["--C", "-1"], "--C: must be positive and finite"),
+    (ESTIMATE + ["--c", "nan"], "--c: must be positive and finite"),
+    (["detect", "--estimate", "estimate.json", "--c", "-1"], "--c: must be positive and finite"),
+    (["reduce", "--data", "data.csv", "--method", "dpp", "--r", "-1"], "--r: must be positive"),
+    (["reduce", "--data", "data.csv", "--method", "dpp", "--r", "nan"], "--r: must be positive"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -46,6 +55,13 @@ def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys
     assert err.startswith("usage: gaussdpp")
     assert message in err
     assert not out.exists()
+
+
+def test_reduce_accepts_an_infinite_cutoff():
+    # dpp_embed documents r = inf as all pairs.
+    args = cli.build_parser().parse_args(
+        ["reduce", "--data", "data.csv", "--method", "dpp", "--r", "inf", "--out", "out"])
+    assert args.r == float("inf")
 
 
 def test_single_replicate_sample(tmp_path):
@@ -89,6 +105,34 @@ def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
     stem.with_suffix(".json").write_text(json.dumps(sidecar))
     proc = _run_cli("estimate", "--pattern", str(stem), "--out", str(tmp_path / "out"))
     _assert_clean_runtime_error(proc, str(stem.with_suffix(".json")), message)
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["roc", "--embedding"], "", "empty file, expected a header row"),
+    (["reduce", "--method", "pca", "--data"], "", "empty file, expected a header row"),
+    (["reduce", "--method", "pca", "--data"], "a,b\n1.0,x\n",
+     "non-numeric value 'x' in column 'b'"),
+    (["reduce", "--method", "pca", "--data"], "a,b\n1.0,2.0\n3.0\n",
+     "expected 2 cells, got 1"),
+    (["reduce", "--method", "pca", "--label-column", "label", "--data"], "a,b\n1.0,2.0\n",
+     "no column named 'label'"),
+])
+def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    proc = _run_cli(*argv, str(path), "--out", str(tmp_path / "out"))
+    _assert_clean_runtime_error(proc, str(path), message)
+
+
+def test_core_imports_only_numpy():
+    code = ("import gaussdpp.cli, sys; "
+            "print(sorted(m for m in ('scipy', 'pytest', 'hypothesis') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # Null calibration cache.  The estimate fixes r = 0.8, so the null

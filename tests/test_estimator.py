@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,11 +6,22 @@ import numpy as np
 import pytest
 
 from gaussdpp import (BallWindow, BoxWindow, EstimatorConfig, PointPattern,
-                      bernstein_tail, bias_bound, build_neighborhoods,
-                      count_expectation, default_cutoff, estimate_scattering,
-                      isotropic_scattering, risk_rate, unit_ball_volume,
-                      variance_bound)
-from gaussdpp.estimator import build_neighborhoods_bruteforce
+                      bernstein_tail, bias_bound, count_expectation,
+                      default_cutoff, estimate_scattering, isotropic_scattering,
+                      risk_rate, sample_gdp, spiked_scattering,
+                      unit_ball_volume, variance_bound)
+from gaussdpp.patterns import close_pairs
+
+
+def close_pairs_bruteforce(points, r, side=None):
+    """Reference for close_pairs: every pair at once, O(N^2 d)."""
+    pts = np.asarray(points, dtype=float)
+    diff = pts[:, None, :] - pts[None, :, :]
+    if side is not None:
+        diff = np.abs(diff)
+        diff = np.minimum(diff, side - diff)
+    close = np.einsum("ijk,ijk->ij", diff, diff) < r * r
+    return np.nonzero(np.triu(close, k=1))
 
 
 class TestGeometryHelpers:
@@ -81,45 +93,63 @@ def _ball_pattern(points, radius):
 
 
 class TestNeighborhoods:
+    """The estimator's neighbour search, `patterns.close_pairs`, and its
+    interior set."""
+
     def test_strict_inequality_at_exact_distance(self):
-        pat = _ball_pattern([[0.0, 0.0], [1.0, 0.0]], 10.0)
-        index = build_neighborhoods(pat, 1.0, 10.0)
-        assert index.neighbors[0].size == 0
-        assert index.neighbors[1].size == 0
+        i, j = close_pairs([[0.0, 0.0], [1.0, 0.0]], 1.0)
+        assert i.size == 0 and j.size == 0
+        # Across the torus faces -1.25 and 1.25 are exactly 0.5 apart.
+        i, j = close_pairs([[-1.25], [1.25], [1.0]], 0.5, side=3.0)
+        assert (i.tolist(), j.tolist()) == ([1], [2])
 
     def test_interior_set_strict(self):
         # ||x|| = R - r exactly is excluded from the interior set.
         pat = _ball_pattern([[9.0, 0.0], [8.999, 0.0]], 10.0)
-        index = build_neighborhoods(pat, 1.0, 10.0)
-        assert index.inner.tolist() == [1]
+        res = estimate_scattering(pat, EstimatorConfig(r=1.0, R=10.0))
+        assert res.diagnostics["inner_count"] == 1
+        assert res.pair_count == 1  # (8.999, 0) -> (9, 0) only
 
     def test_symmetry_and_self_exclusion(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-5, 5, size=(300, 2))
-        pts = pts[np.linalg.norm(pts, axis=1) <= 7.0]
-        pat = _ball_pattern(pts, 7.0)
-        index = build_neighborhoods(pat, 0.8, 7.0)
-        sets = [set(nb.tolist()) for nb in index.neighbors]
-        for i, nb in enumerate(sets):
-            assert i not in nb
-            for j in nb:
-                assert i in sets[j]
+        i, j = close_pairs(pts, 0.8)
+        assert i.size > 0
+        assert np.all(i < j)  # no self pairs
+        assert np.all(np.diff(i * len(pts) + j) > 0)  # each pair once, by i, then j
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-6, 6, size=(500, 3))
         pts = pts[np.linalg.norm(pts, axis=1) <= 6.0]
-        pat = _ball_pattern(pts, 6.0)
-        fast = build_neighborhoods(pat, 1.1, 6.0)
-        slow = build_neighborhoods_bruteforce(pat, 1.1, 6.0)
-        assert np.array_equal(fast.inner, slow.inner)
-        for a, b in zip(fast.neighbors, slow.neighbors):
-            assert np.array_equal(a, b)
+        for got, want in zip(close_pairs(pts, 1.1), close_pairs_bruteforce(pts, 1.1)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("side", [None, 6.0])
+    @pytest.mark.parametrize("r", [3.5, 2.5, 1.3, 1e-7],
+                             ids=["m1", "m2", "m4", "tiny"])
+    def test_matches_bruteforce_by_metric_and_cell_count(self, d, side, r):
+        # On the torus of side 6 the radii give 1, 2, 4 and 1024 cells per axis.
+        rng = np.random.default_rng([d, int(side or 0), int(r * 10)])
+        pts = rng.uniform(-3.0, 3.0, size=(120, d))
+        pts[1] = pts[0]  # a coincident pair, distance 0 < any r
+        for got, want in zip(close_pairs(pts, r, side), close_pairs_bruteforce(pts, r, side)):
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want)
+
+    def test_fewer_than_two_points(self):
+        for pts in (np.empty((0, 2)), [[0.5, 0.5]]):
+            for side in (None, 4.0):
+                i, j = close_pairs(pts, 1.0, side)
+                assert i.size == 0 and j.size == 0
 
     def test_rejects_bad_radii(self):
         pat = _ball_pattern([[0.0, 0.0]], 5.0)
-        with pytest.raises(ValueError):
-            build_neighborhoods(pat, 5.0, 5.0)
+        with pytest.raises(ValueError, match="need 0 < r < R"):
+            estimate_scattering(pat, EstimatorConfig(r=5.0, R=5.0))
+        with pytest.raises(ValueError, match="r must be positive"):
+            close_pairs([[0.0], [1.0]], 0.0)
 
 
 # The estimator carries the consistency constant 2^((d+2)/2); at d=2 the
@@ -195,6 +225,23 @@ class TestEstimateScattering:
         assert math.sqrt(2) <= res.r_used <= 6.0
         assert res.r_used == pytest.approx(
             min(max(default_cutoff(n, 2), math.sqrt(2)), 6.0))
+
+    # SHA-256 of sigma_hat.tobytes() and the pair count at the auto cutoff,
+    # recorded from the estimator before its neighbour search became the
+    # cell list close_pairs; any change to the pair set or to the
+    # summation order shows here.
+    @pytest.mark.parametrize("sigma, side, pair_count, digest", [
+        (isotropic_scattering(2), 20.0, 5495,
+         "cb22f2457d91e79240666855e90f74c93cd5307e5da09ffd93c3bc53b30dda2f"),
+        (spiked_scattering(3.0, [1.0, 0.0]), 28.0, 12897,
+         "1d9e3355dff638b4d0e70fd24869f2a408f7e415ccff873b0605e04a6588e0ff"),
+        (isotropic_scattering(3), 8.0, 1294,
+         "da6e1cfb2a2d9eed30582d6d187be6402def0d0545de75fc9536a16af382aab7"),
+    ], ids=["iso2-L20", "spiked2-L28", "iso3-L8"])
+    def test_golden_estimate(self, sigma, side, pair_count, digest):
+        res = estimate_scattering(sample_gdp(sigma, BoxWindow(side, sigma.dim), 0))
+        assert res.pair_count == pair_count
+        assert hashlib.sha256(res.sigma_hat.tobytes()).hexdigest() == digest
 
     def test_json_payload(self):
         pat = PointPattern(np.empty((0, 2)), BallWindow(10.0, 2))

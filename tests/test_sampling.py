@@ -253,9 +253,7 @@ class TestEmpiricalPairCorrelation:
         est = empirical_pair_correlation(pats, [0.0, 0.15])
         assert est[0][1] < 0.15
 
-    def test_row_blocks_match_dense_oracle(self, monkeypatch):
-        # 37 points in blocks of 2 rows leave a last block of one row.
-        monkeypatch.setattr(sampling, "_PAIR_BLOCK_ENTRIES", 100)
+    def test_row_blocks_match_dense_oracle(self):
         w = BoxWindow(6.0, 2)
         pats = [sample_poisson(1.0, w, (9, i)) for i in range(4)]
         pats.append(PointPattern(pats[0].points[:37], w))
@@ -271,8 +269,7 @@ class TestEmpiricalPairCorrelation:
         assert empirical_pair_correlation(pats[:2], edges) == [(0.25, 0.0), (0.75, 0.0),
                                                                (1.5, 0.0)]
 
-    def test_pairs_wrap_around_the_torus(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_PAIR_BLOCK_ENTRIES", 4)
+    def test_pairs_wrap_around_the_torus(self):
         w = BoxWindow(6.0, 2)
         pat = PointPattern([[-2.95, 0.0], [2.95, 0.05], [0.0, 2.9], [0.1, -2.9], [1.0, 1.0]], w)
         edges = [0.0, 0.15, 0.25, 3.0]
@@ -281,6 +278,16 @@ class TestEmpiricalPairCorrelation:
         # (-2.95, 0) and (2.95, 0.05) are 0.1118 apart across the x faces;
         # (0, 2.9) and (0.1, -2.9) are 0.2236 apart across the y faces.
         assert [value > 0 for _, value in est] == [True, True, True]
+
+    def test_pair_at_the_last_edge_counts(self):
+        # np.histogram closes its last bin, so a pair exactly at the last
+        # edge counts there, as in the dense oracle.
+        w = BoxWindow(6.0, 2)
+        pat = PointPattern([[0.0, 0.0], [1.5, 0.0], [0.0, 2.5]], w)
+        edges = [0.0, 0.5, 1.5]
+        est = empirical_pair_correlation([pat], edges)
+        assert est == dense_pair_correlation([pat], edges)
+        assert est[1][1] > 0
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least one"):
