@@ -45,7 +45,7 @@ from .estimator import (EstimatorConfig, bernstein_tail, bias_bound,
 from .kernel import (ScatteringMatrix, isotropic_scattering,
                      normalize_scattering, spiked_scattering,
                      truncated_pair_correlation)
-from .patterns import BoxWindow, PointPattern, extract_ball, load_pattern, save_pattern
+from .patterns import BoxWindow, extract_ball, load_pattern, save_pattern
 from .sampling import (count_dispersion_test, empirical_pair_correlation,
                        sample_gdp_ensemble, sample_poisson)
 from .spiked import (NullCalibration, calibrate_null_threshold, detection_test,
@@ -53,14 +53,6 @@ from .spiked import (NullCalibration, calibrate_null_threshold, detection_test,
 
 SCHEMA_VERSION = 1
 NULL_TOL = 1e-6  # spectral truncation of the null simulations
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("GAUSSDPP_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _checked(convert, ok, requirement: str):
@@ -146,8 +138,7 @@ def _cmd_sample(args, out: Path) -> dict:
                     for i in range(args.replicates)]
     else:
         patterns = sample_gdp_ensemble(sigma, window, args.replicates,
-                                       args.seed, tol=args.tol,
-                                       jobs=_default_jobs())
+                                       args.seed, tol=args.tol)
     names = []
     for i, pat in enumerate(patterns):
         stem = out / ("pattern" if args.replicates == 1 else f"pattern_{i:04d}")
@@ -241,7 +232,7 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
     except (OSError, ValueError, KeyError, TypeError):
         pass  # missing or unreadable: recompute and overwrite
     cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, config=config,
-                                   tol=NULL_TOL, jobs=_default_jobs())
+                                   tol=NULL_TOL)
     _store_atomically(path, {"key": key, "statistics": cal.statistics.tolist()})
     return cal, "miss"
 
@@ -276,9 +267,7 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
 def _cmd_reduce(args, out: Path) -> dict:
     dataset = load_dataset(args.data, args.label_column, args.positive_label)
     if args.method == "dpp":
-        r_mode = "all_pairs" if args.r is None else args.r
-        proj = dpp_embed(dataset, args.k, r_mode=r_mode,
-                         standardize=args.standardize)
+        proj = dpp_embed(dataset, args.k, r=args.r, standardize=args.standardize)
     else:
         proj = pca_embed(dataset, args.k, center=not args.no_center,
                          scale=not args.no_scale)
@@ -295,27 +284,18 @@ def _cmd_reduce(args, out: Path) -> dict:
 
 
 def _cmd_roc(args, out: Path) -> dict:
-    coords = []
-    labels = []
-    with open(args.embedding, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{args.embedding}: empty file, expected a header row") from None
-        ncoord = sum(1 for h in header if h.startswith("coord"))
-        for row in reader:
-            coords.append([float(v) for v in row[1:1 + ncoord]])
-            labels.append(row[-1])
-    if args.component > ncoord:
-        raise ValueError(f"--component must be in 1..{ncoord}")
-    if args.positive_label is not None:
-        lab = np.asarray([1 if v == str(args.positive_label) else 0
-                          for v in labels])
-    else:
-        lab = np.asarray([int(v) for v in labels])
-    scores = risk_scores(np.asarray(coords), args.component - 1, flip=args.flip)
-    curve = roc_auc(scores, lab)
+    embedding = load_dataset(args.embedding, "label", args.positive_label)
+    coords = embedding.features[:, [i for i, name in enumerate(embedding.feature_names)
+                                    if name.startswith("coord")]]
+    if args.component > coords.shape[1]:
+        raise ValueError(f"--component must be in 1..{coords.shape[1]}")
+    try:
+        labels = embedding.labels.astype(np.int64)
+    except ValueError:
+        raise ValueError(f"{args.embedding}: labels must be integers "
+                         "unless --positive-label is given") from None
+    scores = risk_scores(coords, args.component - 1, flip=args.flip)
+    curve = roc_auc(scores, labels)
     rows = [[float(th), float(p[0]), float(p[1])]
             for th, p in zip(curve.thresholds, curve.points)]
     _write_csv(out / "roc.csv", ["threshold", "fpr", "tpr"], rows)
@@ -329,7 +309,7 @@ def _cmd_validate(args, out: Path) -> dict:
     sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
     patterns = sample_gdp_ensemble(sigma, window, args.replicates, args.seed,
-                                   tol=args.tol, jobs=_default_jobs())
+                                   tol=args.tol)
     radius = args.L / 2.0
     counts = np.asarray([len(extract_ball(p, radius)) for p in patterns])
     n_exp = count_expectation(radius, args.d)
@@ -455,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=["dpp", "pca"])
     p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--r", type=_checked(float, lambda v: v > 0, "positive"), default=None,
-                   help="explicit DPP cutoff (default: all pairs; inf means all pairs)")
+                   help="DPP cutoff: only pairs closer than r enter the pair sum "
+                        "(default or inf: all pairs, i.e. covariance PCA, with "
+                        "r_used null in reduce.json)")
     p.add_argument("--standardize", action="store_true",
                    help="center+scale features before the DPP pipeline")
     p.add_argument("--no-center", action="store_true", help="PCA: skip centering")

@@ -63,7 +63,8 @@ class ProjectionResult:
 
     eigvals is the full descending spectrum used for ranking (pair-term
     spectrum for the DPP method, correlation/covariance spectrum for PCA);
-    eigvecs holds the top-k components column-wise.
+    eigvecs holds the top-k components column-wise.  r_used is the DPP
+    cutoff, None over all pairs and for PCA.
     """
 
     coords: np.ndarray
@@ -156,57 +157,53 @@ def pair_difference_sum(x: np.ndarray,
     return half + half.T, pairs
 
 
-def _diameter(x: np.ndarray) -> float:
-    """Largest distance between rows: the Gram form's maximising pair,
-    recomputed from its difference."""
-    best, pair = -math.inf, (0, 0)
-    for start, d2, _ in _sq_dist_blocks(x - x.mean(axis=0)):
-        i, j = np.unravel_index(np.argmax(d2), d2.shape)
-        if d2[i, j] > best:
-            best, pair = d2[i, j], (start + i, j)
-    diff = x[pair[0]] - x[pair[1]]
-    return math.sqrt(diff @ diff)
-
-
-def dpp_embed(dataset: Dataset, k: int, r_mode: str | float = "all_pairs",
-              standardize: bool = False) -> ProjectionResult:
-    """Project rows onto the leading directions of the pair-difference sum.
-
-    r_mode "all_pairs" sums over every pair, which equals covariance PCA
-    (`pca_embed(center=False, scale=False)`, eigenvalues times 2(N - 1));
-    r_used then reports 1 + the largest pairwise distance.  An explicit
-    positive float keeps only pairs strictly closer than r, the local
-    embedding; r = inf is all pairs again.  Eigenvalues are those of the
-    pair sum scaled by 1/N.
-
-    Rows are projected as-is, uncentered, unless `standardize`, which
-    centers and scales columns first (off by default; the raw-coordinate
-    form is the published benchmark configuration).
-    """
-    x = dataset.features
+def _check_k(x: np.ndarray, k: int) -> None:
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two rows")
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d}, got k={k}")
+
+
+def _project(matrix: np.ndarray, x: np.ndarray, k: int, method: str,
+             r_used: float | None = None) -> ProjectionResult:
+    """Rows of x projected on the k leading eigenvectors of a symmetric
+    matrix, with its full spectrum in descending order."""
+    w, v = np.linalg.eigh(matrix)
+    order = np.argsort(w)[::-1]
+    eigvecs = _fix_column_signs(v[:, order[:k]])
+    return ProjectionResult(coords=x @ eigvecs, eigvals=w[order], eigvecs=eigvecs,
+                            method=method, r_used=r_used)
+
+
+def dpp_embed(dataset: Dataset, k: int, r: float | None = None,
+              standardize: bool = False) -> ProjectionResult:
+    """Project rows onto the leading directions of the pair-difference sum.
+
+    r None or inf sums over every pair, which equals covariance PCA
+    (`pca_embed(center=False, scale=False)`, eigenvalues times 2(N - 1)),
+    computed by the closed form; r_used is then None.  A positive finite r
+    keeps only pairs strictly closer than r, the local embedding, and is
+    reported as r_used.  Any other r raises ValueError.  Eigenvalues are
+    those of the pair sum scaled by 1/N.
+
+    Rows are projected as-is, uncentered, unless `standardize`, which
+    centers and scales columns first (off by default; the raw-coordinate
+    form is the published benchmark configuration).
+    """
+    if r is None or r == math.inf:
+        r = None
+    elif (isinstance(r, bool) or not isinstance(r, (int, float))
+          or not 0 < r < math.inf):
+        raise ValueError(f"r must be None, inf or a positive float, got {r!r}")
+    else:
+        r = float(r)
+    x = dataset.features
+    _check_k(x, k)
     if standardize:
         x = _standardize(x, center=True, scale=True)
-
-    if r_mode == "all_pairs":
-        r, cutoff = 1.0 + _diameter(x), None
-    elif isinstance(r_mode, (int, float)) and not isinstance(r_mode, bool) and r_mode > 0:
-        r = cutoff = float(r_mode)
-    else:
-        raise ValueError(f"r_mode must be 'all_pairs' or a positive float, got {r_mode!r}")
-    pair_sum, _ = pair_difference_sum(x, r=cutoff)
-
-    w, v = np.linalg.eigh(pair_sum / n)
-    order = np.argsort(w)[::-1]
-    eigvals = w[order]
-    eigvecs = _fix_column_signs(v[:, order[:k]])
-    coords = x @ eigvecs
-    return ProjectionResult(coords=coords, eigvals=eigvals, eigvecs=eigvecs,
-                            method="dpp", r_used=r)
+    pair_sum, _ = pair_difference_sum(x, r=r)
+    return _project(pair_sum / x.shape[0], x, k, "dpp", r_used=r)
 
 
 def pca_embed(dataset: Dataset, k: int, center: bool = True,
@@ -216,20 +213,10 @@ def pca_embed(dataset: Dataset, k: int, center: bool = True,
     scale is off.  Rows are transformed by the same center/scale flags
     before projection."""
     x = dataset.features
-    n, d = x.shape
-    if n < 2:
-        raise ValueError("need at least two rows")
-    if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= {d}, got k={k}")
+    _check_k(x, k)
     xs = _standardize(x, center=center, scale=scale)  # rejects zero variance
     matrix = np.corrcoef(x, rowvar=False) if scale else np.cov(x, rowvar=False)
-    w, v = np.linalg.eigh(matrix)
-    order = np.argsort(w)[::-1]
-    eigvals = w[order]
-    eigvecs = _fix_column_signs(v[:, order[:k]])
-    coords = xs @ eigvecs
-    return ProjectionResult(coords=coords, eigvals=eigvals, eigvecs=eigvecs,
-                            method="pca")
+    return _project(matrix, xs, k, "pca")
 
 
 def risk_scores(coords: np.ndarray, component: int = 0,

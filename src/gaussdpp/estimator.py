@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import TWO_PI, ScatteringMatrix
+from .kernel import ScatteringMatrix
 from .patterns import BallWindow, BoxWindow, PointPattern, close_pairs
 
 

@@ -16,9 +16,6 @@ below Monte-Carlo resolution.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,14 +135,12 @@ def _realified_selection(rng, basis: SpectralBasis):
     """
     modes = basis.modes
     lam = basis.eigenvalues
-    d = modes.shape[1]
-    # Lexicographically positive representative of each {k, -k} pair.
-    nonzero = np.any(modes != 0, axis=1)
-    first_sign = np.zeros(modes.shape[0], dtype=np.int64)
-    for j in range(d):
-        undecided = first_sign == 0
-        first_sign[undecided] = np.sign(modes[undecided, j])
-    reps = first_sign > 0
+    # Lexicographically positive representative of each {k, -k} pair: its
+    # first nonzero coordinate is positive.
+    is_nonzero = modes != 0
+    nonzero = np.any(is_nonzero, axis=1)
+    first_axis = np.argmax(is_nonzero, axis=1)
+    reps = np.take_along_axis(modes, first_axis[:, None], axis=1)[:, 0] > 0
 
     order = np.arange(modes.shape[0])
     rep_idx = order[reps]
@@ -487,46 +482,18 @@ def sample_poisson(intensity: float, window: BoxWindow, seed) -> PointPattern:
     return PointPattern(pts, window)
 
 
-def _ensemble_worker(args):
-    sigma_entries, side, seed_pair, tol, basis = args
-    sigma = ScatteringMatrix(sigma_entries)
-    window = BoxWindow(side, sigma.dim)
-    return sample_gdp(sigma, window, seed_pair, tol=tol, basis=basis).points
-
-
 def sample_gdp_ensemble(sigma: ScatteringMatrix, window: BoxWindow,
                         n_replicates: int, seed: int,
-                        tol: float = DEFAULT_TOL,
-                        jobs: int = 1) -> list[PointPattern]:
-    """Independent replicates with derived per-replicate seeds.
+                        tol: float = DEFAULT_TOL) -> list[PointPattern]:
+    """Independent replicates drawn one after another from one shared
+    spectral basis.
 
     Replicate i uses seed (seed, i), so any prefix of the ensemble is
-    reproducible regardless of n_replicates or the number of workers.
-    With jobs > 1, replicates run in spawned worker processes pinned to
-    single-threaded BLAS (the parallelism is across replicates, not
-    inside them).
+    reproducible regardless of n_replicates.
     """
     basis = build_spectral_basis(sigma, window.side, tol)
-    if jobs <= 1 or n_replicates < 2:
-        return [sample_gdp(sigma, window, (seed, i), tol=tol, basis=basis)
-                for i in range(n_replicates)]
-    tasks = [(sigma.entries, window.side, (seed, i), tol, basis)
-             for i in range(n_replicates)]
-    saved = {var: os.environ.get(var)
-             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                         "MKL_NUM_THREADS")}
-    os.environ.update({var: "1" for var in saved})
-    try:
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            all_pts = list(pool.map(_ensemble_worker, tasks, chunksize=1))
-    finally:
-        for var, val in saved.items():
-            if val is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = val
-    return [PointPattern(p, window) for p in all_pts]
+    return [sample_gdp(sigma, window, (seed, i), tol=tol, basis=basis)
+            for i in range(n_replicates)]
 
 
 def empirical_pair_correlation(patterns, bin_edges) -> list[tuple[float, float]]:

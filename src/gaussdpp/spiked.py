@@ -32,8 +32,11 @@ class DetectionResult:
     rate: float
 
     def to_json_dict(self) -> dict:
+        # A calibrated threshold has no t or rate: NaN here, null in JSON.
         return {"statistic": self.statistic, "threshold": self.threshold,
-                "reject": self.reject, "t": self.t, "rate": self.rate}
+                "reject": self.reject,
+                "t": None if math.isnan(self.t) else self.t,
+                "rate": None if math.isnan(self.rate) else self.rate}
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ class NullCalibration:
 def calibrate_null_threshold(d: int, side: float, delta: float,
                              n_replicates: int, seed: int,
                              config: EstimatorConfig | None = None,
-                             tol: float = 1e-6, jobs: int = 1) -> NullCalibration:
+                             tol: float = 1e-6) -> NullCalibration:
     """Empirical null threshold for the detection test.
 
     Simulates the isotropic model on the given box window, estimates the
@@ -174,7 +177,8 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
     the ceil((K+1)(1-delta))-th order statistic of 2*pi ||Sigma_hat||op
     (see NullCalibration.from_statistics), which keeps the false-alarm
     rate of a fresh replicate at or below delta up to Monte-Carlo error.
-    Replicate statistics are kept for audit.
+    The replicates are drawn in turn, replicate i with seed (seed, i) (see
+    sample_gdp_ensemble).  Replicate statistics are kept for audit.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -182,8 +186,7 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
         raise ValueError("need at least two replicates")
     sigma0 = isotropic_scattering(d)
     window = BoxWindow(side, d)
-    patterns = sample_gdp_ensemble(sigma0, window, n_replicates, seed,
-                                   tol=tol, jobs=jobs)
+    patterns = sample_gdp_ensemble(sigma0, window, n_replicates, seed, tol=tol)
     stats = np.empty(n_replicates)
     for i, pat in enumerate(patterns):
         est = estimate_scattering(extract_ball(pat, side / 2.0), config)

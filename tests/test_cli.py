@@ -1,9 +1,11 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaussdpp import EstimatorConfig, calibrate_null_threshold, cli
@@ -116,6 +118,11 @@ def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
      "expected 2 cells, got 1"),
     (["reduce", "--method", "pca", "--label-column", "label", "--data"], "a,b\n1.0,2.0\n",
      "no column named 'label'"),
+    (["roc", "--embedding"], "row,coord1,label\n0,1.0\n", ":2: expected 3 cells, got 2"),
+    (["roc", "--embedding"], "row,coord1,label\n0,x,1\n",
+     ":2: non-numeric value 'x' in column 'coord1'"),
+    (["roc", "--embedding"], "row,coord1,label\n0,1.0,yes\n1,2.0,no\n",
+     "labels must be integers unless --positive-label is given"),
 ])
 def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
     path = tmp_path / "input.csv"
@@ -125,14 +132,36 @@ def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
 
 
 def test_core_imports_only_numpy():
+    forbidden = ("scipy", "pytest", "hypothesis", "multiprocessing", "concurrent.futures")
     code = ("import gaussdpp.cli, sys; "
-            "print(sorted(m for m in ('scipy', 'pytest', 'hypothesis') if m in sys.modules))")
+            f"print(sorted(m for m in {forbidden!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_imported_name_is_used():
+    # No linter runs on the sources; an import the module never reads is
+    # dead weight on the import path.
+    unused = {}
+    for path in sorted((SRC / "gaussdpp").glob("*.py")):
+        if path.name == "__init__.py":  # re-exports its imports
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if imported - loaded:
+            unused[path.name] = sorted(imported - loaded)
+    assert unused == {}
 
 
 # Null calibration cache.  The estimate fixes r = 0.8, so the null
@@ -250,3 +279,76 @@ def test_config_replay_reproduces_calibrated_detect(estimate_json, tmp_path):
     assert {"calibration.json", "detect.json", "run_config.json"} <= {
         p.name for p in second.iterdir()}
     _replayed_payload_matches(first, second)
+
+
+def _replays_byte_identically(argv, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main([*argv, "--out", str(first)]) == 0
+    assert cli.main(["--config", str(first / "run_config.json"), "--out", str(second)]) == 0
+    _replayed_payload_matches(first, second)
+
+
+@pytest.fixture
+def labelled_csv(tmp_path):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 4)) * [3.0, 1.0, 0.5, 0.2]
+    labels = rng.integers(0, 2, size=40)
+    x[:, 1] += labels
+    rows = [",".join([*map(repr, row), str(lab)]) for row, lab in zip(x.tolist(), labels)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(["f1,f2,f3,f4,label", *rows]) + "\n")
+    return path
+
+
+def test_config_replay_reproduces_estimate(tmp_path):
+    assert cli.main(SAMPLE + ["--L", "6", "--out", str(tmp_path / "sample")]) == 0
+    _replays_byte_identically(["estimate", "--pattern", str(tmp_path / "sample" / "pattern"),
+                               "--r", "0.8"], tmp_path)
+
+
+@pytest.mark.parametrize("options", [["--method", "dpp"],
+                                     ["--method", "dpp", "--standardize", "--r", "1.5"],
+                                     ["--method", "pca"]])
+def test_config_replay_reproduces_reduce(options, labelled_csv, tmp_path):
+    _replays_byte_identically(["reduce", "--data", str(labelled_csv), "--label-column",
+                               "label", *options], tmp_path)
+
+
+def test_config_replay_reproduces_roc(labelled_csv, tmp_path):
+    assert cli.main(["reduce", "--data", str(labelled_csv), "--label-column", "label",
+                     "--method", "pca", "--out", str(tmp_path / "reduce")]) == 0
+    _replays_byte_identically(["roc", "--embedding", str(tmp_path / "reduce" / "embedding.csv"),
+                               "--positive-label", "1"], tmp_path)
+
+
+def test_config_replay_reproduces_validate(tmp_path):
+    _replays_byte_identically(["validate", "--d", "1", "--seed", "0", "--L", "6",
+                               "--replicates", "2", "--r-max", "1.0", "--bin-width", "0.25"],
+                              tmp_path)
+
+
+def test_config_replay_reproduces_bounds(tmp_path):
+    _replays_byte_identically(["bounds", "--bernstein", "--bias", "--variance", "--rate",
+                               "--count", "--sigma", "spiked", "--lam", "1.5"], tmp_path)
+
+
+def _strict_json(path: Path):
+    def refuse(constant):
+        raise AssertionError(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_calibrated_detect_writes_strict_json(estimate_json, tmp_path):
+    out = tmp_path / "detect"
+    _calibrate(estimate_json, out)
+    detect = _strict_json(out / "detect.json")
+    assert detect["t"] is None and detect["rate"] is None
+    assert _strict_json(out / "result.json")["payload"] == detect
+
+
+@pytest.mark.parametrize("cutoff", [[], ["--r", "inf"]])
+def test_all_pairs_reduce_writes_strict_json(cutoff, labelled_csv, tmp_path):
+    out = tmp_path / "reduce"
+    assert cli.main(["reduce", "--data", str(labelled_csv), "--method", "dpp", *cutoff,
+                     "--out", str(out)]) == 0
+    assert _strict_json(out / "reduce.json")["r_used"] is None

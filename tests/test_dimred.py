@@ -91,7 +91,6 @@ class TestDppEmbed:
         assert np.all(np.diff(out.eigvals) <= 1e-12)
         assert out.eigvecs.shape == (5, 3)
         assert np.allclose(out.eigvecs.T @ out.eigvecs, np.eye(3), atol=1e-9)
-        assert out.r_used is not None
 
     def test_estimator_matrix_has_reversed_eigenvector_order(self):
         # The full estimator is a*I - c*S, so its eigenvectors are those of
@@ -122,12 +121,11 @@ class TestDppEmbed:
     def test_explicit_r_mode(self):
         rng = np.random.default_rng(7)
         ds = make_dataset(rng)
-        out = dpp_embed(ds, 2, r_mode=2.0)
+        out = dpp_embed(ds, 2, r=2.0)
         assert out.r_used == 2.0
-        with pytest.raises(ValueError):
-            dpp_embed(ds, 2, r_mode=-1.0)
-        with pytest.raises(ValueError):
-            dpp_embed(ds, 2, r_mode="nope")
+        for bad in (-1.0, 0.0, math.nan, -math.inf, True, "nope"):
+            with pytest.raises(ValueError, match="r must be"):
+                dpp_embed(ds, 2, r=bad)
 
     def test_standardize_flag(self):
         rng = np.random.default_rng(8)
@@ -169,10 +167,7 @@ class TestPairSumForms:
         assert np.allclose(a.eigvecs, sign * b.eigvecs, rtol=0, atol=1e-12)
         assert np.allclose(a.coords, sign * b.coords, rtol=0, atol=1e-10)
         assert np.allclose(a.eigvals / b.eigvals, 2 * (ds.n_rows - 1), rtol=1e-12)
-        x = ds.features
-        diameter = max(np.linalg.norm(x[i] - x[j])
-                       for i in range(len(x)) for j in range(len(x)))
-        assert a.r_used == pytest.approx(1.0 + diameter, rel=1e-12)
+        assert a.r_used is None
 
     def test_pair_at_exactly_r_is_excluded(self):
         # |(3, 4)| = 5 exactly; the third point moves the centroid so that
@@ -200,10 +195,10 @@ class TestPairSumForms:
         expected, expected_pairs = pair_difference_sum(ds.features)
         assert pairs == expected_pairs == 40 * 39
         assert np.array_equal(total, expected)
-        a = dpp_embed(ds, 2, r_mode=math.inf)
+        a = dpp_embed(ds, 2, r=math.inf)
         b = dpp_embed(ds, 2)
         assert np.array_equal(a.coords, b.coords)
-        assert a.r_used == math.inf
+        assert a.r_used is None
 
     def test_row_blocks_match_loop(self, monkeypatch):
         # 37 rows in blocks of 2 leaves a last block of one row.
@@ -214,9 +209,6 @@ class TestPairSumForms:
         expected, count = loop_pair_sum(x, 1.2)
         assert 0 < pairs == count < 37 * 36
         assert np.allclose(total, expected, rtol=1e-12, atol=1e-12)
-        out = dpp_embed(Dataset(x), 1)
-        diameter = max(np.linalg.norm(x[i] - x[j]) for i in range(37) for j in range(37))
-        assert out.r_used == pytest.approx(1.0 + diameter, rel=1e-12)
 
 
 class TestPcaEmbed:

@@ -144,7 +144,7 @@ class TestSampleGdp:
         # comparison misstates the convex first bin).  Modest replication
         # here; the tight check lives in the acceptance suite.
         window = BoxWindow(6.0, 1)
-        pats = sample_gdp_ensemble(iso1, window, 2500, seed=3, jobs=2)
+        pats = sample_gdp_ensemble(iso1, window, 2500, seed=3)
         edges = np.arange(0.0, 1.61, 0.2)
         est = empirical_pair_correlation(pats, edges)
         for (center, value), lo, hi in zip(est, edges[:-1], edges[1:]):
