@@ -93,9 +93,11 @@ def _parse_sigma(args, d: int) -> ScatteringMatrix:
 
 
 def _write_json(path: Path, obj) -> None:
+    """Strict JSON: a non-finite float raises ValueError before the file
+    is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -111,8 +113,10 @@ def _finish(args, out: Path, payload: dict, t0: float, status: dict) -> int:
     """Write run_config.json and result.json; `status` goes into the
     envelope only, beside the payload."""
     argv = list(getattr(args, "_argv", []))
+    # A non-finite option value (reduce --r inf) is echoed by name, "inf".
     config = {"command": args.command, "argv": argv,
-              "params": {k: v for k, v in vars(args).items()
+              "params": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                         for k, v in vars(args).items()
                          if not k.startswith("_") and k not in ("out", "func")}}
     _write_json(out / "run_config.json", config)
     envelope = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
@@ -473,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variance", action="store_true")
     p.add_argument("--rate", action="store_true")
     p.add_argument("--count", action="store_true")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--R", type=float, default=10.0)
+    p.add_argument("--eps", type=_positive_finite, default=0.1)
+    p.add_argument("--R", type=_positive_finite, default=10.0)
     p.add_argument("--d", type=_positive_int, default=2)
-    p.add_argument("--r", type=float, default=3.0)
-    p.add_argument("--n", type=float, default=100.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--r", type=_positive_finite, default=3.0)
+    p.add_argument("--n", type=_positive_finite, default=100.0)
+    p.add_argument("--C", type=_positive_finite, default=1.0)
+    p.add_argument("--c", type=_positive_finite, default=1.0)
     _add_sigma_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)

@@ -268,20 +268,21 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
       formed when the scan reaches the panel (so a block that ends early
       pays only for the rows it reached), and the updates caused by fresh
       acceptances are tracked through pending vectors (one Cholesky
-      column per acceptance) that are folded into the orthonormal basis
-      of selected directions at block boundaries;
+      column per acceptance);
+    * per-block compression: after every block that accepted points, the
+      active basis is replaced by an orthonormal basis of the complement
+      of the accepted feature vectors, built from their Householder
+      factors in compact-WY form.  Each block thus starts with no selected
+      directions in an active space of dimension m - j, the conditional
+      values are plain squared norms, and per-proposal work scales with
+      the remaining rank;
     * float32 phase: features are cosines of phases formed in float64
       turns and reduced to one period before the float32 cosine.  While
       more than 256 points remain, all linear algebra runs in single
       precision, which perturbs acceptance probabilities by less than
       ~1e-4 relative (far below the spectral truncation error); the final
       stretch, where conditional values are small differences of large
-      norms, runs in double precision on a re-orthonormalized basis;
-    * WY compressions: once selected directions fill half the active
-      space, everything is rewritten in an orthonormal basis of their
-      complement, built from the Householder factors of the selected
-      directions in compact-WY form, so later per-proposal work scales
-      with the remaining rank.
+      norms, runs in double precision on a re-orthonormalized basis.
     """
     m, d = k_sel.shape
     out = np.empty((m, d))
@@ -329,33 +330,24 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
             x[rows[live], axis[live]] = xa[live]
         return x
 
-    accept_target = 32     # sizes each block for about this many acceptances
+    # Blocks hold at least 1024 rows, so an early float32 block accepts
+    # hundreds of points; once the acceptance rate (m - j) / m falls below
+    # 1/32 they grow, up to _MAX_BLOCK rows, to expect this many acceptances.
+    accept_target = 32
     tail_switch = 256      # remaining rank at which float64 takes over
 
-    dt = np.float64 if m - 0 <= tail_switch else np.float32
-    proj = None           # (m, q) complement basis; None means identity
-    q = m                 # active dimension
-    u_sel = np.empty((q, q), dtype=dt)
-    s = 0                 # orthonormalized directions since last compression
+    dt = np.float64 if m <= tail_switch else np.float32
+    proj = None           # (m, m - j) complement basis; None means identity
     j = 0                 # points selected so far
     rejects = 0
 
     while j < m:
         if dt is np.float32 and m - j <= tail_switch:
-            # Rebuild the complement basis in double precision for the
-            # small-conditional endgame.
-            if s:
-                comp = _orthonormal_basis(u_sel[:, :s].astype(np.float64),
-                                          complement=True)
-                proj = comp if proj is None else proj.astype(np.float64) @ comp
-            elif proj is not None:
-                proj = proj.astype(np.float64)
+            # Re-orthonormalize the complement basis in double precision
+            # for the small-conditional endgame.
             if proj is not None:
-                proj = _orthonormal_basis(proj)
-                q = proj.shape[1]
+                proj = _orthonormal_basis(proj.astype(np.float64))
             dt = np.float64
-            u_sel = np.empty((q, q), dtype=dt)
-            s = 0
         nbatch = min(max(int(accept_target * m / (m - j)), 1024), _MAX_BLOCK)
         pcap = min(nbatch, 1024)
         x = _draw_proposals(nbatch)
@@ -364,10 +356,6 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
         nrm2 = np.einsum("bi,bi->b", psi, psi)
         feats = psi if proj is None else psi @ proj
         kv = np.einsum("ij,ij->i", feats, feats)
-        g = None
-        if s:
-            g = feats @ u_sel[:, :s]
-            kv -= np.einsum("ij,ij->i", g, g)
         # kv only falls within a block, so a row that fails now never
         # passes: keep the candidates alone.
         thr = tickets * nrm2
@@ -375,8 +363,6 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
         thr = thr[cand]
         kv = kv[cand]
         feats = feats[cand]
-        if s:
-            g = g[cand]
         # Row l of pend holds the projections of the later candidates onto
         # the l-th direction accepted in this block.
         pend = np.empty((pcap, cand.size), dtype=dt)
@@ -401,14 +387,12 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
             if j == m:
                 break
             if a >= end:
-                # Conditional Gram rows of the next candidates against all
-                # later ones, formed as one product once the scan gets there.
+                # Gram rows of the next candidates against all later ones,
+                # formed as one product once the scan gets there.
                 top, end = a, a + _GRAM_PANEL
                 gram = feats[top:end] @ feats[top:].T
-                if s:
-                    gram -= g[top:end] @ g[top:].T
-            # <new direction, later candidate b>, from the conditional Gram
-            # row minus the directions accepted earlier in this block.
+            # <new direction, later candidate b>, from the Gram row minus
+            # the directions accepted earlier in this block.
             c = gram[a - top, a - top + 1:]
             p = len(rows)
             if p:
@@ -421,24 +405,9 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
             rows.append(a)
             kv[a + 1:] -= c * c
             nxt = a + 1
-        if j == m:
-            break
-        p = len(rows)
-        if p:
-            # Fold pending directions into the orthonormal basis in
-            # acceptance order; periodic compressions below re-orthonormalize
-            # everything, which keeps the drift of this single pass benign.
-            v = feats[rows]
-            if s:
-                v -= g[rows] @ u_sel[:, :s].T
-            u_sel[:, s:s + p] = _orthonormal_basis(v.T)
-            s += p
-        if 2 * s >= q and q - s >= 16:
-            comp = _orthonormal_basis(u_sel[:, :s], complement=True)
+        if rows and j < m:
+            comp = _orthonormal_basis(feats[rows].T, complement=True)
             proj = comp if proj is None else proj @ comp
-            q = comp.shape[1]
-            u_sel = np.empty((q, q), dtype=dt)
-            s = 0
     return out
 
 

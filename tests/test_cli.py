@@ -47,6 +47,12 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["detect", "--estimate", "estimate.json", "--c", "-1"], "--c: must be positive and finite"),
     (["reduce", "--data", "data.csv", "--method", "dpp", "--r", "-1"], "--r: must be positive"),
     (["reduce", "--data", "data.csv", "--method", "dpp", "--r", "nan"], "--r: must be positive"),
+    (["bounds", "--bernstein", "--eps", "0"], "--eps: must be positive and finite"),
+    (["bounds", "--count", "--R", "-3"], "--R: must be positive and finite"),
+    (["bounds", "--bias", "--r", "inf"], "--r: must be positive and finite"),
+    (["bounds", "--variance", "--n", "-1"], "--n: must be positive and finite"),
+    (["bounds", "--variance", "--C", "0"], "--C: must be positive and finite"),
+    (["bounds", "--rate", "--c", "nan"], "--c: must be positive and finite"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -288,16 +294,19 @@ def _replays_byte_identically(argv, tmp_path):
     _replayed_payload_matches(first, second)
 
 
-@pytest.fixture
-def labelled_csv(tmp_path):
+def _write_labelled_csv(path: Path) -> Path:
     rng = np.random.default_rng(5)
     x = rng.standard_normal((40, 4)) * [3.0, 1.0, 0.5, 0.2]
     labels = rng.integers(0, 2, size=40)
     x[:, 1] += labels
     rows = [",".join([*map(repr, row), str(lab)]) for row, lab in zip(x.tolist(), labels)]
-    path = tmp_path / "data.csv"
     path.write_text("\n".join(["f1,f2,f3,f4,label", *rows]) + "\n")
     return path
+
+
+@pytest.fixture
+def labelled_csv(tmp_path):
+    return _write_labelled_csv(tmp_path / "data.csv")
 
 
 def test_config_replay_reproduces_estimate(tmp_path):
@@ -308,7 +317,8 @@ def test_config_replay_reproduces_estimate(tmp_path):
 
 @pytest.mark.parametrize("options", [["--method", "dpp"],
                                      ["--method", "dpp", "--standardize", "--r", "1.5"],
-                                     ["--method", "pca"]])
+                                     ["--method", "pca"],
+                                     ["--method", "dpp", "--r", "inf"]])
 def test_config_replay_reproduces_reduce(options, labelled_csv, tmp_path):
     _replays_byte_identically(["reduce", "--data", str(labelled_csv), "--label-column",
                                "label", *options], tmp_path)
@@ -352,3 +362,63 @@ def test_all_pairs_reduce_writes_strict_json(cutoff, labelled_csv, tmp_path):
     assert cli.main(["reduce", "--data", str(labelled_csv), "--method", "dpp", *cutoff,
                      "--out", str(out)]) == 0
     assert _strict_json(out / "reduce.json")["r_used"] is None
+    params = _strict_json(out / "run_config.json")["params"]
+    assert _strict_json(out / "result.json")["config"]["params"] == params
+    assert params["r"] == ("inf" if cutoff else None)
+
+
+# The exit-code contract, one subcommand at a time: 0 success, 1 runtime
+# failure, 2 usage error.  Paths are relative to the inputs fixture.
+EXIT_CASES = {
+    "estimate": (["estimate", "--pattern", "sample/pattern", "--r", "0.8"],
+                 ["estimate", "--pattern", "missing/pattern"],
+                 ["estimate", "--pattern", "sample/pattern", "--r", "-1"]),
+    "reduce": (["reduce", "--data", "data.csv", "--method", "pca"],
+               ["reduce", "--data", "missing.csv", "--method", "pca"],
+               ["reduce", "--data", "data.csv", "--method", "svd"]),
+    "roc": (["roc", "--embedding", "reduce/embedding.csv", "--positive-label", "1"],
+            ["roc", "--embedding", "missing.csv"],
+            ["roc", "--embedding", "reduce/embedding.csv", "--component", "x"]),
+    "validate": (["validate", "--d", "1", "--L", "6", "--seed", "0", "--replicates", "2",
+                  "--r-max", "1.0", "--bin-width", "0.25"],
+                 ["validate", "--d", "1", "--L", "6", "--seed", "0", "--replicates", "2",
+                  "--r-max", "4.0"],
+                 ["validate", "--d", "1", "--L", "6"]),
+    "bounds": (["bounds", "--bernstein", "--count"],
+               ["bounds", "--eps", "0.2"],
+               ["bounds", "--rate", "--c", "-1"]),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("inputs")
+    _write_labelled_csv(work / "data.csv")
+    assert cli.main(SAMPLE + ["--L", "6", "--out", str(work / "sample")]) == 0
+    assert cli.main(["reduce", "--data", str(work / "data.csv"), "--label-column", "label",
+                     "--method", "pca", "--out", str(work / "reduce")]) == 0
+    return work
+
+
+@pytest.mark.parametrize("command", sorted(EXIT_CASES))
+@pytest.mark.parametrize("outcome, code", [("success", 0), ("runtime", 1), ("usage", 2)])
+def test_exit_code_contract(command, outcome, code, cli_inputs, tmp_path, capsys,
+                            monkeypatch):
+    argv = EXIT_CASES[command][code]
+    monkeypatch.chdir(cli_inputs)
+    out = tmp_path / "out"
+    try:
+        status = cli.main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        status = exc.code
+    assert status == code
+    err = capsys.readouterr().err
+    if outcome == "success":
+        assert err == ""
+        assert _strict_json(out / "result.json")["command"] == command
+    elif outcome == "runtime":
+        assert err.startswith("gaussdpp: error: ")
+        assert not (out / "result.json").exists()
+    else:
+        assert err.startswith("usage: gaussdpp")
+        assert not out.exists()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -154,10 +156,11 @@ class TestSampleGdp:
 
 
 class TestSamplerStream:
-    # Point counts and SHA-256 of points.tobytes() (float64, little-endian)
-    # recorded from the sampler before its block loop was rewritten as a
-    # candidate scan; any change to the random stream or to an acceptance
-    # decision shows here.
+    # Point counts and SHA-256 of points.tobytes() (float64, little-endian).
+    # The first three were recorded from the sampler before its block loop
+    # was rewritten as a candidate scan, iso2-L35 (whose float32 phase
+    # spans two blocks) before compression became a per-block step; any
+    # change to the random stream or to an acceptance decision shows here.
     @pytest.mark.parametrize("sigma, side, count, digest", [
         (isotropic_scattering(2), 20.0, 407,
          "414efd20036582b0a9622910bb90a1ee87af841d0903bb3772cee3a74a9cc835"),
@@ -165,7 +168,9 @@ class TestSamplerStream:
          "d9143d674a6c1782c6a5c9093aac76dfa6546012da2355d21d22e57c9df65b2f"),
         (isotropic_scattering(3), 8.0, 546,
          "27b5d8b879548f9457b444e468b0dc2de137b55d1b42d6a6f18b58eefe0ede83"),
-    ], ids=["iso2-L20", "spiked2-L28", "iso3-L8"])
+        (isotropic_scattering(2), 35.0, 1244,
+         "dafd4f594907daa509e0448ab82bec10f531f2d77eb4956c0aad9e952b57f936"),
+    ], ids=["iso2-L20", "spiked2-L28", "iso3-L8", "iso2-L35"])
     def test_golden_stream(self, sigma, side, count, digest):
         pts = sample_gdp(sigma, BoxWindow(side, sigma.dim), 0).points
         assert pts.shape == (count, sigma.dim)
@@ -209,6 +214,22 @@ class TestSamplerStream:
         assert span.dtype == comp.dtype == dtype
         assert np.allclose(span, full[:, :50], rtol=0, atol=atol)
         assert np.allclose(comp, full[:, 50:], rtol=0, atol=atol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           shape=st.integers(2, 300).flatmap(
+               lambda q: st.tuples(st.just(q), st.integers(1, q - 1))),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_complement_is_orthonormal_and_orthogonal_to_the_span(self, dtype, shape, seed):
+        # The sampler compresses after every block, down to tail blocks
+        # of q = 2 active directions with s = 1 accepted.
+        q, s = shape
+        a = np.random.default_rng(seed).standard_normal((q, s)).astype(dtype)
+        comp = sampling._orthonormal_basis(a, complement=True)
+        assert comp.dtype == dtype and comp.shape == (q, q - s)
+        tol = 10 * q * np.finfo(dtype).eps
+        assert np.abs(comp.T @ comp - np.eye(q - s)).max() <= tol
+        assert np.abs(comp.T @ (a / np.linalg.norm(a, axis=0))).max() <= tol
 
 
 class TestSamplePoisson:
