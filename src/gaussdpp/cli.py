@@ -69,6 +69,20 @@ def _checked(convert, ok, requirement: str):
 _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _tol = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_strength = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+
+
+def _direction(text: str) -> list[float]:
+    """argparse type of --u: comma-separated finite numbers, not all zero.
+    Whether the length matches --d is checked when the matrix is built."""
+    try:
+        u = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text}") from None
+    if not all(map(math.isfinite, u)) or not any(u):
+        raise argparse.ArgumentTypeError(f"must be finite with a nonzero norm, got {text}")
+    return u
 
 
 def _parse_sigma(args, d: int) -> ScatteringMatrix:
@@ -83,8 +97,7 @@ def _parse_sigma(args, d: int) -> ScatteringMatrix:
         return isotropic_scattering(d)
     if args.sigma == "spiked":
         if args.u:
-            u = np.asarray([float(v) for v in args.u.split(",")])
-            u = u / math.sqrt(float(u @ u))
+            u = np.asarray(args.u) / math.hypot(*args.u)
         else:
             u = np.zeros(d)
             u[0] = 1.0
@@ -368,8 +381,8 @@ def _cmd_bounds(args, out: Path) -> dict:
 def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", default="iso", choices=["iso", "spiked"],
                    help="scattering matrix family")
-    p.add_argument("--lam", type=float, default=0.0, help="spike strength")
-    p.add_argument("--u", default=None,
+    p.add_argument("--lam", type=_strength, default=0.0, help="spike strength")
+    p.add_argument("--u", type=_direction, default=None,
                    help="comma-separated spike direction (normalized internally)")
     p.add_argument("--sigma-entries", default=None,
                    help="explicit matrix, rows ';'-separated, entries ','-separated; "

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussdpp import EstimatorConfig, calibrate_null_threshold, cli
+from gaussdpp import EstimatorConfig, calibrate_null_threshold, cli, spiked_scattering
 
 SAMPLE = ["sample", "--d", "2", "--seed", "0"]
 VALIDATE = ["validate", "--d", "2", "--seed", "0"]
@@ -53,6 +53,19 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["bounds", "--variance", "--n", "-1"], "--n: must be positive and finite"),
     (["bounds", "--variance", "--C", "0"], "--C: must be positive and finite"),
     (["bounds", "--rate", "--c", "nan"], "--c: must be positive and finite"),
+    (SAMPLE + ["--L", "5", "--sigma", "spiked", "--lam", "-0.5"],
+     "--lam: must be finite and >= 0"),
+    (SAMPLE + ["--L", "5", "--sigma", "spiked", "--lam", "inf"],
+     "--lam: must be finite and >= 0"),
+    (["bounds", "--count", "--lam", "nan"], "--lam: must be finite and >= 0"),
+    (VALIDATE + ["--L", "5", "--sigma", "spiked", "--lam", "-1"],
+     "--lam: must be finite and >= 0"),
+    (SAMPLE + ["--L", "5", "--sigma", "spiked", "--u", "1,x"],
+     "--u: must be comma-separated numbers"),
+    (SAMPLE + ["--L", "5", "--sigma", "spiked", "--u", "0,0"],
+     "--u: must be finite with a nonzero norm"),
+    (VALIDATE + ["--L", "5", "--sigma", "spiked", "--u", "1,inf"],
+     "--u: must be finite with a nonzero norm"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -63,6 +76,16 @@ def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys
     assert err.startswith("usage: gaussdpp")
     assert message in err
     assert not out.exists()
+
+
+def test_spike_direction_is_normalized_and_its_length_checked_at_run_time():
+    args = cli.build_parser().parse_args(
+        SAMPLE + ["--L", "5", "--sigma", "spiked", "--lam", "3", "--u", "3,4", "--out", "out"])
+    assert args.u == [3.0, 4.0]
+    expected = spiked_scattering(3.0, [0.6, 0.8])
+    assert np.allclose(cli._parse_sigma(args, 2).entries, expected.entries, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        cli._parse_sigma(args, 3)
 
 
 def test_reduce_accepts_an_infinite_cutoff():

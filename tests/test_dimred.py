@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from gaussdpp import (BallWindow, Dataset, EstimatorConfig, PointPattern,
                       dpp_embed, estimate_scattering, pca_embed, risk_scores,
@@ -292,6 +295,18 @@ class TestRocAuc:
             wins = sum((p > neg).sum() + 0.5 * (p == neg).sum() for p in pos)
             expected = wins / (len(pos) * len(neg))
             assert roc_auc(scores, labels).auc == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=2, max_size=60)
+           .filter(lambda rows: len({label for _, label in rows}) == 2))
+    def test_equals_mann_whitney_u_statistic(self, rows):
+        # Scores from seven values, so most draws have ties within and
+        # across the classes.
+        scores = np.array([score for score, _ in rows], dtype=float)
+        labels = np.array([label for _, label in rows], dtype=int)
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        u = stats.mannwhitneyu(pos, neg).statistic
+        assert roc_auc(scores, labels).auc == u / (pos.size * neg.size)
 
     def test_monotone_curve(self):
         rng = np.random.default_rng(15)

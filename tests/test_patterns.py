@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdpp import (BallWindow, BoxWindow, PointPattern, extract_ball,
                       load_pattern, save_pattern)
@@ -77,3 +82,28 @@ def test_save_load_ball_window(tmp_path):
     loaded, _ = load_pattern(tmp_path / "ball")
     assert loaded.window == BallWindow(2.0, 2)
     assert np.array_equal(loaded.points, pat.points)
+
+
+@st.composite
+def windowed_points(draw):
+    """A box or ball window and points inside it: any finite double within
+    half the side (or radius) per axis, which for d <= 3 lies in the ball."""
+    d = draw(st.integers(1, 3))
+    size = draw(st.floats(1e-6, 1e6))
+    window = draw(st.sampled_from([BoxWindow(size, d), BallWindow(size, d)]))
+    coord = st.floats(-size / 2, size / 2)
+    n = draw(st.integers(0, 20))
+    pts = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    return PointPattern(np.array(pts, dtype=float).reshape(n, d), window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(windowed_points())
+def test_save_load_round_trips_bitwise(pat):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_pattern(pat, Path(tmp) / "pattern")
+        loaded, meta = load_pattern(Path(tmp) / "pattern")
+    assert loaded.window == pat.window
+    assert meta["count"] == len(pat)
+    assert loaded.points.shape == pat.points.shape
+    assert loaded.points.tobytes() == pat.points.tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ class TestSamplerStream:
         pts = sample_gdp(sigma, BoxWindow(side, sigma.dim), 0).points
         assert pts.shape == (count, sigma.dim)
         assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
+    def test_working_set_is_a_few_float32_bases(self, iso2):
+        # The float32 complement basis holds up to 4 m^2 bytes.  A sampler
+        # that holds a whole block of features and their projection, and
+        # keeps them through the compression, peaks at 8.5 times that.
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            m = len(sample_gdp(iso2, BoxWindow(35.0, 2), 0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert m == 1244
+        assert peak < 5 * 4 * m ** 2
 
     def test_rejection_budget(self, iso2):
         with pytest.raises(RuntimeError, match="rejection budget of 0 exhausted"):
