@@ -110,10 +110,13 @@ def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray
     `side` is given (each coordinate difference taken the shorter way
     round).  A cell list: points are binned into cells a hair wider than
     r, so a point's partners lie in the 3^d cells around its own (distinct
-    offsets modulo the cell count on the torus); candidates are listed by
-    sorting and searching, with no Python loop over points or cells, and
-    kept when their exact squared distance is below r^2.  Meant for low
-    dimension.  Returns two intp arrays sorted by i, then j.
+    offsets modulo the cell count on the torus).  The offsets are visited
+    one at a time: for each, every point's candidates in the cell at that
+    offset are listed by sorting and searching, with no Python loop over
+    points or cells, and kept when their exact squared distance is below
+    r^2.  Only the survivors outlive their offset, so the working memory
+    is that of one offset's candidates, about 3^-d of all of them.  Meant
+    for low dimension.  Returns two intp arrays sorted by i, then j.
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
@@ -141,24 +144,26 @@ def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray
     key = np.ravel_multi_index(tuple(cells.T), radix)
     order = np.argsort(key, kind="stable")
     cell_keys, first, count = np.unique(key[order], return_index=True, return_counts=True)
-    near = cells[:, None, :] + offsets
-    near = np.ravel_multi_index(tuple(np.moveaxis(near, -1, 0)), radix, mode="wrap")
-    slot = np.minimum(np.searchsorted(cell_keys, near), cell_keys.size - 1)
-    point, hit = np.nonzero(cell_keys[slot] == near)
-    slot = slot[point, hit]
-    # Expand each (point, occupied cell) into the cell's members.
-    size = count[slot]
-    i = np.repeat(point, size)
-    j = order[np.repeat(first[slot] - np.cumsum(size) + size, size) + np.arange(i.size)]
-    keep = i < j
-    i, j = i[keep], j[keep]
-
-    diff = pts[i] - pts[j]
-    if side is not None:
-        diff = np.abs(diff)
-        diff = np.minimum(diff, side - diff)
-    keep = np.einsum("ij,ij->i", diff, diff) < r * r
-    i, j = i[keep], j[keep]
+    found_i, found_j = [], []
+    for offset in offsets:
+        near = np.ravel_multi_index(tuple((cells + offset).T), radix, mode="wrap")
+        slot = np.minimum(np.searchsorted(cell_keys, near), cell_keys.size - 1)
+        point = np.flatnonzero(cell_keys[slot] == near)
+        slot = slot[point]
+        # Expand each (point, occupied cell) into the cell's members.
+        size = count[slot]
+        i = np.repeat(point, size)
+        j = order[np.repeat(first[slot] - np.cumsum(size) + size, size) + np.arange(i.size)]
+        keep = i < j
+        i, j = i[keep], j[keep]
+        diff = pts[i] - pts[j]
+        if side is not None:
+            diff = np.abs(diff)
+            diff = np.minimum(diff, side - diff)
+        keep = np.einsum("ij,ij->i", diff, diff) < r * r
+        found_i.append(i[keep])
+        found_j.append(j[keep])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
     ranked = np.lexsort((j, i))
     return i[ranked], j[ranked]
 

@@ -34,6 +34,8 @@ _GRAM_PANEL = 128  # candidate rows per product in the sampler's scan
 _TRI_BLOCK = 64  # rows per block of the triangular solve in compressions
 _FEATURE_CHUNK = 1 << 16  # phase entries per chunk of feature assembly
 _SCREEN_ROWS = 512  # block rows per chunk of the sampler's candidate screening
+_QR_PANEL = 64  # columns per double-precision panel of the Householder QR
+_WY_CHUNK = 256  # rows or columns per product when applying reflectors
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,8 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float,
     point density, up to the truncation tol and the Gaussian tail.
 
     Raises if the mode count exceeds `mode_cap`, which signals a window
-    too large for the dimension.
+    too large for the dimension; when a lower bound on the count from the
+    ellipsoid's volume already exceeds it, before any enumeration.
     """
     if not sigma.normalized:
         raise ValueError("sampler requires a normalized scattering matrix "
@@ -88,26 +91,33 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float,
         raise ValueError("tol must lie strictly between 0 and 1")
     d = sigma.dim
     bound = side ** 2 * math.log(1.0 / tol) / (2.0 * math.pi ** 2)
+    # Lower bound on the mode count: the lattice point nearest to any x
+    # lies within sqrt(d)/2 of it, so within rho = sqrt(d ||S|| / 4) in
+    # the S-norm.  The unit cells of the retained modes thus cover the
+    # shrunk ellipsoid sqrt(k' S k) < sqrt(bound) - rho, whose volume
+    # bounds their count (rho carries a margin for rounding in quad).  A
+    # box whose count must exceed the cap is refused before enumeration.
+    rho = math.sqrt(0.25 * d * sigma.operator_norm) + 1e-6 * math.sqrt(bound)
+    if math.sqrt(bound) > rho:
+        log_min_count = (math.log(unit_ball_volume(d)) - 0.5 * sigma.log_det
+                         + d * math.log(math.sqrt(bound) - rho))
+        if log_min_count > math.log(max(mode_cap, 1)):
+            raise ValueError(
+                f"mode count (at least {math.exp(log_min_count):.3g}) exceeds "
+                f"the cap of {mode_cap}; reduce the window side or increase tol")
     # Bounding box of the ellipsoid k' S k < bound.
     half = np.floor(np.sqrt(bound * np.diag(sigma.inverse))).astype(np.int64)
-    axes = [np.arange(-h, h + 1, dtype=np.int64) for h in half]
-    n_candidates = int(np.prod([a.size for a in axes]))
+    shape = tuple(int(2 * h + 1) for h in half)
+    n_candidates = math.prod(shape)
 
     kept: list[np.ndarray] = []
     kept_quad: list[np.ndarray] = []
     n_kept = 0
-    # Slab over the first axis keeps peak memory flat for large boxes.
-    tail_sizes = [a.size for a in axes[1:]]
-    tail_total = int(np.prod(tail_sizes)) if tail_sizes else 1
-    slab_rows = max(1, _ENUM_SLAB // max(tail_total, 1))
-    if tail_total > 64 * _ENUM_SLAB:
-        raise ValueError(
-            f"mode enumeration box ({n_candidates} candidates) exceeds the "
-            f"cap of {mode_cap}; reduce the window side or increase tol")
-    for start in range(0, axes[0].size, slab_rows):
-        first = axes[0][start:start + slab_rows]
-        grid = np.meshgrid(first, *axes[1:], indexing="ij")
-        k = np.stack([g.reshape(-1) for g in grid], axis=1)
+    # Flat-index ranges of the box in lexicographic order, at most
+    # _ENUM_SLAB candidates each, keep peak memory flat in any dimension.
+    for start in range(0, n_candidates, _ENUM_SLAB):
+        flat = np.arange(start, min(start + _ENUM_SLAB, n_candidates), dtype=np.int64)
+        k = np.stack(np.unravel_index(flat, shape), axis=1) - half
         quad = np.einsum("ij,jl,il->i", k.astype(float), sigma.entries,
                          k.astype(float))
         mask = quad < bound
@@ -219,6 +229,64 @@ def _solve_upper(a, b):
     return w
 
 
+def _householder(h):
+    """Householder QR of h (q, s), q >= s, in place and in h's dtype.
+
+    Panels of _QR_PANEL columns are factored in double precision, and each
+    panel's reflectors reach the trailing columns in compact-WY form, as
+    in LAPACK's blocked geqrf, by products in h's dtype, _WY_CHUNK
+    columns at a time.  No double-precision copy of the whole of h is
+    made.  On return h holds the reflectors V as a unit lower trapezoid,
+    and the result is the upper triangular T^-1 = striu(V'V) + diag(1/tau)
+    of Q = H_1 ... H_s = I - V T V'.
+    """
+    s = h.shape[1]
+    tau = np.empty(s)
+    for c0 in range(0, s, _QR_PANEL):
+        c1 = min(c0 + _QR_PANEL, s)
+        raw, tau[c0:c1] = np.linalg.qr(h[c0:, c0:c1].astype(np.float64), mode="raw")
+        v = _unit_trapezoid(raw.T)
+        h[c0:, c0:c1] = v
+        if c1 == s:
+            break
+        # Q_p' = I - V T' V' on the trailing columns.
+        t_inv = _t_inverse(v, tau[c0:c1])
+        tt = np.linalg.inv(t_inv).T.astype(h.dtype)
+        v = v.astype(h.dtype)
+        for lo in range(c1, s, _WY_CHUNK):
+            rest = h[c0:, lo:lo + _WY_CHUNK]
+            rest -= v @ (tt @ (v.T @ rest))
+    return _t_inverse(_unit_trapezoid(h), tau)
+
+
+def _unit_trapezoid(v):
+    """Zero the upper triangle of v (q, s) and put ones on its diagonal, in place."""
+    s = v.shape[1]
+    v[:s][~np.tri(s, dtype=bool, k=-1)] = 0.0
+    v[np.arange(s), np.arange(s)] = 1.0
+    return v
+
+
+def _t_inverse(v, tau):
+    """T^-1 = striu(V'V) + diag(1/tau) of the compact-WY form I - V T V'."""
+    t_inv = np.triu(v.T @ v, 1)
+    t_inv[np.diag_indices_from(t_inv)] = 1.0 / tau
+    return t_inv
+
+
+def _wy_columns(v, t_inv, lo, hi):
+    """Columns lo..hi-1 of Q = I - V T V', from the reflectors v (q, s)
+    and T^-1, _WY_CHUNK columns at a time; no other column of Q is formed."""
+    basis = np.empty((v.shape[0], hi - lo), dtype=v.dtype)
+    for c in range(lo, hi, _WY_CHUNK):
+        c_hi = min(c + _WY_CHUNK, hi)
+        np.matmul(v, _solve_upper(t_inv, v[c:c_hi].T), out=basis[:, c - lo:c_hi - lo])
+    basis *= -1.0
+    n = hi - lo
+    basis[lo + np.arange(n), np.arange(n)] += 1.0  # plus I[:, lo:hi]
+    return basis
+
+
 def _orthonormal_basis(a, complement=False):
     """Orthonormal basis of the column span of a (q, s), or of its
     orthogonal complement.
@@ -226,24 +294,35 @@ def _orthonormal_basis(a, complement=False):
     With Householder factors a = H_1 ... H_s R, the span is the first s
     columns of Q = H_1 ... H_s and the complement the last q - s.  The
     compact-WY form Q = I - V T V' gives either set by products with the
-    reflectors V alone; the upper triangular T comes from
-    T^-1 = striu(V'V) + diag(1/tau).  The other columns of Q are never
-    formed.
+    reflectors V alone.  The factorization runs on one copy of a, in a's
+    dtype.
     """
     q, s = a.shape
-    h, tau = np.linalg.qr(a, mode="raw")  # h.T holds R and the reflectors
-    diag = np.arange(s)
-    v = h.T  # turned into the unit lower trapezoid V in place
-    v[:s][~np.tri(s, dtype=bool, k=-1)] = 0.0
-    v[diag, diag] = 1.0
-    t_inv = np.triu(v.T @ v, 1)
-    t_inv[diag, diag] = 1.0 / tau
-    cols = slice(s, q) if complement else slice(0, s)
-    basis = v @ _solve_upper(t_inv, v[cols].T)
-    basis *= -1.0
-    n = basis.shape[1]
-    basis[cols.start + np.arange(n), np.arange(n)] += 1.0  # plus I[:, cols]
-    return basis
+    v = np.array(a, order="F")
+    t_inv = _householder(v)
+    lo, hi = (s, q) if complement else (0, s)
+    return _wy_columns(v, t_inv, lo, hi)
+
+
+def _compress(proj, a):
+    """Restrict the orthonormal basis proj (m, q) to the complement of the
+    accepted rows, whose coordinates in that basis are the columns of
+    a (q, s); a is overwritten by its reflectors.
+
+    The new basis is proj @ Q[:, s:] = proj[:, s:] - (proj V) T V[s:]',
+    applied to proj in place _WY_CHUNK rows at a time; the result is the
+    column view proj[:, s:].  With proj None (the identity) the
+    complement Q[:, s:] is formed explicitly.
+    """
+    q, s = a.shape
+    t_inv = _householder(a)
+    if proj is None:
+        return _wy_columns(a, t_inv, s, q)
+    w = _solve_upper(t_inv, a[s:].T)
+    for lo in range(0, proj.shape[0], _WY_CHUNK):
+        rows = proj[lo:lo + _WY_CHUNK]
+        rows[:, s:] -= (rows @ a) @ w
+    return proj[:, s:]
 
 
 def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
@@ -261,7 +340,9 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
 
     Proposals are processed in blocks, and four devices keep the cost at
     a few large matrix products instead of one basis pass per accepted
-    point, and the memory at a few copies of the active basis:
+    point, and the memory at one float32 basis: m^2 floats at the first
+    compression (the accepted rows and the complement formed from them),
+    one (m, m - j) buffer after it, plus chunk-sized temporaries:
 
     * chunked screening: a block's rows go through one pass in chunks of
       _SCREEN_ROWS rows.  Each chunk forms its features, their squared
@@ -282,9 +363,13 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
       acceptances are tracked through pending vectors (one Cholesky
       column per acceptance);
     * per-block compression: after every block that accepted points, the
-      active basis is replaced by an orthonormal basis of the complement
-      of the accepted feature vectors, built from their Householder
-      factors in compact-WY form.  Each block thus starts with no selected
+      active basis is restricted to the complement of the accepted
+      feature vectors, built from their Householder factors in
+      compact-WY form (see _compress).  The QR runs in the basis's own
+      dtype, and from the second block on the complement is applied to
+      the basis in place, which then shrinks to a column view of one
+      buffer.  The block's features and accepted rows are released
+      before the next block.  Each block thus starts with no selected
       directions in an active space of dimension m - j, the conditional
       values are plain squared norms, and per-proposal work scales with
       the remaining rank;
@@ -361,7 +446,8 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
             # Re-orthonormalize the complement basis in double precision
             # for the small-conditional endgame.
             if proj is not None:
-                proj = _orthonormal_basis(proj.astype(np.float64))
+                proj = proj.astype(np.float64)  # drops the float32 buffer
+                proj = _orthonormal_basis(proj)
             dt = np.float64
         nbatch = min(max(int(accept_target * m / (m - j)), 1024), _MAX_BLOCK)
         pcap = min(nbatch, 1024)
@@ -379,8 +465,9 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
             thr = tickets[lo:hi] * nrm2
             keep = np.flatnonzero(thr < kv)
             pieces.append((keep + lo, thr[keep], kv[keep], feats[keep]))
+            del psi, feats  # only the candidates outlive their chunk
         cand, thr, kv, feats = (np.concatenate(p) for p in zip(*pieces))
-        del pieces, psi
+        del pieces
         # Row l of pend holds the projections of the later candidates onto
         # the l-th direction accepted in this block.
         pend = np.empty((pcap, cand.size), dtype=dt)
@@ -424,10 +511,11 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
             kv[a + 1:] -= c * c
             nxt = a + 1
         if rows and j < m:
+            del pend, gram  # free the block before compressing
             accepted = feats[rows].T
-            del feats, pend, gram  # free the block before compressing
-            comp = _orthonormal_basis(accepted, complement=True)
-            proj = comp if proj is None else proj @ comp
+            del feats
+            proj = _compress(proj, accepted)
+            del accepted  # nothing of the block outlives its compression
     return out
 
 

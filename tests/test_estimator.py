@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdpp import (BallWindow, BoxWindow, EstimatorConfig, PointPattern,
                       bernstein_tail, bias_bound, count_expectation,
@@ -138,6 +141,21 @@ class TestNeighborhoods:
             assert got.dtype == np.intp
             assert np.array_equal(got, want)
 
+    def test_working_memory_is_one_offset_of_candidates(self):
+        # The validate-d3 case: 5 cells per axis, about 14 points per cell.
+        # Listing the candidates of all 27 offsets at once peaked at
+        # 29.6 MiB for 28k pairs kept.
+        pts = np.random.default_rng(7).uniform(-6.0, 6.0, size=(1700, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            i, j = close_pairs(pts, 2.0, 12.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert i.size > 20_000
+        assert peak < 5 << 20
+
     def test_fewer_than_two_points(self):
         for pts in (np.empty((0, 2)), [[0.5, 0.5]]):
             for side in (None, 4.0):
@@ -208,6 +226,21 @@ class TestEstimateScattering:
         base = estimate_scattering(_ball_pattern(pts, 5.0), cfg).sigma_hat
         rotated = estimate_scattering(_ball_pattern(pts @ q.T, 5.0), cfg).sigma_hat
         assert np.allclose(rotated, q @ base @ q.T, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), n=st.integers(30, 300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rotation_equivariance_property(self, d, n, seed):
+        # Continuous random points: no pair distance and no norm sits at
+        # r or R - r, where a rounding difference could flip membership.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        pts = rng.uniform(-5.0, 5.0, size=(n, d))
+        pts = pts[np.linalg.norm(pts, axis=1) <= 4.9]
+        cfg = EstimatorConfig(r=1.5)
+        base = estimate_scattering(_ball_pattern(pts, 5.0), cfg).sigma_hat
+        rotated = estimate_scattering(_ball_pattern(pts @ q.T, 5.0), cfg).sigma_hat
+        assert np.abs(rotated - q @ base @ q.T).max() <= 1e-9 * np.linalg.norm(base)
 
     def test_box_window_uses_inscribed_ball(self):
         rng = np.random.default_rng(5)

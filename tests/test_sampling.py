@@ -91,6 +91,32 @@ class TestSpectralBasis:
         with pytest.raises(ValueError, match="cap"):
             build_spectral_basis(iso2, 40.0, mode_cap=100)
 
+    @pytest.mark.parametrize("sigma, side", [
+        (isotropic_scattering(3), 8.0), (spiked_scattering(2.0, [0.6, 0.8, 0.0]), 7.0),
+        (isotropic_scattering(4), 4.0)], ids=["iso3", "spiked3", "iso4"])
+    def test_enumeration_slabs_keep_the_mode_order(self, sigma, side, monkeypatch):
+        # Slabs of 1000 flat indices cut the box across rows of every axis.
+        whole = build_spectral_basis(sigma, side)
+        monkeypatch.setattr(sampling, "_ENUM_SLAB", 1000)
+        sliced = build_spectral_basis(sigma, side)
+        assert whole.modes.shape[0] > 1000
+        assert np.array_equal(sliced.modes, whole.modes)
+        assert np.array_equal(sliced.eigenvalues, whole.eigenvalues)
+
+    def test_box_over_the_cap_is_refused_before_enumeration(self):
+        # At d=4, L=30 the box holds 2.4e8 candidates and the ellipsoid
+        # about 7.7e7 modes.  Enumerating slabs of whole first-axis rows
+        # peaked at 343 MiB before the running count passed the cap.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match="exceeds the cap of 2000000"):
+                build_spectral_basis(isotropic_scattering(4), 30.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestSampleGdp:
     def test_same_seed_identical(self, iso2):
@@ -191,6 +217,33 @@ class TestSamplerStream:
             tracemalloc.stop()
         assert m == 1244
         assert peak < 5 * 4 * m ** 2
+
+    def test_compression_updates_the_basis_in_place(self):
+        # One compression of a float32 basis (m, q) by s accepted rows.
+        # Forming the (q, q - s) complement and multiplying, with the QR
+        # run on a float64 copy of a, peaked at 1.17 times the basis bytes.
+        m, q, s = 1200, 900, 300
+        rng = np.random.default_rng(0)
+        proj = np.linalg.qr(rng.standard_normal((m, q)))[0].astype(np.float32)
+        rows = rng.standard_normal((s, m))
+        a = np.asfortranarray((rows @ proj).astype(np.float32).T)
+        ref = proj @ sampling._orthonormal_basis(a, complement=True)
+        basis_bytes = proj.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            new = sampling._compress(proj, a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7 * basis_bytes
+        assert new.dtype == np.float32 and new.shape == (m, q - s)
+        assert np.shares_memory(new, proj)
+        tol = 10 * q * np.finfo(np.float32).eps
+        assert np.abs(new - ref).max() <= tol
+        assert np.abs(new.T @ new - np.eye(q - s)).max() <= tol
+        unit_rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert np.abs(unit_rows @ new).max() <= tol
 
     def test_rejection_budget(self, iso2):
         with pytest.raises(RuntimeError, match="rejection budget of 0 exhausted"):
