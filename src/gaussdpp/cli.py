@@ -46,13 +46,12 @@ from .kernel import (ScatteringMatrix, isotropic_scattering,
                      normalize_scattering, spiked_scattering,
                      truncated_pair_correlation)
 from .patterns import BoxWindow, extract_ball, load_pattern, save_pattern
-from .sampling import (count_dispersion_test, empirical_pair_correlation,
+from .sampling import (DEFAULT_TOL, count_dispersion_test, empirical_pair_correlation,
                        sample_gdp_ensemble, sample_poisson)
 from .spiked import (NullCalibration, calibrate_null_threshold, detection_test,
                      detection_test_calibrated, estimate_spike)
 
 SCHEMA_VERSION = 1
-NULL_TOL = 1e-6  # spectral truncation of the null simulations
 
 
 def _checked(convert, ok, requirement: str):
@@ -234,7 +233,7 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
     docstring); returns it with "hit" or "miss"."""
     import hashlib
     key = {"source_sha256": _source_fingerprint(), "numpy": np.__version__,
-           "d": d, "side": side, "tol": NULL_TOL,
+           "d": d, "side": side, "tol": DEFAULT_TOL,
            "estimator": {"r": config.r, "R": config.R, "c0": config.c0},
            "null_replicates": n_replicates, "seed": seed}
     name = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
@@ -249,7 +248,7 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
     except (OSError, ValueError, KeyError, TypeError):
         pass  # missing or unreadable: recompute and overwrite
     cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, config=config,
-                                   tol=NULL_TOL)
+                                   tol=DEFAULT_TOL)
     _store_atomically(path, {"key": key, "statistics": cal.statistics.tolist()})
     return cal, "miss"
 
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", default="gdp", choices=["gdp", "poisson"])
     p.add_argument("--L", type=_positive_finite, required=True, help="box side")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=_tol, default=1e-6)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--replicates", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -478,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=_positive_finite, required=True)
     p.add_argument("--replicates", type=_checked(int, lambda v: v >= 2, ">= 2"), default=200)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=_tol, default=1e-6)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--bin-width", type=_positive_finite, default=0.1)
     p.add_argument("--r-max", type=_positive_finite, default=2.0)
     p.add_argument("--out", required=True)

@@ -116,7 +116,8 @@ def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray
     points or cells, and kept when their exact squared distance is below
     r^2.  Only the survivors outlive their offset, so the working memory
     is that of one offset's candidates, about 3^-d of all of them.  Meant
-    for low dimension.  Returns two intp arrays sorted by i, then j.
+    for low dimension.  Returns two intp arrays that list each pair once,
+    in no order.
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
@@ -163,9 +164,7 @@ def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray
         keep = np.einsum("ij,ij->i", diff, diff) < r * r
         found_i.append(i[keep])
         found_j.append(j[keep])
-    i, j = np.concatenate(found_i), np.concatenate(found_j)
-    ranked = np.lexsort((j, i))
-    return i[ranked], j[ranked]
+    return np.concatenate(found_i), np.concatenate(found_j)
 
 
 def _window_to_json(window) -> dict:

@@ -25,10 +25,10 @@ from .kernel import ScatteringMatrix
 from .patterns import BoxWindow, PointPattern, close_pairs
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MODE_CAP = 2_000_000
-DEFAULT_MAX_REJECTS = 1_000_000
 
-_ENUM_SLAB = 1 << 20  # candidate rows processed per slab while enumerating
+_MODE_CAP = 2_000_000  # largest spectral basis; more signals a window too large
+_MAX_REJECTS = 1_000_000  # consecutive rejections before the sampler gives up
+_ENUM_SLAB = 1 << 16  # candidate rows processed per slab while enumerating
 _MAX_BLOCK = 2048  # largest block of sampler proposals
 _GRAM_PANEL = 128  # candidate rows per product in the sampler's scan
 _TRI_BLOCK = 64  # rows per block of the triangular solve in compressions
@@ -50,8 +50,6 @@ class SpectralBasis:
 
     modes: np.ndarray
     eigenvalues: np.ndarray
-    side: float
-    tol: float
 
     def __post_init__(self):
         self.modes.setflags(write=False)
@@ -70,15 +68,14 @@ class SpectralBasis:
 
 
 def build_spectral_basis(sigma: ScatteringMatrix, side: float,
-                         tol: float = DEFAULT_TOL,
-                         mode_cap: int = DEFAULT_MODE_CAP) -> SpectralBasis:
+                         tol: float = DEFAULT_TOL) -> SpectralBasis:
     """Enumerate all Fourier modes with eigenvalue above `tol`.
 
     The retained set is the integer ellipsoid k' S k < L^2 log(1/tol) /
     (2 pi^2).  Its eigenvalue sum divided by L^d approximates the unit
     point density, up to the truncation tol and the Gaussian tail.
 
-    Raises if the mode count exceeds `mode_cap`, which signals a window
+    Raises if the mode count exceeds _MODE_CAP, which signals a window
     too large for the dimension; when a lower bound on the count from the
     ellipsoid's volume already exceeds it, before any enumeration.
     """
@@ -101,10 +98,10 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float,
     if math.sqrt(bound) > rho:
         log_min_count = (math.log(unit_ball_volume(d)) - 0.5 * sigma.log_det
                          + d * math.log(math.sqrt(bound) - rho))
-        if log_min_count > math.log(max(mode_cap, 1)):
+        if log_min_count > math.log(_MODE_CAP):
             raise ValueError(
                 f"mode count (at least {math.exp(log_min_count):.3g}) exceeds "
-                f"the cap of {mode_cap}; reduce the window side or increase tol")
+                f"the cap of {_MODE_CAP}; reduce the window side or increase tol")
     # Bounding box of the ellipsoid k' S k < bound.
     half = np.floor(np.sqrt(bound * np.diag(sigma.inverse))).astype(np.int64)
     shape = tuple(int(2 * h + 1) for h in half)
@@ -125,14 +122,14 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float,
             kept.append(k[mask])
             kept_quad.append(quad[mask])
             n_kept += int(mask.sum())
-            if n_kept > mode_cap:
+            if n_kept > _MODE_CAP:
                 raise ValueError(
-                    f"mode count exceeds the cap of {mode_cap}; "
+                    f"mode count exceeds the cap of {_MODE_CAP}; "
                     "reduce the window side or increase tol")
     modes = np.concatenate(kept, axis=0)
     quad = np.concatenate(kept_quad)
     eigenvalues = np.exp(-2.0 * math.pi ** 2 * quad / side ** 2)
-    return SpectralBasis(modes=modes, eigenvalues=eigenvalues, side=side, tol=tol)
+    return SpectralBasis(modes=modes, eigenvalues=eigenvalues)
 
 
 def _realified_selection(rng, basis: SpectralBasis):
@@ -274,50 +271,29 @@ def _t_inverse(v, tau):
     return t_inv
 
 
-def _wy_columns(v, t_inv, lo, hi):
-    """Columns lo..hi-1 of Q = I - V T V', from the reflectors v (q, s)
-    and T^-1, _WY_CHUNK columns at a time; no other column of Q is formed."""
-    basis = np.empty((v.shape[0], hi - lo), dtype=v.dtype)
-    for c in range(lo, hi, _WY_CHUNK):
-        c_hi = min(c + _WY_CHUNK, hi)
-        np.matmul(v, _solve_upper(t_inv, v[c:c_hi].T), out=basis[:, c - lo:c_hi - lo])
-    basis *= -1.0
-    n = hi - lo
-    basis[lo + np.arange(n), np.arange(n)] += 1.0  # plus I[:, lo:hi]
-    return basis
-
-
-def _orthonormal_basis(a, complement=False):
-    """Orthonormal basis of the column span of a (q, s), or of its
-    orthogonal complement.
-
-    With Householder factors a = H_1 ... H_s R, the span is the first s
-    columns of Q = H_1 ... H_s and the complement the last q - s.  The
-    compact-WY form Q = I - V T V' gives either set by products with the
-    reflectors V alone.  The factorization runs on one copy of a, in a's
-    dtype.
-    """
-    q, s = a.shape
-    v = np.array(a, order="F")
-    t_inv = _householder(v)
-    lo, hi = (s, q) if complement else (0, s)
-    return _wy_columns(v, t_inv, lo, hi)
-
-
 def _compress(proj, a):
     """Restrict the orthonormal basis proj (m, q) to the complement of the
     accepted rows, whose coordinates in that basis are the columns of
     a (q, s); a is overwritten by its reflectors.
 
-    The new basis is proj @ Q[:, s:] = proj[:, s:] - (proj V) T V[s:]',
-    applied to proj in place _WY_CHUNK rows at a time; the result is the
-    column view proj[:, s:].  With proj None (the identity) the
-    complement Q[:, s:] is formed explicitly.
+    With Householder factors a = H_1 ... H_s R, the complement of the span
+    of a is spanned by the last q - s columns of Q = H_1 ... H_s =
+    I - V T V' (compact-WY form).  The new basis is proj @ Q[:, s:] =
+    proj[:, s:] - (proj V) T V[s:]', applied to proj in place _WY_CHUNK
+    rows at a time; the result is the column view proj[:, s:].  With proj
+    None (the identity) Q[:, s:] itself is formed, _WY_CHUNK columns at a
+    time; no other column of Q is.
     """
     q, s = a.shape
     t_inv = _householder(a)
     if proj is None:
-        return _wy_columns(a, t_inv, s, q)
+        comp = np.empty((q, q - s), dtype=a.dtype)
+        for lo in range(s, q, _WY_CHUNK):
+            hi = min(lo + _WY_CHUNK, q)
+            np.matmul(a, _solve_upper(t_inv, a[lo:hi].T), out=comp[:, lo - s:hi - s])
+        comp *= -1.0
+        comp[np.arange(s, q), np.arange(q - s)] += 1.0  # plus I[:, s:]
+        return comp
     w = _solve_upper(t_inv, a[s:].T)
     for lo in range(0, proj.shape[0], _WY_CHUNK):
         rows = proj[lo:lo + _WY_CHUNK]
@@ -325,7 +301,7 @@ def _compress(proj, a):
     return proj[:, s:]
 
 
-def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
+def _sample_projection(rng, k_sel, sin_sel, side):
     """Draw the rank-m projection DPP of the selected real Fourier modes.
 
     Points are sampled sequentially; each conditional density is the
@@ -381,8 +357,12 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
       conditional value is the squared norm of the projection psi @ proj,
       whose inner products of length m cancel to a relative error of
       about m * eps once it is much smaller than ||psi||^2, as it is when
-      few points remain.  So the final stretch runs in double precision
-      on a re-orthonormalized basis.
+      few points remain.  So once 256 points or fewer remain, the basis
+      (m by at most 256) is copied to double precision, the float32 buffer
+      is freed, and numpy's QR re-orthonormalizes it; the final stretch
+      runs in double precision, as does every draw of rank 256 or less.
+
+    More than _MAX_REJECTS consecutive rejections raise RuntimeError.
     """
     m, d = k_sel.shape
     out = np.empty((m, d))
@@ -447,10 +427,9 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
             # for the small-conditional endgame.
             if proj is not None:
                 proj = proj.astype(np.float64)  # drops the float32 buffer
-                proj = _orthonormal_basis(proj)
+                proj = np.linalg.qr(proj)[0]
             dt = np.float64
         nbatch = min(max(int(accept_target * m / (m - j)), 1024), _MAX_BLOCK)
-        pcap = min(nbatch, 1024)
         x = _draw_proposals(nbatch)
         tickets = rng.random(nbatch)
         # kv only falls within a block, so a row that fails now never
@@ -470,19 +449,19 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
         del pieces
         # Row l of pend holds the projections of the later candidates onto
         # the l-th direction accepted in this block.
-        pend = np.empty((pcap, cand.size), dtype=dt)
+        pend = np.empty((min(cand.size, m - j), cand.size), dtype=dt)
         rows: list[int] = []
         nxt = 0               # next candidate to test
         top = end = 0         # gram holds the rows of candidates top..end-1
-        while j < m and len(rows) < pcap:
+        while j < m:
             hits = np.flatnonzero(thr[nxt:] < kv[nxt:])
             if not hits.size:
                 # Consecutive rejections since the last acceptance: every
                 # block row after it.
                 rejects += nbatch - (int(cand[rows[-1]]) + 1 if rows else 0)
-                if rejects > max_rejects:
+                if rejects > _MAX_REJECTS:
                     raise RuntimeError(
-                        f"rejection budget of {max_rejects} exhausted "
+                        f"rejection budget of {_MAX_REJECTS} exhausted "
                         f"at point {j + 1}/{m}")
                 break
             a = nxt + int(hits[0])
@@ -520,33 +499,29 @@ def _sample_projection(rng, k_sel, sin_sel, side, max_rejects):
 
 
 def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed,
-               tol: float = DEFAULT_TOL, mode_cap: int = DEFAULT_MODE_CAP,
-               max_rejects: int = DEFAULT_MAX_REJECTS,
-               basis: SpectralBasis | None = None) -> PointPattern:
+               tol: float = DEFAULT_TOL) -> PointPattern:
     """Draw one Gaussian DPP realization on the torus window.
 
     Deterministic given (sigma, window, seed, tol).  The expected point
     count is the eigenvalue sum of the spectral basis, about L^d for a
     normalized scattering matrix; the count itself is a sum of independent
-    Bernoullis, hence sub-Poisson.
+    Bernoullis, hence sub-Poisson.  To draw several realizations from one
+    basis, use sample_gdp_ensemble.
 
     Parameters
     ----------
     seed : int or anything accepted by numpy.random.default_rng.
-    basis : SpectralBasis, optional
-        Reuse a prebuilt basis (it is immutable and shareable); must match
-        sigma, window.side and tol.
     """
-    if window.dim != sigma.dim:
+    return _draw(build_spectral_basis(sigma, window.side, tol), window, seed)
+
+
+def _draw(basis: SpectralBasis, window: BoxWindow, seed) -> PointPattern:
+    """One realization from a basis built for window.side."""
+    if window.dim != basis.modes.shape[1]:
         raise ValueError("window and scattering matrix dimensions differ")
-    if basis is None:
-        basis = build_spectral_basis(sigma, window.side, tol, mode_cap)
-    elif basis.side != window.side or basis.tol != tol:
-        raise ValueError("prebuilt basis does not match window side / tol")
     rng = np.random.default_rng(seed)
     k_sel, sin_sel = _realified_selection(rng, basis)
-    pts = _sample_projection(rng, k_sel, sin_sel, window.side, max_rejects)
-    return PointPattern(pts, window)
+    return PointPattern(_sample_projection(rng, k_sel, sin_sel, window.side), window)
 
 
 def sample_poisson(intensity: float, window: BoxWindow, seed) -> PointPattern:
@@ -565,12 +540,12 @@ def sample_gdp_ensemble(sigma: ScatteringMatrix, window: BoxWindow,
     """Independent replicates drawn one after another from one shared
     spectral basis.
 
-    Replicate i uses seed (seed, i), so any prefix of the ensemble is
-    reproducible regardless of n_replicates.
+    Replicate i equals sample_gdp(sigma, window, (seed, i), tol), so any
+    prefix of the ensemble is reproducible regardless of n_replicates;
+    the basis is built once.
     """
     basis = build_spectral_basis(sigma, window.side, tol)
-    return [sample_gdp(sigma, window, (seed, i), tol=tol, basis=basis)
-            for i in range(n_replicates)]
+    return [_draw(basis, window, (seed, i)) for i in range(n_replicates)]
 
 
 def empirical_pair_correlation(patterns, bin_edges) -> list[tuple[float, float]]:

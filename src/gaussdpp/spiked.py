@@ -11,14 +11,14 @@ the null at the observed window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .estimator import EstimatorConfig, estimate_scattering, risk_rate
 from .kernel import TWO_PI, isotropic_scattering
 from .patterns import BoxWindow, extract_ball
-from .sampling import sample_gdp_ensemble
+from .sampling import DEFAULT_TOL, sample_gdp_ensemble
 
 SYMMETRY_RTOL = 1e-8
 
@@ -28,15 +28,11 @@ class DetectionResult:
     statistic: float
     threshold: float
     reject: bool
-    t: float
-    rate: float
+    t: float | None  # None for a calibrated threshold, which has no t or rate
+    rate: float | None
 
     def to_json_dict(self) -> dict:
-        # A calibrated threshold has no t or rate: NaN here, null in JSON.
-        return {"statistic": self.statistic, "threshold": self.threshold,
-                "reject": self.reject,
-                "t": None if math.isnan(self.t) else self.t,
-                "rate": None if math.isnan(self.rate) else self.rate}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -89,8 +85,7 @@ def detection_test_calibrated(sigma_hat, threshold: float) -> DetectionResult:
     """Apply an empirically calibrated threshold (see calibrate_null_threshold)."""
     stat = TWO_PI * operator_norm(sigma_hat)
     return DetectionResult(statistic=stat, threshold=threshold,
-                           reject=bool(stat > threshold), t=math.nan,
-                           rate=math.nan)
+                           reject=bool(stat > threshold), t=None, rate=None)
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
@@ -169,7 +164,7 @@ class NullCalibration:
 def calibrate_null_threshold(d: int, side: float, delta: float,
                              n_replicates: int, seed: int,
                              config: EstimatorConfig | None = None,
-                             tol: float = 1e-6) -> NullCalibration:
+                             tol: float = DEFAULT_TOL) -> NullCalibration:
     """Empirical null threshold for the detection test.
 
     Simulates the isotropic model on the given box window, estimates the

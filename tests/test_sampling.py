@@ -87,9 +87,10 @@ class TestSpectralBasis:
             with pytest.raises(ValueError, match="tol"):
                 build_spectral_basis(iso2, 5.0, tol=bad)
 
-    def test_mode_cap(self, iso2):
-        with pytest.raises(ValueError, match="cap"):
-            build_spectral_basis(iso2, 40.0, mode_cap=100)
+    def test_mode_cap(self, iso2, monkeypatch):
+        monkeypatch.setattr(sampling, "_MODE_CAP", 100)
+        with pytest.raises(ValueError, match="cap of 100"):
+            build_spectral_basis(iso2, 40.0)
 
     @pytest.mark.parametrize("sigma, side", [
         (isotropic_scattering(3), 8.0), (spiked_scattering(2.0, [0.6, 0.8, 0.0]), 7.0),
@@ -117,6 +118,19 @@ class TestSpectralBasis:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_enumeration_memory_is_a_few_slabs(self):
+        # d=4, L=6: 124k modes from a box of 2.1e6 candidates.  Slabs of
+        # 2^20 candidates peaked at 41.9 MiB, 2^16 at 13.9 MiB.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            basis = build_spectral_basis(isotropic_scattering(4), 6.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert basis.modes.shape[0] > 100_000
+        assert peak < 20 << 20
+
 
 class TestSampleGdp:
     def test_same_seed_identical(self, iso2):
@@ -140,8 +154,7 @@ class TestSampleGdp:
         # N = sum of independent Bernoulli(lambda_k); check both moments.
         window = BoxWindow(6.0, 1)
         basis = build_spectral_basis(iso1, 6.0)
-        counts = np.array([len(sample_gdp(iso1, window, (99, i), basis=basis))
-                           for i in range(600)])
+        counts = np.array([len(p) for p in sample_gdp_ensemble(iso1, window, 600, seed=99)])
         se_mean = math.sqrt(basis.count_variance / counts.size)
         assert counts.mean() == pytest.approx(basis.mean_count, abs=4 * se_mean)
         # Variance of the sample variance, normal-ish approximation.
@@ -151,9 +164,7 @@ class TestSampleGdp:
 
     def test_sub_poisson_dispersion(self, iso1):
         window = BoxWindow(6.0, 1)
-        basis = build_spectral_basis(iso1, 6.0)
-        counts = [len(sample_gdp(iso1, window, (7, i), basis=basis))
-                  for i in range(250)]
+        counts = [len(p) for p in sample_gdp_ensemble(iso1, window, 250, seed=7)]
         ratio, pvalue = count_dispersion_test(counts)
         assert ratio < 1.0
         assert pvalue < 0.01
@@ -162,10 +173,11 @@ class TestSampleGdp:
         exact = stats.chi2.cdf(t, len(counts) - 1)
         assert pvalue == pytest.approx(exact, abs=1e-3)
 
-    def test_prebuilt_basis_must_match(self, iso2):
-        basis = build_spectral_basis(iso2, 8.0)
-        with pytest.raises(ValueError, match="basis"):
-            sample_gdp(iso2, BoxWindow(10.0, 2), 0, basis=basis)
+    def test_window_and_sigma_dimensions_must_agree(self, iso2):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            sample_gdp(iso2, BoxWindow(10.0, 3), 0)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            sample_gdp_ensemble(iso2, BoxWindow(10.0, 1), 2, seed=0)
 
     def test_pair_correlation_small_window(self, iso1):
         # Empirical pair correlation against 1 - exp(-2 pi t^2), averaged
@@ -186,8 +198,11 @@ class TestSamplerStream:
     # Point counts and SHA-256 of points.tobytes() (float64, little-endian).
     # The first three were recorded from the sampler before its block loop
     # was rewritten as a candidate scan, iso2-L35 (whose float32 phase
-    # spans two blocks) before compression became a per-block step; any
-    # change to the random stream or to an acceptance decision shows here.
+    # spans two blocks) before compression became a per-block step, and
+    # the last three before the sampler's two complement routines became
+    # one: iso1-L30 (rank 26) runs in float64 throughout, iso4-L5 and
+    # spiked3-L9 cover d=4 and a spike in d=3.  Any change to the random
+    # stream or to an acceptance decision shows here.
     @pytest.mark.parametrize("sigma, side, count, digest", [
         (isotropic_scattering(2), 20.0, 407,
          "414efd20036582b0a9622910bb90a1ee87af841d0903bb3772cee3a74a9cc835"),
@@ -197,7 +212,14 @@ class TestSamplerStream:
          "27b5d8b879548f9457b444e468b0dc2de137b55d1b42d6a6f18b58eefe0ede83"),
         (isotropic_scattering(2), 35.0, 1244,
          "dafd4f594907daa509e0448ab82bec10f531f2d77eb4956c0aad9e952b57f936"),
-    ], ids=["iso2-L20", "spiked2-L28", "iso3-L8", "iso2-L35"])
+        (isotropic_scattering(1), 30.0, 26,
+         "d336a6e13fce1e4398bc86edd275092631d9d6f97e24088c0c2feed8de6c9ad3"),
+        (isotropic_scattering(4), 5.0, 619,
+         "46fbba44092c009b24fdb1d6a9ddd0a54bf47e1ecf42995d4113c63c4adb2315"),
+        (spiked_scattering(2.0, [0.0, 0.6, 0.8]), 9.0, 738,
+         "772f2d072e8ff60b055a1b0543a741c7ae5101f6a80388b0b3492b541a1d879a"),
+    ], ids=["iso2-L20", "spiked2-L28", "iso3-L8", "iso2-L35", "iso1-L30", "iso4-L5",
+            "spiked3-L9"])
     def test_golden_stream(self, sigma, side, count, digest):
         pts = sample_gdp(sigma, BoxWindow(side, sigma.dim), 0).points
         assert pts.shape == (count, sigma.dim)
@@ -227,7 +249,7 @@ class TestSamplerStream:
         proj = np.linalg.qr(rng.standard_normal((m, q)))[0].astype(np.float32)
         rows = rng.standard_normal((s, m))
         a = np.asfortranarray((rows @ proj).astype(np.float32).T)
-        ref = proj @ sampling._orthonormal_basis(a, complement=True)
+        ref = proj @ np.linalg.qr(a.astype(np.float64), mode="complete")[0][:, s:]
         basis_bytes = proj.nbytes
         tracemalloc.start()
         try:
@@ -245,9 +267,10 @@ class TestSamplerStream:
         unit_rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         assert np.abs(unit_rows @ new).max() <= tol
 
-    def test_rejection_budget(self, iso2):
+    def test_rejection_budget(self, iso2, monkeypatch):
+        monkeypatch.setattr(sampling, "_MAX_REJECTS", 0)
         with pytest.raises(RuntimeError, match="rejection budget of 0 exhausted"):
-            sample_gdp(iso2, BoxWindow(20.0, 2), 0, max_rejects=0)
+            sample_gdp(iso2, BoxWindow(20.0, 2), 0)
 
     def test_features_match_float64_reference(self):
         side = 45.0
@@ -278,10 +301,8 @@ class TestSamplerStream:
         monkeypatch.setattr(sampling, "_TRI_BLOCK", 16)
         a = np.random.default_rng(2).standard_normal((90, 50)).astype(dtype)
         full = np.linalg.qr(a, mode="complete")[0]
-        span = sampling._orthonormal_basis(a)
-        comp = sampling._orthonormal_basis(a, complement=True)
-        assert span.dtype == comp.dtype == dtype
-        assert np.allclose(span, full[:, :50], rtol=0, atol=atol)
+        comp = sampling._compress(None, a.copy())
+        assert comp.dtype == dtype
         assert np.allclose(comp, full[:, 50:], rtol=0, atol=atol)
 
     @settings(max_examples=60, deadline=None)
@@ -294,7 +315,7 @@ class TestSamplerStream:
         # of q = 2 active directions with s = 1 accepted.
         q, s = shape
         a = np.random.default_rng(seed).standard_normal((q, s)).astype(dtype)
-        comp = sampling._orthonormal_basis(a, complement=True)
+        comp = sampling._compress(None, a.copy())
         assert comp.dtype == dtype and comp.shape == (q, q - s)
         tol = 10 * q * np.finfo(dtype).eps
         assert np.abs(comp.T @ comp - np.eye(q - s)).max() <= tol
@@ -327,6 +348,13 @@ class TestEnsemble:
         for a, b in zip(first, longer):
             assert np.array_equal(a.points, b.points)
 
+    def test_replicates_equal_single_draws(self):
+        sigma = spiked_scattering(2.0, [0.6, 0.8])
+        window = BoxWindow(9.0, 2)
+        ensemble = sample_gdp_ensemble(sigma, window, 3, seed=21)
+        for i, pat in enumerate(ensemble):
+            assert np.array_equal(pat.points, sample_gdp(sigma, window, (21, i)).points)
+
 
 class TestEmpiricalPairCorrelation:
     def test_poisson_is_flat(self):
@@ -338,8 +366,7 @@ class TestEmpiricalPairCorrelation:
 
     def test_repulsion_at_contact(self, iso2):
         window = BoxWindow(10.0, 2)
-        basis = build_spectral_basis(iso2, 10.0)
-        pats = [sample_gdp(iso2, window, (2, i), basis=basis) for i in range(150)]
+        pats = sample_gdp_ensemble(iso2, window, 150, seed=2)
         est = empirical_pair_correlation(pats, [0.0, 0.15])
         assert est[0][1] < 0.15
 
