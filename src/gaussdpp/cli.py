@@ -321,6 +321,11 @@ def _cmd_roc(args, out: Path) -> dict:
     return payload
 
 
+def _bin_edges(args) -> np.ndarray:
+    """validate's pair-correlation bin edges: 0, w, 2w, ... up to --r-max."""
+    return np.arange(0.0, args.r_max + args.bin_width / 2, args.bin_width)
+
+
 def _cmd_validate(args, out: Path) -> dict:
     sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
@@ -336,8 +341,7 @@ def _cmd_validate(args, out: Path) -> dict:
         bern.append({"eps": eps, "empirical": freq,
                      "bound": bernstein_tail(eps, radius, args.d)})
 
-    edges = np.arange(0.0, args.r_max + args.bin_width / 2, args.bin_width)
-    est = empirical_pair_correlation(patterns, edges)
+    est = empirical_pair_correlation(patterns, _bin_edges(args))
     theory = [1.0 + truncated_pair_correlation(
         sigma, np.zeros(args.d), np.r_[c, np.zeros(args.d - 1)])
         for c, _ in est]
@@ -524,6 +528,12 @@ def main(argv=None) -> int:
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "validate":
+        edges = _bin_edges(args)  # checked before any replicate is drawn
+        if edges.size < 2 or edges[-1] > args.L / 2:
+            parser.error(f"validate: --r-max {args.r_max:g} and --bin-width {args.bin_width:g}"
+                         + (" give no bin" if edges.size < 2 else " put the last bin edge at "
+                            f"{edges[-1]:g}, beyond --L/2 = {args.L / 2:g}"))
     # Stored for the config echo: everything after the subcommand, minus --out.
     tokens = argv[1:]
     cleaned = []

@@ -404,8 +404,7 @@ EXIT_CASES = {
             ["roc", "--embedding", "reduce/embedding.csv", "--component", "x"]),
     "validate": (["validate", "--d", "1", "--L", "6", "--seed", "0", "--replicates", "2",
                   "--r-max", "1.0", "--bin-width", "0.25"],
-                 ["validate", "--d", "1", "--L", "6", "--seed", "0", "--replicates", "2",
-                  "--r-max", "4.0"],
+                 ["validate", "--d", "1", "--L", "1e7", "--seed", "0", "--replicates", "2"],
                  ["validate", "--d", "1", "--L", "6"]),
     "bounds": (["bounds", "--bernstein", "--count"],
                ["bounds", "--eps", "0.2"],
@@ -445,3 +444,23 @@ def test_exit_code_contract(command, outcome, code, cli_inputs, tmp_path, capsys
     else:
         assert err.startswith("usage: gaussdpp")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--r-max", "5"], "--r-max 5 and --bin-width 0.1 put the last bin edge at 5, "
+                       "beyond --L/2 = 4"),
+    (["--bin-width", "5"], "--r-max 2 and --bin-width 5 give no bin"),
+])
+def test_validate_checks_its_bins_before_sampling(options, message, tmp_path, capsys,
+                                                  monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("validate sampled before checking its bins")
+    monkeypatch.setattr(cli, "sample_gdp_ensemble", fail)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(VALIDATE + ["--L", "8", "--replicates", "20", *options, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gaussdpp")
+    assert message in err
+    assert not out.exists()
