@@ -12,7 +12,7 @@ from .patterns import (BallWindow, BoxWindow, PointPattern, extract_ball,
                        load_pattern, save_pattern)
 from .sampling import (SpectralBasis, build_spectral_basis,
                        count_dispersion_test, empirical_pair_correlation,
-                       sample_gdp, sample_gdp_ensemble, sample_poisson)
+                       sample_gdp, sample_poisson)
 from .estimator import (EstimateResult, EstimatorConfig, bernstein_tail,
                         bias_bound, count_expectation, default_cutoff,
                         estimate_scattering, risk_rate, unit_ball_volume,
@@ -34,8 +34,7 @@ __all__ = [
     "BallWindow", "BoxWindow", "PointPattern", "extract_ball", "load_pattern",
     "save_pattern",
     "SpectralBasis", "build_spectral_basis", "count_dispersion_test",
-    "empirical_pair_correlation", "sample_gdp", "sample_gdp_ensemble",
-    "sample_poisson",
+    "empirical_pair_correlation", "sample_gdp", "sample_poisson",
     "EstimateResult", "EstimatorConfig", "bernstein_tail", "bias_bound",
     "count_expectation", "default_cutoff",
     "estimate_scattering", "risk_rate", "unit_ball_volume", "variance_bound",

@@ -32,6 +32,7 @@ import sys
 import tempfile
 import time
 from contextlib import suppress
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .kernel import (ScatteringMatrix, isotropic_scattering,
                      truncated_pair_correlation)
 from .patterns import BoxWindow, extract_ball, load_pattern, save_pattern
 from .sampling import (DEFAULT_TOL, count_dispersion_test, empirical_pair_correlation,
-                       sample_gdp_ensemble, sample_poisson)
+                       sample_gdp, sample_poisson)
 from .spiked import (NullCalibration, calibrate_null_threshold, detection_test,
                      detection_test_calibrated, estimate_spike)
 
@@ -150,11 +151,10 @@ def _cmd_sample(args, out: Path) -> dict:
     sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
     if args.process == "poisson":
-        patterns = [sample_poisson(1.0, window, (args.seed, i))
-                    for i in range(args.replicates)]
+        draw = partial(sample_poisson, 1.0, window)
     else:
-        patterns = sample_gdp_ensemble(sigma, window, args.replicates,
-                                       args.seed, tol=args.tol)
+        draw = partial(sample_gdp, sigma, window, tol=args.tol)
+    patterns = [draw((args.seed, i)) for i in range(args.replicates)]
     names = []
     for i, pat in enumerate(patterns):
         stem = out / ("pattern" if args.replicates == 1 else f"pattern_{i:04d}")
@@ -170,6 +170,14 @@ def _field(obj: dict, key: str, source):
         return obj[key]
     except (KeyError, TypeError):
         raise ValueError(f"{source}: missing key {key!r}") from None
+
+
+def _positive_number(obj: dict, key: str, source):
+    """A positive finite JSON number from obj[key]."""
+    value = _field(obj, key, source)
+    if type(value) not in (int, float) or not 0 < value < math.inf:
+        raise ValueError(f"{source}: {key!r} must be a positive number, got {value!r}")
+    return value
 
 
 def _cmd_estimate(args, out: Path) -> dict:
@@ -257,12 +265,18 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
     with open(args.estimate) as fh:
         est = json.load(fh)
     d = _field(est, "dim", args.estimate)
-    sigma_hat = np.asarray(_field(est, "sigma_hat", args.estimate),
-                           dtype=float).reshape(d, d)
+    if type(d) is not int or d < 1:
+        raise ValueError(f"{args.estimate}: 'dim' must be a positive integer, got {d!r}")
+    entries = _field(est, "sigma_hat", args.estimate)
+    try:
+        sigma_hat = np.asarray(entries, dtype=float).reshape(d, d)
+    except (TypeError, ValueError):
+        raise ValueError(f"{args.estimate}: 'sigma_hat' must hold {d * d} numbers") from None
     payload: dict
     status = {}
     if args.calibrate:
-        side = args.L if args.L is not None else 2.0 * _field(est, "R_used", args.estimate)
+        side = (args.L if args.L is not None
+                else 2.0 * _positive_number(est, "R_used", args.estimate))
         cal, status["calibration_cache"] = _calibrate_cached(
             d, side, args.delta, args.null_replicates, args.seed,
             _estimator_config(est, args.estimate))
@@ -271,7 +285,7 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
         payload = {**result.to_json_dict(), "mode": "calibrated",
                    "delta": args.delta, "null_replicates": args.null_replicates}
     else:
-        result = detection_test(sigma_hat, _field(est, "n", args.estimate), d,
+        result = detection_test(sigma_hat, _positive_number(est, "n", args.estimate), d,
                                 args.t, args.c)
         payload = {**result.to_json_dict(), "mode": "analytic"}
     spike = estimate_spike(sigma_hat)
@@ -329,8 +343,8 @@ def _bin_edges(args) -> np.ndarray:
 def _cmd_validate(args, out: Path) -> dict:
     sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
-    patterns = sample_gdp_ensemble(sigma, window, args.replicates, args.seed,
-                                   tol=args.tol)
+    patterns = [sample_gdp(sigma, window, (args.seed, i), args.tol)
+                for i in range(args.replicates)]
     radius = args.L / 2.0
     counts = np.asarray([len(extract_ball(p, radius)) for p in patterns])
     n_exp = count_expectation(radius, args.d)
@@ -515,15 +529,20 @@ def _replay_argv(argv: list[str]) -> list[str]:
         raise SystemExit("--config requires a file path")
     with open(argv[1]) as fh:
         config = json.load(fh)
-    stored = [config["command"], *config["argv"]]
-    return stored + list(argv[2:])
+    if not isinstance(config, dict):
+        raise ValueError(f"{argv[1]}: expected a JSON object")
+    command, stored = config["command"], config["argv"]
+    if not (isinstance(command, str) and isinstance(stored, list)
+            and all(isinstance(a, str) for a in stored)):
+        raise ValueError(f'{argv[1]}: "command" must be a string and "argv" a list of strings')
+    return [command, *stored, *argv[2:]]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _replay_argv(argv)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # ValueError: bad text, JSON or shape
         print(f"gaussdpp: bad --config: {exc}", file=sys.stderr)
         return 2
     parser = build_parser()

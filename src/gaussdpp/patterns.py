@@ -174,11 +174,20 @@ def _window_to_json(window) -> dict:
 
 
 def _window_from_json(obj) -> BoxWindow | BallWindow:
+    """Inverse of _window_to_json; a missing key raises KeyError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"window must be a JSON object, got {obj!r}")
     if obj["type"] == "box":
-        return BoxWindow(obj["side"], obj["dim"])
-    if obj["type"] == "ball":
-        return BallWindow(obj["radius"], obj["dim"])
-    raise ValueError(f"unknown window type {obj['type']!r}")
+        cls, size = BoxWindow, "side"
+    elif obj["type"] == "ball":
+        cls, size = BallWindow, "radius"
+    else:
+        raise ValueError(f"unknown window type {obj['type']!r}")
+    extent, dim = obj[size], obj["dim"]
+    if type(extent) not in (int, float) or type(dim) is not int:
+        raise ValueError(f"window {size} must be a number and dim an integer, "
+                         f"got {extent!r} and {dim!r}")
+    return cls(extent, dim)
 
 
 def save_pattern(pattern: PointPattern, path, *, seed=None, sigma_entries=None,
@@ -223,13 +232,18 @@ def load_pattern(path) -> tuple[PointPattern, dict]:
         window = _window_from_json(meta["window"])
     except KeyError as exc:
         raise ValueError(f"{sidecar}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{sidecar}: {exc}") from None
     rows = []
-    with open(stem.with_suffix(".csv"), newline="") as fh:
+    table = stem.with_suffix(".csv")
+    with open(table, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{table}: empty file, expected a header row")
         if len(header) != window.dim:
-            raise ValueError(
-                f"pattern CSV has {len(header)} columns, window dimension is {window.dim}")
+            raise ValueError(f"{table}: pattern CSV has {len(header)} columns, "
+                             f"window dimension is {window.dim}")
         for row in reader:
             rows.append([float(v) for v in row])
     pts = np.asarray(rows, dtype=float) if rows else np.empty((0, window.dim))

@@ -137,40 +137,25 @@ def _realified_selection(rng, basis: SpectralBasis):
 
     Each pair {k, -k} carries two real eigenfunctions (cosine and sine,
     both with eigenvalue lam_k) that get independent Bernoulli draws; the
-    zero mode carries the constant function.  Returns the integer
-    frequencies of the selected real modes, a sine/cosine flag, and the
-    amplitude of each feature function.
+    zero mode carries the constant function.  The modes are sorted and
+    closed under k -> -k, so the zero mode sits in the middle and the
+    modes after it are the positive representatives of the pairs.  Its
+    eigenvalue is 1: it is always kept.  Returns the integer frequencies
+    of the selected real modes and a sine flag.
+
+    The uniforms are drawn one per real mode in the order zero mode, then
+    cosine and sine of each representative in turn.  The modes are
+    returned in the order the sampler consumes them: the zero mode, the
+    selected cosines, then the selected sines, each in representative
+    order.  A proposal's random mode index picks a mode from that order,
+    so the order fixes the sampled stream.
     """
-    modes = basis.modes
-    lam = basis.eigenvalues
-    # Lexicographically positive representative of each {k, -k} pair: its
-    # first nonzero coordinate is positive.
-    is_nonzero = modes != 0
-    nonzero = np.any(is_nonzero, axis=1)
-    first_axis = np.argmax(is_nonzero, axis=1)
-    reps = np.take_along_axis(modes, first_axis[:, None], axis=1)[:, 0] > 0
-
-    order = np.arange(modes.shape[0])
-    rep_idx = order[reps]
-    zero_idx = order[~nonzero]
-
-    k_rows = []
-    sin_flag = []
-    lam_rows = []
-    if zero_idx.size:
-        k_rows.append(modes[zero_idx])
-        sin_flag.append(np.zeros(1, dtype=bool))
-        lam_rows.append(lam[zero_idx])
-    k_rows.append(np.repeat(modes[rep_idx], 2, axis=0))
-    pair_flags = np.tile([False, True], rep_idx.size)
-    sin_flag.append(pair_flags)
-    lam_rows.append(np.repeat(lam[rep_idx], 2))
-
-    k_all = np.concatenate(k_rows, axis=0)
-    sin_all = np.concatenate(sin_flag)
-    lam_all = np.concatenate(lam_rows)
-    selected = rng.random(lam_all.size) < lam_all
-    return k_all[selected], sin_all[selected]
+    mid = basis.modes.shape[0] // 2
+    reps, lam = basis.modes[mid + 1:], basis.eigenvalues[mid + 1:]
+    u = rng.random(1 + 2 * lam.size)
+    cosines = reps[u[1::2] < lam]
+    k_sel = np.concatenate([basis.modes[mid:mid + 1], cosines, reps[u[2::2] < lam]])
+    return k_sel, np.arange(k_sel.shape[0]) > cosines.shape[0]
 
 
 def _cos2_inverse_cdf(u: np.ndarray) -> np.ndarray:
@@ -367,11 +352,6 @@ def _sample_projection(rng, k_sel, sin_sel, side):
     if m == 0:
         return out
     ld = side ** float(d)
-    # Cosine modes first, sines after: the mode order fixes which mode
-    # each proposal's random index picks, hence the sampled stream.
-    order = np.argsort(sin_sel, kind="stable")
-    k_sel = k_sel[order]
-    sin_sel = sin_sel[order]
     is_const = ~sin_sel & np.all(k_sel == 0, axis=1)
     amp = np.where(is_const, math.sqrt(1.0 / ld), math.sqrt(2.0 / ld)).astype(np.float32)
     shift = np.where(sin_sel, 0.25, 0.0)
@@ -494,20 +474,17 @@ def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed,
     Deterministic given (sigma, window, seed, tol).  The expected point
     count is the eigenvalue sum of the spectral basis, about L^d for a
     normalized scattering matrix; the count itself is a sum of independent
-    Bernoullis, hence sub-Poisson.  To draw several realizations from one
-    basis, use sample_gdp_ensemble.
+    Bernoullis, hence sub-Poisson.  Replicate i of a run with seed s is
+    drawn with seed (s, i), so any prefix of a set of replicates is
+    reproducible whatever their number.
 
     Parameters
     ----------
     seed : int or anything accepted by numpy.random.default_rng.
     """
-    return _draw(build_spectral_basis(sigma, window.side, tol), window, seed)
-
-
-def _draw(basis: SpectralBasis, window: BoxWindow, seed) -> PointPattern:
-    """One realization from a basis built for window.side."""
-    if window.dim != basis.modes.shape[1]:
+    if window.dim != sigma.dim:
         raise ValueError("window and scattering matrix dimensions differ")
+    basis = build_spectral_basis(sigma, window.side, tol)
     rng = np.random.default_rng(seed)
     k_sel, sin_sel = _realified_selection(rng, basis)
     return PointPattern(_sample_projection(rng, k_sel, sin_sel, window.side), window)
@@ -521,20 +498,6 @@ def sample_poisson(intensity: float, window: BoxWindow, seed) -> PointPattern:
     n = rng.poisson(intensity * window.volume)
     pts = rng.uniform(-window.side / 2.0, window.side / 2.0, size=(n, window.dim))
     return PointPattern(pts, window)
-
-
-def sample_gdp_ensemble(sigma: ScatteringMatrix, window: BoxWindow,
-                        n_replicates: int, seed: int,
-                        tol: float = DEFAULT_TOL) -> list[PointPattern]:
-    """Independent replicates drawn one after another from one shared
-    spectral basis.
-
-    Replicate i equals sample_gdp(sigma, window, (seed, i), tol), so any
-    prefix of the ensemble is reproducible regardless of n_replicates;
-    the basis is built once.
-    """
-    basis = build_spectral_basis(sigma, window.side, tol)
-    return [_draw(basis, window, (seed, i)) for i in range(n_replicates)]
 
 
 def empirical_pair_correlation(patterns, bin_edges) -> list[tuple[float, float]]:

@@ -18,7 +18,7 @@ import numpy as np
 from .estimator import EstimatorConfig, estimate_scattering, risk_rate
 from .kernel import TWO_PI, isotropic_scattering
 from .patterns import BoxWindow, extract_ball
-from .sampling import DEFAULT_TOL, sample_gdp_ensemble
+from .sampling import DEFAULT_TOL, sample_gdp
 
 SYMMETRY_RTOL = 1e-8
 
@@ -172,8 +172,9 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
     the ceil((K+1)(1-delta))-th order statistic of 2*pi ||Sigma_hat||op
     (see NullCalibration.from_statistics), which keeps the false-alarm
     rate of a fresh replicate at or below delta up to Monte-Carlo error.
-    The replicates are drawn in turn, replicate i with seed (seed, i) (see
-    sample_gdp_ensemble).  Replicate statistics are kept for audit.
+    Replicate i is drawn by sample_gdp with seed (seed, i), so the first
+    statistics do not depend on n_replicates.  Replicate statistics are
+    kept for audit.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -181,9 +182,9 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
         raise ValueError("need at least two replicates")
     sigma0 = isotropic_scattering(d)
     window = BoxWindow(side, d)
-    patterns = sample_gdp_ensemble(sigma0, window, n_replicates, seed, tol=tol)
     stats = np.empty(n_replicates)
-    for i, pat in enumerate(patterns):
+    for i in range(n_replicates):
+        pat = sample_gdp(sigma0, window, (seed, i), tol)
         est = estimate_scattering(extract_ball(pat, side / 2.0), config)
         stats[i] = TWO_PI * operator_norm(est.sigma_hat)
     return NullCalibration.from_statistics(stats, delta)

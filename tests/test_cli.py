@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussdpp import EstimatorConfig, calibrate_null_threshold, cli, spiked_scattering
+from gaussdpp import (EstimatorConfig, calibrate_null_threshold, cli, sample_gdp, spiked,
+                      spiked_scattering)
 
 SAMPLE = ["sample", "--d", "2", "--seed", "0"]
 VALIDATE = ["validate", "--d", "2", "--seed", "0"]
@@ -100,11 +101,11 @@ def test_single_replicate_sample(tmp_path):
     assert (tmp_path / "pattern.csv").exists()
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, cwd=None):
     """The CLI as a separate process, as a user runs it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-m", "gaussdpp.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "gaussdpp.cli", *argv], cwd=cwd,
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -129,6 +130,9 @@ def test_detect_names_a_missing_estimate_key(missing, tmp_path):
 @pytest.mark.parametrize("sidecar, message", [
     ({"count": 1}, "missing key 'window'"),
     ([], "expected a JSON object"),
+    ({"window": "box"}, "window must be a JSON object, got 'box'"),
+    ({"window": {"type": "box", "side": "abc", "dim": 2}},
+     "window side must be a number and dim an integer, got 'abc' and 2"),
 ])
 def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
     stem = tmp_path / "pattern"
@@ -158,6 +162,47 @@ def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
     path.write_text(text)
     proc = _run_cli(*argv, str(path), "--out", str(tmp_path / "out"))
     _assert_clean_runtime_error(proc, str(path), message)
+
+
+ESTIMATE_JSON = {"dim": 2, "sigma_hat": [0.16, 0.0, 0.0, 0.16], "n": 50.0, "R_used": 4.0}
+
+
+def _json_bytes(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+# A bad --config is a usage error (2), a bad input file a runtime error
+# (1) that names the file.
+@pytest.mark.parametrize("files, argv, code, message", [
+    ({"config.json": b"[]"}, ["--config", "config.json"], 2,
+     "config.json: expected a JSON object"),
+    ({"config.json": b'{"command": "sample", "argv": ["--d", "\xff"]}'},
+     ["--config", "config.json"], 2, "codec can't decode"),
+    ({"config.json": _json_bytes({"command": "sample", "argv": ["--d", 2]})},
+     ["--config", "config.json"], 2, '"argv" a list of strings'),
+    ({"pattern.csv": b"",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 6.0, "dim": 2}})},
+     ["estimate", "--pattern", "pattern"], 1, "pattern.csv: empty file, expected a header row"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": "2"})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'dim' must be a positive integer, got '2'"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": {"a": 1}})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'sigma_hat' must hold 4 numbers"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": "x"})},
+     ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
+     "estimate.json: 'R_used' must be a positive number, got 'x'"),
+], ids=["config-list", "config-not-utf8", "config-argv-not-strings", "pattern-csv-empty",
+        "estimate-dim-string", "estimate-sigma_hat-object", "estimate-R_used-string"])
+def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    proc = _run_cli(*argv, "--out", "out", cwd=tmp_path)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    prefix = "gaussdpp: bad --config: " if code == 2 else "gaussdpp: error: "
+    assert proc.stderr.startswith(prefix)
+    assert message in proc.stderr
 
 
 def test_core_imports_only_numpy():
@@ -285,6 +330,43 @@ def test_unusable_cache_location_still_succeeds(estimate_json, tmp_path, monkeyp
     assert _calibrate(estimate_json, tmp_path / "first") == "miss"
     assert _calibrate(estimate_json, tmp_path / "second") == "miss"
     assert blocker.read_text() == ""
+
+
+def test_calibration_replicate_prefix_is_stable(estimate_json, tmp_path):
+    _calibrate(estimate_json, tmp_path / "three", K="3")
+    _calibrate(estimate_json, tmp_path / "five", K="5")
+    three, five = (json.loads((tmp_path / k / "calibration.json").read_text())["statistics"]
+                   for k in ("three", "five"))
+    assert len(five) == 5 and five[:3] == three
+
+
+def test_sample_replicate_prefix_is_stable(tmp_path):
+    for k in ("3", "5"):
+        assert cli.main(SAMPLE + ["--L", "8", "--replicates", k, "--out", str(tmp_path / k)]) == 0
+    for i in range(3):
+        for suffix in (".csv", ".json"):
+            name = f"pattern_{i:04d}{suffix}"
+            assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "5" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, calls", [("sample", 3), ("validate", 2), ("detect", 3)])
+def test_every_replicate_is_one_sample_gdp_call(command, calls, estimate_json, tmp_path,
+                                                monkeypatch):
+    seeds = []
+
+    def counting(sigma, window, seed, tol):
+        seeds.append(seed)
+        return sample_gdp(sigma, window, seed, tol)
+    monkeypatch.setattr(cli, "sample_gdp", counting)
+    monkeypatch.setattr(spiked, "sample_gdp", counting)
+    argv = {"sample": SAMPLE + ["--L", "6", "--replicates", "3"],
+            "validate": ["validate", "--d", "1", "--L", "6", "--seed", "0", "--replicates",
+                         "2", "--r-max", "1.0", "--bin-width", "0.25"],
+            "detect": ["detect", "--estimate", str(estimate_json), "--calibrate", "--L",
+                       NULL_L, "--null-replicates", "3", "--seed", NULL_SEED]}[command]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    seed = int(argv[argv.index("--seed") + 1])
+    assert seeds == [(seed, i) for i in range(calls)]
 
 
 def _replayed_payload_matches(first: Path, second: Path) -> None:
@@ -455,7 +537,7 @@ def test_validate_checks_its_bins_before_sampling(options, message, tmp_path, ca
                                                   monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("validate sampled before checking its bins")
-    monkeypatch.setattr(cli, "sample_gdp_ensemble", fail)
+    monkeypatch.setattr(cli, "sample_gdp", fail)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         cli.main(VALIDATE + ["--L", "8", "--replicates", "20", *options, "--out", str(out)])

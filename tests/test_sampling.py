@@ -12,8 +12,8 @@ from scipy.integrate import quad
 from gaussdpp import sampling
 from gaussdpp import (BoxWindow, PointPattern, ScatteringMatrix, build_spectral_basis,
                       count_dispersion_test, empirical_pair_correlation,
-                      isotropic_scattering, sample_gdp, sample_gdp_ensemble,
-                      sample_poisson, spiked_scattering, unit_ball_volume)
+                      isotropic_scattering, sample_gdp, sample_poisson,
+                      spiked_scattering, unit_ball_volume)
 
 
 def dense_pair_correlation(patterns, bin_edges):
@@ -154,7 +154,7 @@ class TestSampleGdp:
         # N = sum of independent Bernoulli(lambda_k); check both moments.
         window = BoxWindow(6.0, 1)
         basis = build_spectral_basis(iso1, 6.0)
-        counts = np.array([len(p) for p in sample_gdp_ensemble(iso1, window, 600, seed=99)])
+        counts = np.array([len(sample_gdp(iso1, window, (99, i))) for i in range(600)])
         se_mean = math.sqrt(basis.count_variance / counts.size)
         assert counts.mean() == pytest.approx(basis.mean_count, abs=4 * se_mean)
         # Variance of the sample variance, normal-ish approximation.
@@ -164,7 +164,7 @@ class TestSampleGdp:
 
     def test_sub_poisson_dispersion(self, iso1):
         window = BoxWindow(6.0, 1)
-        counts = [len(p) for p in sample_gdp_ensemble(iso1, window, 250, seed=7)]
+        counts = [len(sample_gdp(iso1, window, (7, i))) for i in range(250)]
         ratio, pvalue = count_dispersion_test(counts)
         assert ratio < 1.0
         assert pvalue < 0.01
@@ -177,7 +177,10 @@ class TestSampleGdp:
         with pytest.raises(ValueError, match="dimensions differ"):
             sample_gdp(iso2, BoxWindow(10.0, 3), 0)
         with pytest.raises(ValueError, match="dimensions differ"):
-            sample_gdp_ensemble(iso2, BoxWindow(10.0, 1), 2, seed=0)
+            sample_gdp(iso2, BoxWindow(10.0, 1), (0, 0))
+        # Checked before the basis is built: this one is over the mode cap.
+        with pytest.raises(ValueError, match="dimensions differ"):
+            sample_gdp(isotropic_scattering(4), BoxWindow(30.0, 2), 0)
 
     def test_pair_correlation_small_window(self, iso1):
         # Empirical pair correlation against 1 - exp(-2 pi t^2), averaged
@@ -185,7 +188,7 @@ class TestSampleGdp:
         # comparison misstates the convex first bin).  Modest replication
         # here; the tight check lives in the acceptance suite.
         window = BoxWindow(6.0, 1)
-        pats = sample_gdp_ensemble(iso1, window, 2500, seed=3)
+        pats = [sample_gdp(iso1, window, (3, i)) for i in range(2500)]
         edges = np.arange(0.0, 1.61, 0.2)
         est = empirical_pair_correlation(pats, edges)
         for (center, value), lo, hi in zip(est, edges[:-1], edges[1:]):
@@ -224,6 +227,30 @@ class TestSamplerStream:
         pts = sample_gdp(sigma, BoxWindow(side, sigma.dim), 0).points
         assert pts.shape == (count, sigma.dim)
         assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("sigma, side", [
+        (isotropic_scattering(1), 30.0), (spiked_scattering(3.0, [1.0, 0.0]), 28.0),
+        (isotropic_scattering(3), 8.0), (spiked_scattering(2.0, [0.0, 0.6, 0.8]), 9.0)],
+        ids=["iso1-L30", "spiked2-L28", "iso3-L8", "spiked3-L9"])
+    def test_selection_matches_interleaved_reference(self, sigma, side):
+        # Reference: one uniform per real mode, the zero mode first and then
+        # the cosine and sine of each positive representative (first nonzero
+        # coordinate positive), the kept modes put cosines first by a
+        # stable sort.
+        basis = build_spectral_basis(sigma, side)
+        modes, lam = basis.modes, basis.eigenvalues
+        lead = np.take_along_axis(modes, np.argmax(modes != 0, axis=1)[:, None], axis=1)[:, 0]
+        zero, reps = np.all(modes == 0, axis=1), lead > 0
+        k_all = np.concatenate([modes[zero], np.repeat(modes[reps], 2, axis=0)])
+        sin_all = np.concatenate([np.zeros(zero.sum(), dtype=bool),
+                                  np.tile([False, True], reps.sum())])
+        lam_all = np.concatenate([lam[zero], np.repeat(lam[reps], 2)])
+        for seed in range(3):
+            keep = np.random.default_rng(seed).random(lam_all.size) < lam_all
+            order = np.argsort(sin_all[keep], kind="stable")
+            k_sel, sin_sel = sampling._realified_selection(np.random.default_rng(seed), basis)
+            assert np.array_equal(k_sel, k_all[keep][order])
+            assert np.array_equal(sin_sel, sin_all[keep][order])
 
     def test_working_set_is_a_few_float32_bases(self, iso2):
         # The float32 complement basis holds up to 4 m^2 bytes.  A sampler
@@ -387,22 +414,6 @@ class TestSamplePoisson:
             sample_poisson(0.0, BoxWindow(5.0, 2), 0)
 
 
-class TestEnsemble:
-    def test_prefix_stability(self, iso2):
-        window = BoxWindow(8.0, 2)
-        first = sample_gdp_ensemble(iso2, window, 3, seed=13)
-        longer = sample_gdp_ensemble(iso2, window, 5, seed=13)
-        for a, b in zip(first, longer):
-            assert np.array_equal(a.points, b.points)
-
-    def test_replicates_equal_single_draws(self):
-        sigma = spiked_scattering(2.0, [0.6, 0.8])
-        window = BoxWindow(9.0, 2)
-        ensemble = sample_gdp_ensemble(sigma, window, 3, seed=21)
-        for i, pat in enumerate(ensemble):
-            assert np.array_equal(pat.points, sample_gdp(sigma, window, (21, i)).points)
-
-
 class TestEmpiricalPairCorrelation:
     def test_poisson_is_flat(self):
         w = BoxWindow(12.0, 2)
@@ -413,7 +424,7 @@ class TestEmpiricalPairCorrelation:
 
     def test_repulsion_at_contact(self, iso2):
         window = BoxWindow(10.0, 2)
-        pats = sample_gdp_ensemble(iso2, window, 150, seed=2)
+        pats = [sample_gdp(iso2, window, (2, i)) for i in range(150)]
         est = empirical_pair_correlation(pats, [0.0, 0.15])
         assert est[0][1] < 0.15
 
