@@ -9,9 +9,9 @@ and wall-clock time (the one field that varies between reruns).
 `detect --calibrate` caches the K null statistics it simulates, one JSON
 file per key under ${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/.  The key
 is the SHA-256 of the package's *.py sources, the numpy version, d, the
-null box side, the spectral tolerance, the estimator settings (r, R, C0)
-recorded in estimate.json, K (--null-replicates) and the null --seed; the
-file is named by the SHA-256 of that key.  --delta is not part of it: a
+null box side, the estimator settings (r, R, C0) recorded in
+estimate.json, K (--null-replicates) and the null --seed; the file is
+named by the SHA-256 of that key.  --delta is not part of it: a
 later call with the same key reads the statistics instead of simulating
 them and takes its own threshold from them, so calibration.json and
 detect.json are the same either way.  result.json reports
@@ -68,7 +68,6 @@ def _checked(convert, ok, requirement: str):
 
 _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
-_tol = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 _strength = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 
@@ -153,13 +152,13 @@ def _cmd_sample(args, out: Path) -> dict:
     if args.process == "poisson":
         draw = partial(sample_poisson, 1.0, window)
     else:
-        draw = partial(sample_gdp, sigma, window, tol=args.tol)
+        draw = partial(sample_gdp, sigma, window)
     patterns = [draw((args.seed, i)) for i in range(args.replicates)]
     names = []
     for i, pat in enumerate(patterns):
         stem = out / ("pattern" if args.replicates == 1 else f"pattern_{i:04d}")
         save_pattern(pat, stem, seed=[args.seed, i], sigma_entries=sigma.entries,
-                     tol=args.tol, extra={"process": args.process})
+                     tol=DEFAULT_TOL, extra={"process": args.process})
         names.append(stem.name)
     return {"patterns": names, "count": len(patterns[0]),
             "counts": [len(p) for p in patterns]}
@@ -186,7 +185,7 @@ def _cmd_estimate(args, out: Path) -> dict:
         pattern = extract_ball(pattern, args.ball_radius)
     config = EstimatorConfig(r=args.r, R=args.R, c0=args.C0)
     result = estimate_scattering(pattern, config)
-    payload = {**result.to_json_dict(c_variance=args.C, c_rate=args.c),
+    payload = {**result.to_json_dict(),
                "estimator": {"r": args.r, "R": args.R, "C0": args.C0}}
     _write_json(out / "estimate.json", payload)
     return payload
@@ -194,12 +193,17 @@ def _cmd_estimate(args, out: Path) -> dict:
 
 def _estimator_config(est: dict, source) -> EstimatorConfig:
     """The estimator settings recorded in an estimate.json; files that
-    record none were made with the defaults."""
+    record none were made with the defaults.  r and R are null (auto) or
+    positive numbers, C0 a positive number."""
     block = est.get("estimator")
     if block is None:
         return EstimatorConfig()
-    return EstimatorConfig(r=_field(block, "r", source), R=_field(block, "R", source),
-                           c0=_field(block, "C0", source))
+
+    def radius(key):
+        value = _field(block, key, source)
+        return value if value is None else _positive_number(block, key, source)
+    return EstimatorConfig(r=radius("r"), R=radius("R"),
+                           c0=_positive_number(block, "C0", source))
 
 
 def _cache_dir() -> Path:
@@ -241,7 +245,7 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
     docstring); returns it with "hit" or "miss"."""
     import hashlib
     key = {"source_sha256": _source_fingerprint(), "numpy": np.__version__,
-           "d": d, "side": side, "tol": DEFAULT_TOL,
+           "d": d, "side": side,
            "estimator": {"r": config.r, "R": config.R, "c0": config.c0},
            "null_replicates": n_replicates, "seed": seed}
     name = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
@@ -255,8 +259,7 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
             return NullCalibration.from_statistics(stats, delta), "hit"
     except (OSError, ValueError, KeyError, TypeError):
         pass  # missing or unreadable: recompute and overwrite
-    cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, config=config,
-                                   tol=DEFAULT_TOL)
+    cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, config=config)
     _store_atomically(path, {"key": key, "statistics": cal.statistics.tolist()})
     return cal, "miss"
 
@@ -286,7 +289,7 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
                    "delta": args.delta, "null_replicates": args.null_replicates}
     else:
         result = detection_test(sigma_hat, _positive_number(est, "n", args.estimate), d,
-                                args.t, args.c)
+                                args.t)
         payload = {**result.to_json_dict(), "mode": "analytic"}
     spike = estimate_spike(sigma_hat)
     payload["spike"] = spike.to_json_dict()
@@ -343,8 +346,7 @@ def _bin_edges(args) -> np.ndarray:
 def _cmd_validate(args, out: Path) -> dict:
     sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
-    patterns = [sample_gdp(sigma, window, (args.seed, i), args.tol)
-                for i in range(args.replicates)]
+    patterns = [sample_gdp(sigma, window, (args.seed, i)) for i in range(args.replicates)]
     radius = args.L / 2.0
     counts = np.asarray([len(extract_ball(p, radius)) for p in patterns])
     n_exp = count_expectation(radius, args.d)
@@ -407,12 +409,16 @@ def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated options: a prefix of a live option (--C of --C0) must
+    # not stand in for a removed one in a stored config.
     parser = argparse.ArgumentParser(
-        prog="gaussdpp",
+        prog="gaussdpp", allow_abbrev=False,
         description="Gaussian determinantal point processes: simulate, estimate, "
                     "detect, reduce, evaluate.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser,
+                                                     allow_abbrev=False))
 
     p = sub.add_parser("sample", help="simulate point patterns on a box window")
     p.add_argument("--d", type=_positive_int, required=True)
@@ -420,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", default="gdp", choices=["gdp", "poisson"])
     p.add_argument("--L", type=_positive_finite, required=True, help="box side")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--replicates", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -435,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball-radius", type=_positive_finite, default=None,
                    help="restrict a box pattern to this ball before estimating")
     p.add_argument("--C0", type=_positive_finite, default=1.0, help="auto-cutoff constant")
-    p.add_argument("--C", type=_positive_finite, default=1.0, help="variance-bound constant")
-    p.add_argument("--c", type=_positive_finite, default=1.0, help="rate constant")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 
@@ -444,16 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", required=True, help="estimate.json from `estimate`")
     p.add_argument("--t", type=_positive_finite, default=20.0,
                    help="analytic threshold multiplier")
-    p.add_argument("--c", type=_positive_finite, default=1.0, help="rate constant")
     p.add_argument("--calibrate", action="store_true",
                    help="Monte-Carlo null calibration instead of the analytic threshold. "
                         "The null statistics are cached under "
                         "${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/, keyed by the "
-                        "package sources, numpy version, d, box side, spectral "
-                        "tolerance, estimator settings, --null-replicates and --seed "
-                        "(not --delta); delete that directory to clear it. result.json "
-                        "reports calibration_cache: hit or miss.")
-    p.add_argument("--delta", type=_tol, default=0.05)
+                        "package sources, numpy version, d, box side, estimator "
+                        "settings, --null-replicates and --seed (not --delta); delete "
+                        "that directory to clear it. result.json reports "
+                        "calibration_cache: hit or miss.")
+    p.add_argument("--delta", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
+                   default=0.05)
     p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),
                    default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -495,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=_positive_finite, required=True)
     p.add_argument("--replicates", type=_checked(int, lambda v: v >= 2, ">= 2"), default=200)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--bin-width", type=_positive_finite, default=0.1)
     p.add_argument("--r-max", type=_positive_finite, default=2.0)
     p.add_argument("--out", required=True)
@@ -525,8 +527,8 @@ def _replay_argv(argv: list[str]) -> list[str]:
     keeping any `--out` given alongside it."""
     if not argv or argv[0] != "--config":
         return argv
-    if len(argv) < 2:
-        raise SystemExit("--config requires a file path")
+    if len(argv) < 2 or argv[1].startswith("-"):
+        raise ValueError("--config requires a file path")
     with open(argv[1]) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -575,7 +577,7 @@ def main(argv=None) -> int:
         result = args.func(args, out)
         payload, status = result if isinstance(result, tuple) else (result, {})
         return _finish(args, out, payload, t0, status)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"gaussdpp: error: {exc}", file=sys.stderr)
         return 1
 

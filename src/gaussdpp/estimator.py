@@ -118,16 +118,17 @@ class EstimateResult:
     pair_count: int
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json_dict(self, c_variance: float = 1.0, c_rate: float = 1.0) -> dict:
+    def to_json_dict(self) -> dict:
         """JSON payload: matrix (row-major), counts, cutoff, and the
-        theoretical bounds where applicable (plug-in scattering matrix)."""
+        theoretical bounds where applicable (plug-in scattering matrix,
+        constants C = c = 1; `gaussdpp bounds` takes any others)."""
         d = self.sigma_hat.shape[0]
         bias = None
         w = np.linalg.eigvalsh(self.sigma_hat)
         if w[0] > 0:
             bias = bias_bound(ScatteringMatrix(self.sigma_hat), self.r_used)
-        var = variance_bound(self.r_used, d, self.n_expected, c_variance)
-        rate = risk_rate(self.n_expected, d, c_rate) if self.n_expected > 1 else None
+        var = variance_bound(self.r_used, d, self.n_expected)
+        rate = risk_rate(self.n_expected, d) if self.n_expected > 1 else None
         return {
             "sigma_hat": self.sigma_hat.reshape(-1).tolist(),
             "dim": d,

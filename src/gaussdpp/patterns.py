@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import load_dataset
+
 
 @dataclass(frozen=True)
 class BoxWindow:
@@ -234,17 +236,9 @@ def load_pattern(path) -> tuple[PointPattern, dict]:
         raise ValueError(f"{sidecar}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{sidecar}: {exc}") from None
-    rows = []
     table = stem.with_suffix(".csv")
-    with open(table, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{table}: empty file, expected a header row")
-        if len(header) != window.dim:
-            raise ValueError(f"{table}: pattern CSV has {len(header)} columns, "
-                             f"window dimension is {window.dim}")
-        for row in reader:
-            rows.append([float(v) for v in row])
-    pts = np.asarray(rows, dtype=float) if rows else np.empty((0, window.dim))
-    return PointPattern(pts, window), meta
+    coords = load_dataset(table)
+    if len(coords.feature_names) != window.dim:
+        raise ValueError(f"{table}: pattern CSV has {len(coords.feature_names)} columns, "
+                         f"window dimension is {window.dim}")
+    return PointPattern(coords.features, window), meta

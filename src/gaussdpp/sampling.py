@@ -45,7 +45,7 @@ class SpectralBasis:
     modes : (M, d) integer array, lexicographically sorted, closed under
         k -> -k.
     eigenvalues : (M,) values of the spectral density at modes/L, each in
-        (tol, 1].
+        (DEFAULT_TOL, 1].
     """
 
     modes: np.ndarray
@@ -67,13 +67,14 @@ class SpectralBasis:
         return float((lam * (1.0 - lam)).sum())
 
 
-def build_spectral_basis(sigma: ScatteringMatrix, side: float,
-                         tol: float = DEFAULT_TOL) -> SpectralBasis:
-    """Enumerate all Fourier modes with eigenvalue above `tol`.
+def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
+    """Enumerate all Fourier modes with eigenvalue above DEFAULT_TOL.
 
-    The retained set is the integer ellipsoid k' S k < L^2 log(1/tol) /
-    (2 pi^2).  Its eigenvalue sum divided by L^d approximates the unit
-    point density, up to the truncation tol and the Gaussian tail.
+    The retained set is the integer ellipsoid k' S k < L^2 log(1/DEFAULT_TOL)
+    / (2 pi^2).  Its eigenvalue sum divided by L^d approximates the unit
+    point density, up to the truncation and the Gaussian tail.  Looser
+    tolerances would not speed sampling up (its cost is set by the
+    selected rank, not by the mode count) and only bias the count.
 
     Raises if the mode count exceeds _MODE_CAP, which signals a window
     too large for the dimension; when a lower bound on the count from the
@@ -84,10 +85,8 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float,
                          "(use normalize_scattering)")
     if not side > 0:
         raise ValueError("window side must be positive")
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie strictly between 0 and 1")
     d = sigma.dim
-    bound = side ** 2 * math.log(1.0 / tol) / (2.0 * math.pi ** 2)
+    bound = side ** 2 * math.log(1.0 / DEFAULT_TOL) / (2.0 * math.pi ** 2)
     # Lower bound on the mode count: the lattice point nearest to any x
     # lies within sqrt(d)/2 of it, so within rho = sqrt(d ||S|| / 4) in
     # the S-norm.  The unit cells of the retained modes thus cover the
@@ -101,7 +100,7 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float,
         if log_min_count > math.log(_MODE_CAP):
             raise ValueError(
                 f"mode count (at least {math.exp(log_min_count):.3g}) exceeds "
-                f"the cap of {_MODE_CAP}; reduce the window side or increase tol")
+                f"the cap of {_MODE_CAP}; reduce the window side")
     # Bounding box of the ellipsoid k' S k < bound.
     half = np.floor(np.sqrt(bound * np.diag(sigma.inverse))).astype(np.int64)
     shape = tuple(int(2 * h + 1) for h in half)
@@ -125,7 +124,7 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float,
             if n_kept > _MODE_CAP:
                 raise ValueError(
                     f"mode count exceeds the cap of {_MODE_CAP}; "
-                    "reduce the window side or increase tol")
+                    "reduce the window side")
     modes = np.concatenate(kept, axis=0)
     quad = np.concatenate(kept_quad)
     eigenvalues = np.exp(-2.0 * math.pi ** 2 * quad / side ** 2)
@@ -182,7 +181,7 @@ def _features(k_float, shift, amp, x, side):
     of a quarter turn makes it the sine of the same frequency.  The phase
     is formed in float64 turns and reduced to [-1/2, 1/2] before the cosine
     is taken in float32, so the absolute error stays ~3e-7 * amp at any |k|
-    (far below the spectral truncation tol).  Rows go in chunks small
+    (far below the spectral truncation DEFAULT_TOL).  Rows go in chunks small
     enough for the float64 phase to stay in cache.
     """
     psi = np.empty((x.shape[0], k_float.shape[0]), dtype=np.float32)
@@ -347,10 +346,8 @@ def _sample_projection(rng, k_sel, sin_sel, side):
 
     More than _MAX_REJECTS consecutive rejections raise RuntimeError.
     """
-    m, d = k_sel.shape
+    m, d = k_sel.shape  # m >= 1: the zero mode is always selected
     out = np.empty((m, d))
-    if m == 0:
-        return out
     ld = side ** float(d)
     is_const = ~sin_sel & np.all(k_sel == 0, axis=1)
     amp = np.where(is_const, math.sqrt(1.0 / ld), math.sqrt(2.0 / ld)).astype(np.float32)
@@ -450,10 +447,7 @@ def _sample_projection(rng, k_sel, sin_sel, side):
             p = len(rows)
             if p:
                 c = c - pend[:p, a + 1:].T @ pend[:p, a]
-            norm2 = float(kv[a])
-            if norm2 <= 0.0:
-                raise RuntimeError("conditional kernel collapsed at acceptance")
-            c = c / math.sqrt(norm2)
+            c = c / math.sqrt(float(kv[a]))  # kv[a] > thr[a] >= 0
             pend[p, a + 1:] = c
             rows.append(a)
             kv[a + 1:] -= c * c
@@ -467,16 +461,15 @@ def _sample_projection(rng, k_sel, sin_sel, side):
     return out
 
 
-def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed,
-               tol: float = DEFAULT_TOL) -> PointPattern:
+def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed) -> PointPattern:
     """Draw one Gaussian DPP realization on the torus window.
 
-    Deterministic given (sigma, window, seed, tol).  The expected point
-    count is the eigenvalue sum of the spectral basis, about L^d for a
-    normalized scattering matrix; the count itself is a sum of independent
-    Bernoullis, hence sub-Poisson.  Replicate i of a run with seed s is
-    drawn with seed (s, i), so any prefix of a set of replicates is
-    reproducible whatever their number.
+    Deterministic given (sigma, window, seed).  The expected point count
+    is the eigenvalue sum of the spectral basis truncated at DEFAULT_TOL,
+    about L^d for a normalized scattering matrix; the count itself is a
+    sum of independent Bernoullis, hence sub-Poisson.  Replicate i of a
+    run with seed s is drawn with seed (s, i), so any prefix of a set of
+    replicates is reproducible whatever their number.
 
     Parameters
     ----------
@@ -484,7 +477,7 @@ def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed,
     """
     if window.dim != sigma.dim:
         raise ValueError("window and scattering matrix dimensions differ")
-    basis = build_spectral_basis(sigma, window.side, tol)
+    basis = build_spectral_basis(sigma, window.side)
     rng = np.random.default_rng(seed)
     k_sel, sin_sel = _realified_selection(rng, basis)
     return PointPattern(_sample_projection(rng, k_sel, sin_sel, window.side), window)

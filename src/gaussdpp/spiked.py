@@ -3,9 +3,10 @@
 The test statistic is 2*pi times the operator norm of the estimated
 scattering matrix: it concentrates near 1 under the isotropic null and
 near 1 + lambda under a spike of strength lambda.  Two thresholds are
-supported: the analytic 1 + t * rate(n, d) form (whose universal constant
-is not pinned by theory), and an empirical one calibrated by simulating
-the null at the observed window.
+supported: the analytic 1 + t * rate(n, d) form, and an empirical one
+calibrated by simulating the null at the observed window.  Theory does
+not pin the rate's universal constant c; the rate is taken with c = 1,
+since a threshold with (t, c) equals one with (t c^(d+1), 1).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .estimator import EstimatorConfig, estimate_scattering, risk_rate
 from .kernel import TWO_PI, isotropic_scattering
 from .patterns import BoxWindow, extract_ball
-from .sampling import DEFAULT_TOL, sample_gdp
+from .sampling import sample_gdp
 
 SYMMETRY_RTOL = 1e-8
 
@@ -65,8 +66,7 @@ def operator_norm(sigma_hat) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def detection_test(sigma_hat, n: float, d: int, t: float,
-                   c: float = 1.0) -> DetectionResult:
+def detection_test(sigma_hat, n: float, d: int, t: float) -> DetectionResult:
     """Analytic spike test: reject iff 2*pi ||Sigma_hat||op > 1 + t * rate.
 
     With t = 1/delta the two error probabilities are at most delta once
@@ -75,7 +75,7 @@ def detection_test(sigma_hat, n: float, d: int, t: float,
     if not t > 0:
         raise ValueError("t must be positive")
     stat = TWO_PI * operator_norm(sigma_hat)
-    rate = risk_rate(n, d, c)
+    rate = risk_rate(n, d)
     threshold = 1.0 + t * rate
     return DetectionResult(statistic=stat, threshold=threshold,
                            reject=bool(stat > threshold), t=t, rate=rate)
@@ -163,8 +163,7 @@ class NullCalibration:
 
 def calibrate_null_threshold(d: int, side: float, delta: float,
                              n_replicates: int, seed: int,
-                             config: EstimatorConfig | None = None,
-                             tol: float = DEFAULT_TOL) -> NullCalibration:
+                             config: EstimatorConfig | None = None) -> NullCalibration:
     """Empirical null threshold for the detection test.
 
     Simulates the isotropic model on the given box window, estimates the
@@ -184,7 +183,7 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
     window = BoxWindow(side, d)
     stats = np.empty(n_replicates)
     for i in range(n_replicates):
-        pat = sample_gdp(sigma0, window, (seed, i), tol)
+        pat = sample_gdp(sigma0, window, (seed, i))
         est = estimate_scattering(extract_ball(pat, side / 2.0), config)
         stats[i] = TWO_PI * operator_norm(est.sigma_hat)
     return NullCalibration.from_statistics(stats, delta)

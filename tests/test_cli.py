@@ -25,8 +25,8 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (VALIDATE + ["--L", "-4"], "--L: must be positive and finite"),
     (["detect", "--estimate", "estimate.json", "--L", "inf"],
      "--L: must be positive and finite"),
-    (SAMPLE + ["--L", "5", "--tol", "0"], "--tol: must be in (0, 1)"),
-    (VALIDATE + ["--L", "5", "--tol", "1"], "--tol: must be in (0, 1)"),
+    (SAMPLE + ["--L", "5", "--tol", "1e-3"], "unrecognized arguments: --tol"),
+    (VALIDATE + ["--L", "5", "--tol", "1e-3"], "unrecognized arguments: --tol"),
     (SAMPLE + ["--L", "five"], "--L: invalid float value"),
     (VALIDATE + ["--L", "5", "--bin-width", "0"], "--bin-width: must be positive and finite"),
     (VALIDATE + ["--L", "5", "--r-max", "inf"], "--r-max: must be positive and finite"),
@@ -43,9 +43,9 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["validate", "--d", "0", "--L", "5", "--seed", "0"], "--d: must be >= 1"),
     (["bounds", "--variance", "--d", "0"], "--d: must be >= 1"),
     (ESTIMATE + ["--C0", "0"], "--C0: must be positive and finite"),
-    (ESTIMATE + ["--C", "-1"], "--C: must be positive and finite"),
-    (ESTIMATE + ["--c", "nan"], "--c: must be positive and finite"),
-    (["detect", "--estimate", "estimate.json", "--c", "-1"], "--c: must be positive and finite"),
+    (ESTIMATE + ["--C", "2"], "unrecognized arguments: --C 2"),
+    (ESTIMATE + ["--c", "2"], "unrecognized arguments: --c 2"),
+    (["detect", "--estimate", "estimate.json", "--c", "2"], "unrecognized arguments: --c 2"),
     (["reduce", "--data", "data.csv", "--method", "dpp", "--r", "-1"], "--r: must be positive"),
     (["reduce", "--data", "data.csv", "--method", "dpp", "--r", "nan"], "--r: must be positive"),
     (["bounds", "--bernstein", "--eps", "0"], "--eps: must be positive and finite"),
@@ -174,6 +174,7 @@ def _json_bytes(obj) -> bytes:
 # A bad --config is a usage error (2), a bad input file a runtime error
 # (1) that names the file.
 @pytest.mark.parametrize("files, argv, code, message", [
+    ({}, ["--config"], 2, "--config requires a file path"),
     ({"config.json": b"[]"}, ["--config", "config.json"], 2,
      "config.json: expected a JSON object"),
     ({"config.json": b'{"command": "sample", "argv": ["--d", "\xff"]}'},
@@ -183,6 +184,10 @@ def _json_bytes(obj) -> bytes:
     ({"pattern.csv": b"",
       "pattern.json": _json_bytes({"window": {"type": "box", "side": 6.0, "dim": 2}})},
      ["estimate", "--pattern", "pattern"], 1, "pattern.csv: empty file, expected a header row"),
+    ({"pattern.csv": b"x1,x2\n0.5,abc\n",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 6.0, "dim": 2}})},
+     ["estimate", "--pattern", "pattern"], 1,
+     "pattern.csv:2: non-numeric value 'abc' in column 'x2'"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": "2"})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'dim' must be a positive integer, got '2'"),
@@ -192,8 +197,18 @@ def _json_bytes(obj) -> bytes:
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": "x"})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
      "estimate.json: 'R_used' must be a positive number, got 'x'"),
-], ids=["config-list", "config-not-utf8", "config-argv-not-strings", "pattern-csv-empty",
-        "estimate-dim-string", "estimate-sigma_hat-object", "estimate-R_used-string"])
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON,
+                                    "estimator": {"r": "x", "R": None, "C0": 1.0}})},
+     ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
+     "estimate.json: 'r' must be a positive number, got 'x'"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON,
+                                    "estimator": {"r": -1, "R": None, "C0": 1.0}})},
+     ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
+     "estimate.json: 'r' must be a positive number, got -1"),
+], ids=["config-no-path", "config-list", "config-not-utf8", "config-argv-not-strings",
+        "pattern-csv-empty", "pattern-csv-non-numeric", "estimate-dim-string",
+        "estimate-sigma_hat-object", "estimate-R_used-string", "estimate-r-string",
+        "estimate-r-negative"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -203,6 +218,32 @@ def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_
     prefix = "gaussdpp: bad --config: " if code == 2 else "gaussdpp: error: "
     assert proc.stderr.startswith(prefix)
     assert message in proc.stderr
+
+
+def test_stored_config_with_a_removed_option_is_a_usage_error(tmp_path):
+    config = {"command": "sample", "argv": ["--d", "2", "--L", "6", "--seed", "0",
+                                            "--tol", "1e-06"]}
+    (tmp_path / "run_config.json").write_text(json.dumps(config))
+    proc = _run_cli("--config", "run_config.json", "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments: --tol 1e-06" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bounds", "--count", "--out", "afile"], "afile"),
+    (["bounds", "--count", "--out", "afile/x"], "afile/x"),
+    (["estimate", "--pattern", "adir/pattern", "--out", "out"], "pattern.json"),
+    (["detect", "--estimate", "adir", "--out", "out"], "adir"),
+    (["reduce", "--data", "adir", "--method", "pca", "--out", "out"], "adir"),
+], ids=["out-is-a-file", "out-under-a-file", "pattern-sidecar-is-a-directory",
+        "estimate-is-a-directory", "data-is-a-directory"])
+def test_os_errors_end_in_a_message(argv, named, tmp_path):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir" / "pattern.json").mkdir(parents=True)
+    proc = _run_cli(*argv, cwd=tmp_path)
+    _assert_clean_runtime_error(proc, named)
 
 
 def test_core_imports_only_numpy():
@@ -354,9 +395,9 @@ def test_every_replicate_is_one_sample_gdp_call(command, calls, estimate_json, t
                                                 monkeypatch):
     seeds = []
 
-    def counting(sigma, window, seed, tol):
+    def counting(sigma, window, seed):
         seeds.append(seed)
-        return sample_gdp(sigma, window, seed, tol)
+        return sample_gdp(sigma, window, seed)
     monkeypatch.setattr(cli, "sample_gdp", counting)
     monkeypatch.setattr(spiked, "sample_gdp", counting)
     argv = {"sample": SAMPLE + ["--L", "6", "--replicates", "3"],

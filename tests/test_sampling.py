@@ -51,14 +51,16 @@ def iso2():
 class TestSpectralBasis:
     def test_mean_count_tracks_window_volume(self, iso1):
         # sum of eigenvalues ~ L^d * integral of the spectral density = L^d
-        basis = build_spectral_basis(iso1, 10.0, tol=1e-6)
+        basis = build_spectral_basis(iso1, 10.0)
         assert basis.mean_count == pytest.approx(10.0, rel=0.01)
 
-    def test_tight_tolerance_keeps_only_zero_mode(self, iso1):
-        basis = build_spectral_basis(iso1, 3.0, tol=1.0 - 1e-12)
+    def test_tiny_window_keeps_only_zero_mode(self, iso1):
+        basis = build_spectral_basis(iso1, 0.3)
         assert basis.modes.shape == (1, 1)
         assert basis.modes[0, 0] == 0
         assert basis.eigenvalues[0] == 1.0
+        # The zero mode is always selected, so every draw has a point.
+        assert len(sample_gdp(iso1, BoxWindow(0.3, 1), 0)) == 1
 
     def test_mode_set_closed_under_negation(self, iso2):
         basis = build_spectral_basis(iso2, 12.0)
@@ -66,8 +68,8 @@ class TestSpectralBasis:
         assert all(tuple(-np.asarray(k)) in keys for k in keys)
 
     def test_eigenvalues_in_range(self, iso2):
-        basis = build_spectral_basis(iso2, 9.0, tol=1e-4)
-        assert np.all(basis.eigenvalues > 1e-4)
+        basis = build_spectral_basis(iso2, 9.0)
+        assert np.all(basis.eigenvalues > sampling.DEFAULT_TOL)
         assert np.all(basis.eigenvalues <= 1.0)
 
     def test_anisotropic_box_is_elongated(self):
@@ -81,11 +83,6 @@ class TestSpectralBasis:
     def test_requires_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
             build_spectral_basis(ScatteringMatrix(np.eye(2)), 5.0)
-
-    def test_tol_validation(self, iso2):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError, match="tol"):
-                build_spectral_basis(iso2, 5.0, tol=bad)
 
     def test_mode_cap(self, iso2, monkeypatch):
         monkeypatch.setattr(sampling, "_MODE_CAP", 100)
