@@ -84,11 +84,25 @@ def _direction(text: str) -> list[float]:
     return u
 
 
+def _square_matrix(text: str) -> list[list[float]]:
+    """argparse type of --sigma-entries: a square matrix of finite numbers,
+    rows ';'-separated and entries ','-separated.  Whether its size
+    matches --d is checked when the matrix is built."""
+    try:
+        rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers in ';'-separated rows, got {text}") from None
+    if any(len(row) != len(rows) for row in rows):
+        raise argparse.ArgumentTypeError(f"must be a square matrix, got {text}")
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return rows
+
+
 def _parse_sigma(args, d: int) -> ScatteringMatrix:
     if args.sigma_entries:
-        rows = [[float(v) for v in row.split(",")]
-                for row in args.sigma_entries.split(";")]
-        sigma = ScatteringMatrix(np.asarray(rows))
+        sigma = ScatteringMatrix(np.asarray(args.sigma_entries))
         if sigma.dim != d:
             raise ValueError(f"--sigma-entries is {sigma.dim}x{sigma.dim} but --d is {d}")
         return normalize_scattering(sigma)
@@ -403,7 +417,7 @@ def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=_strength, default=0.0, help="spike strength")
     p.add_argument("--u", type=_direction, default=None,
                    help="comma-separated spike direction (normalized internally)")
-    p.add_argument("--sigma-entries", default=None,
+    p.add_argument("--sigma-entries", type=_square_matrix, default=None,
                    help="explicit matrix, rows ';'-separated, entries ','-separated; "
                         "normalized on load")
 

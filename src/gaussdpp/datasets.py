@@ -11,6 +11,7 @@ column.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ def load_dataset(path, label_column: str | None = None,
                  positive_label=None) -> Dataset:
     """Read a feature CSV into a Dataset.
 
-    All columns except `label_column` must be numeric; a non-numeric cell
-    is reported with its row and column.  When `positive_label` is given,
+    All columns except `label_column` must be finite numbers; a
+    non-numeric or non-finite cell is reported with its line and column.  When `positive_label` is given,
     labels are mapped to 1 for that value and 0 otherwise, after checking
     the value actually occurs.  A header-only file yields a valid empty
     dataset.
@@ -60,11 +61,15 @@ def load_dataset(path, label_column: str | None = None,
                     raw_labels.append(cell.strip())
                     continue
                 try:
-                    feats.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: non-numeric value {cell!r} in "
                         f"column {header[i]!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {cell!r} in "
+                                     f"column {header[i]!r}")
+                feats.append(value)
             rows.append(feats)
 
     features = (np.asarray(rows, dtype=float) if rows

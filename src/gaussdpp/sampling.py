@@ -31,10 +31,9 @@ _MAX_REJECTS = 1_000_000  # consecutive rejections before the sampler gives up
 _ENUM_SLAB = 1 << 16  # candidate rows processed per slab while enumerating
 _MAX_BLOCK = 2048  # largest block of sampler proposals
 _GRAM_PANEL = 128  # candidate rows per product in the sampler's scan
-_TRI_BLOCK = 64  # rows per block of the triangular solve in compressions
 _FEATURE_CHUNK = 1 << 16  # phase entries per chunk of feature assembly
 _SCREEN_ROWS = 512  # block rows per chunk of the sampler's candidate screening
-_QR_PANEL = 64  # columns per double-precision panel of the Householder QR
+_QR_LEAF = 16  # most columns of a double-precision leaf of the recursive QR
 _WY_CHUNK = 256  # rows or columns per product when applying reflectors
 
 
@@ -179,17 +178,18 @@ def _features(k_float, shift, amp, x, side):
 
     Entry (b, i) is amp[i] * cos(2 pi (<k_i, x_b> / L - shift[i])); a shift
     of a quarter turn makes it the sine of the same frequency.  The phase
-    is formed in float64 turns and reduced to [-1/2, 1/2] before the cosine
-    is taken in float32, so the absolute error stays ~3e-7 * amp at any |k|
-    (far below the spectral truncation DEFAULT_TOL).  Rows go in chunks small
-    enough for the float64 phase to stay in cache.
+    is formed in float64 turns, the shift entering the product as one more
+    coordinate, and reduced to [-1/2, 1/2] before the cosine is taken in
+    float32, so the absolute error stays ~3e-7 * amp at any |k| (far below
+    the spectral truncation DEFAULT_TOL).  Rows go in chunks small enough
+    for the float64 phase to stay in cache.
     """
     psi = np.empty((x.shape[0], k_float.shape[0]), dtype=np.float32)
     step = max(1, _FEATURE_CHUNK // k_float.shape[0])
-    turns = x / side
+    turns = np.concatenate([x / side, np.full((x.shape[0], 1), -1.0)], axis=1)
+    k_shift = np.concatenate([k_float, shift[:, None]], axis=1).T
     for lo in range(0, x.shape[0], step):
-        phase = turns[lo:lo + step] @ k_float.T
-        phase -= shift
+        phase = turns[lo:lo + step] @ k_shift
         phase -= np.rint(phase)
         out = psi[lo:lo + step]
         np.multiply(phase, 2.0 * math.pi, out=out, casting="same_kind")
@@ -198,46 +198,40 @@ def _features(k_float, shift, amp, x, side):
     return psi
 
 
-def _solve_upper(a, b):
-    """Solve a w = b for upper triangular a, by blocks of rows from the
-    bottom up, so nearly all the work is matrix products."""
-    w = np.empty_like(b)
-    n = a.shape[0]
-    for lo in range((n - 1) // _TRI_BLOCK * _TRI_BLOCK, -1, -_TRI_BLOCK):
-        hi = min(lo + _TRI_BLOCK, n)
-        rhs = b[lo:hi] - a[lo:hi, hi:] @ w[hi:]
-        w[lo:hi] = np.linalg.solve(a[lo:hi, lo:hi], rhs)
-    return w
-
-
 def _householder(h):
     """Householder QR of h (q, s), q >= s, in place and in h's dtype.
 
-    Panels of _QR_PANEL columns are factored in double precision, and each
-    panel's reflectors reach the trailing columns in compact-WY form, as
-    in LAPACK's blocked geqrf, by products in h's dtype, _WY_CHUNK
-    columns at a time.  No double-precision copy of the whole of h is
-    made.  On return h holds the reflectors V as a unit lower trapezoid,
-    and the result is the upper triangular T^-1 = striu(V'V) + diag(1/tau)
-    of Q = H_1 ... H_s = I - V T V'.
+    Recursive compact-WY QR (Elmroth & Gustavson 2000): the left half of
+    the columns is factored, its reflectors are applied to the right half,
+    the right half is factored below the left one's rows, and the two
+    triangular factors are joined by T12 = -T1 (V1' V2) T2.  Leaves of at
+    most _QR_LEAF columns are factored in double precision, their T built
+    column by column as in LAPACK's larft; everything above them is
+    matrix products in h's dtype.  On return h holds the reflectors V as a
+    unit lower trapezoid (R is not kept), and the result is the upper
+    triangular T of Q = H_1 ... H_s = I - V T V', in h's dtype.
     """
     s = h.shape[1]
-    tau = np.empty(s)
-    for c0 in range(0, s, _QR_PANEL):
-        c1 = min(c0 + _QR_PANEL, s)
-        raw, tau[c0:c1] = np.linalg.qr(h[c0:, c0:c1].astype(np.float64), mode="raw")
+    if s <= _QR_LEAF:
+        raw, tau = np.linalg.qr(h.astype(np.float64), mode="raw")
         v = _unit_trapezoid(raw.T)
-        h[c0:, c0:c1] = v
-        if c1 == s:
-            break
-        # Q_p' = I - V T' V' on the trailing columns.
-        t_inv = _t_inverse(v, tau[c0:c1])
-        tt = np.linalg.inv(t_inv).T.astype(h.dtype)
-        v = v.astype(h.dtype)
-        for lo in range(c1, s, _WY_CHUNK):
-            rest = h[c0:, lo:lo + _WY_CHUNK]
-            rest -= v @ (tt @ (v.T @ rest))
-    return _t_inverse(_unit_trapezoid(h), tau)
+        h[:] = v
+        g = v.T @ v
+        t = np.diag(tau)
+        for i in range(1, s):
+            t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
+        return t.astype(h.dtype)
+    n1 = s // 2
+    left, right = h[:, :n1], h[:, n1:]
+    t = np.zeros((s, s), dtype=h.dtype)
+    t[:n1, :n1] = t1 = _householder(left)
+    # Q_1' = I - V_1 T_1' V_1' on the right half, formed transposed to
+    # match the column-major h of the sampler.
+    right -= ((right.T @ left) @ t1 @ left.T).T
+    t[n1:, n1:] = t2 = _householder(right[n1:])
+    right[:n1] = 0.0  # R12
+    t[:n1, n1:] = -t1 @ ((left[n1:].T @ right[n1:]) @ t2)
+    return t
 
 
 def _unit_trapezoid(v):
@@ -248,13 +242,6 @@ def _unit_trapezoid(v):
     return v
 
 
-def _t_inverse(v, tau):
-    """T^-1 = striu(V'V) + diag(1/tau) of the compact-WY form I - V T V'."""
-    t_inv = np.triu(v.T @ v, 1)
-    t_inv[np.diag_indices_from(t_inv)] = 1.0 / tau
-    return t_inv
-
-
 def _compress(proj, a):
     """Restrict the orthonormal basis proj (m, q) to the complement of the
     accepted rows, whose coordinates in that basis are the columns of
@@ -263,25 +250,25 @@ def _compress(proj, a):
     With Householder factors a = H_1 ... H_s R, the complement of the span
     of a is spanned by the last q - s columns of Q = H_1 ... H_s =
     I - V T V' (compact-WY form).  The new basis is proj @ Q[:, s:] =
-    proj[:, s:] - (proj V) T V[s:]', applied to proj in place _WY_CHUNK
-    rows at a time; the result is the column view proj[:, s:].  With proj
-    None (the identity) Q[:, s:] itself is formed, _WY_CHUNK columns at a
-    time; no other column of Q is.
+    proj[:, s:] - (proj V) W with W = T V[s:]', one product, applied to
+    proj in place _WY_CHUNK rows at a time; the result is the column view
+    proj[:, s:].  With proj None (the identity) Q[:, s:] itself is formed,
+    _WY_CHUNK columns at a time; no other column of Q is.
     """
     q, s = a.shape
-    t_inv = _householder(a)
+    t = _householder(a)
+    t *= -1.0  # Q = I + V (-T) V'
     if proj is None:
         comp = np.empty((q, q - s), dtype=a.dtype)
         for lo in range(s, q, _WY_CHUNK):
             hi = min(lo + _WY_CHUNK, q)
-            np.matmul(a, _solve_upper(t_inv, a[lo:hi].T), out=comp[:, lo - s:hi - s])
-        comp *= -1.0
+            np.matmul(a, t @ a[lo:hi].T, out=comp[:, lo - s:hi - s])
         comp[np.arange(s, q), np.arange(q - s)] += 1.0  # plus I[:, s:]
         return comp
-    w = _solve_upper(t_inv, a[s:].T)
+    w = t @ a[s:].T
     for lo in range(0, proj.shape[0], _WY_CHUNK):
         rows = proj[lo:lo + _WY_CHUNK]
-        rows[:, s:] -= (rows @ a) @ w
+        rows[:, s:] += (rows @ a) @ w
     return proj[:, s:]
 
 
@@ -319,9 +306,11 @@ def _sample_projection(rng, k_sel, sin_sel, side):
       and the sequential scan runs over those rows alone.  Their
       conditional Gram rows come from one product per panel of candidates,
       formed when the scan reaches the panel (so a block that ends early
-      pays only for the rows it reached), and the updates caused by fresh
+      pays only for the rows it reached).  The updates caused by fresh
       acceptances are tracked through pending vectors (one Cholesky
-      column per acceptance);
+      column per acceptance): a panel subtracts the directions accepted
+      before it by one more product, and each acceptance only those
+      accepted since the panel was formed;
     * per-block compression: after every block that accepted points, the
       active basis is restricted to the complement of the accepted
       feature vectors, built from their Householder factors in
@@ -418,7 +407,9 @@ def _sample_projection(rng, k_sel, sin_sel, side):
         pend = np.empty((min(cand.size, m - j), cand.size), dtype=np.float32)
         rows: list[int] = []
         nxt = 0               # next candidate to test
-        top = end = 0         # gram holds the rows of candidates top..end-1
+        # gram holds the rows of candidates top..end-1 against all later
+        # ones, less the first p0 directions accepted in this block.
+        top = end = p0 = 0
         while j < m:
             hits = np.flatnonzero(thr[nxt:] < kv[nxt:])
             if not hits.size:
@@ -436,17 +427,20 @@ def _sample_projection(rng, k_sel, sin_sel, side):
             j += 1
             if j == m:
                 break
+            p = len(rows)
             if a >= end:
                 # Gram rows of the next candidates against all later ones,
-                # formed as one product once the scan gets there.
-                top, end = a, a + _GRAM_PANEL
+                # less the directions accepted so far, formed as products
+                # once the scan gets there.
+                top, end, p0 = a, a + _GRAM_PANEL, p
                 gram = feats[top:end] @ feats[top:].T
+                if p0:
+                    gram -= pend[:p0, top:end].T @ pend[:p0, top:]
             # <new direction, later candidate b>, from the Gram row minus
-            # the directions accepted earlier in this block.
+            # the directions accepted since the panel was formed.
             c = gram[a - top, a - top + 1:]
-            p = len(rows)
-            if p:
-                c = c - pend[:p, a + 1:].T @ pend[:p, a]
+            if p > p0:
+                c = c - pend[p0:p, a + 1:].T @ pend[p0:p, a]
             c = c / math.sqrt(float(kv[a]))  # kv[a] > thr[a] >= 0
             pend[p, a + 1:] = c
             rows.append(a)

@@ -67,6 +67,11 @@ SRC = Path(cli.__file__).resolve().parents[1]
      "--u: must be finite with a nonzero norm"),
     (VALIDATE + ["--L", "5", "--sigma", "spiked", "--u", "1,inf"],
      "--u: must be finite with a nonzero norm"),
+    (["bounds", "--bias", "--d", "2", "--sigma-entries", "1,x;0,1"],
+     "--sigma-entries: must be comma-separated numbers"),
+    (["bounds", "--bias", "--d", "2", "--sigma-entries", "1,0;0"],
+     "--sigma-entries: must be a square matrix"),
+    (SAMPLE + ["--L", "5", "--sigma-entries", "1,0;0,inf"], "--sigma-entries: must be finite"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -154,6 +159,10 @@ def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
     (["roc", "--embedding"], "row,coord1,label\n0,1.0\n", ":2: expected 3 cells, got 2"),
     (["roc", "--embedding"], "row,coord1,label\n0,x,1\n",
      ":2: non-numeric value 'x' in column 'coord1'"),
+    (["reduce", "--method", "pca", "--data"], "a,b\n1.0,2.0\n3.0,inf\n",
+     ":3: non-finite value 'inf' in column 'b'"),
+    (["roc", "--embedding"], "row,coord1,label\n0,nan,1\n",
+     ":2: non-finite value 'nan' in column 'coord1'"),
     (["roc", "--embedding"], "row,coord1,label\n0,1.0,yes\n1,2.0,no\n",
      "labels must be integers unless --positive-label is given"),
 ])
@@ -188,6 +197,10 @@ def _json_bytes(obj) -> bytes:
       "pattern.json": _json_bytes({"window": {"type": "box", "side": 6.0, "dim": 2}})},
      ["estimate", "--pattern", "pattern"], 1,
      "pattern.csv:2: non-numeric value 'abc' in column 'x2'"),
+    ({"pattern.csv": b"x1,x2\n0.5,nan\n",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 6.0, "dim": 2}})},
+     ["estimate", "--pattern", "pattern"], 1,
+     "pattern.csv:2: non-finite value 'nan' in column 'x2'"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": "2"})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'dim' must be a positive integer, got '2'"),
@@ -206,7 +219,8 @@ def _json_bytes(obj) -> bytes:
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
      "estimate.json: 'r' must be a positive number, got -1"),
 ], ids=["config-no-path", "config-list", "config-not-utf8", "config-argv-not-strings",
-        "pattern-csv-empty", "pattern-csv-non-numeric", "estimate-dim-string",
+        "pattern-csv-empty", "pattern-csv-non-numeric", "pattern-csv-non-finite",
+        "estimate-dim-string",
         "estimate-sigma_hat-object", "estimate-R_used-string", "estimate-r-string",
         "estimate-r-negative"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):

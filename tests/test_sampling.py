@@ -201,8 +201,9 @@ class TestSamplerStream:
     # spans two blocks) before compression became a per-block step, and
     # the last three before the sampler's two complement routines became
     # one: iso1-L30 (rank 26) is drawn within its first block, iso4-L5 and
-    # spiked3-L9 cover d=4 and a spike in d=3.  Any change to the random
-    # stream or to an acceptance decision shows here.
+    # spiked3-L9 cover d=4 and a spike in d=3.  iso3-L12, validate's d=3
+    # configuration, was recorded before the QR became recursive.  Any
+    # change to the random stream or to an acceptance decision shows here.
     @pytest.mark.parametrize("sigma, side, count, digest", [
         (isotropic_scattering(2), 20.0, 407,
          "414efd20036582b0a9622910bb90a1ee87af841d0903bb3772cee3a74a9cc835"),
@@ -218,8 +219,10 @@ class TestSamplerStream:
          "46fbba44092c009b24fdb1d6a9ddd0a54bf47e1ecf42995d4113c63c4adb2315"),
         (spiked_scattering(2.0, [0.0, 0.6, 0.8]), 9.0, 738,
          "772f2d072e8ff60b055a1b0543a741c7ae5101f6a80388b0b3492b541a1d879a"),
+        (isotropic_scattering(3), 12.0, 1694,
+         "692414ed0ff7f5e6b0686d94aef72479b3422ca510effe5cdbe1b17ea8afe289"),
     ], ids=["iso2-L20", "spiked2-L28", "iso3-L8", "iso2-L35", "iso1-L30", "iso4-L5",
-            "spiked3-L9"])
+            "spiked3-L9", "iso3-L12"])
     def test_golden_stream(self, sigma, side, count, digest):
         pts = sample_gdp(sigma, BoxWindow(side, sigma.dim), 0).points
         assert pts.shape == (count, sigma.dim)
@@ -368,13 +371,33 @@ class TestSamplerStream:
 
     @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 5e-6)])
     def test_orthonormal_bases_match_householder_qr(self, dtype, atol, monkeypatch):
-        # Blocks of 16 rows make the triangular solve take several steps.
-        monkeypatch.setattr(sampling, "_TRI_BLOCK", 16)
+        # Leaves of 4 columns make the recursive QR run several levels,
+        # with odd splits (50 -> 25 -> 12 + 13 -> ...).
+        monkeypatch.setattr(sampling, "_QR_LEAF", 4)
         a = np.random.default_rng(2).standard_normal((90, 50)).astype(dtype)
         full = np.linalg.qr(a, mode="complete")[0]
         comp = sampling._compress(None, a.copy())
         assert comp.dtype == dtype
         assert np.allclose(comp, full[:, 50:], rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("leaf", [sampling._QR_LEAF, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("s", [1, 4, 5, 37, 100])
+    def test_householder_returns_the_compact_wy_factor(self, s, dtype, leaf, monkeypatch):
+        # I - V T V' is the Q of LAPACK's Householder QR, with T upper
+        # triangular, whether a leaf or many levels of recursion built it.
+        monkeypatch.setattr(sampling, "_QR_LEAF", leaf)
+        q = 120
+        a = np.random.default_rng(s).standard_normal((q, s))
+        full = np.linalg.qr(a, mode="complete")[0]
+        v = a.astype(dtype)
+        t = sampling._householder(v)
+        assert t.dtype == dtype and t.shape == (s, s)
+        assert np.array_equal(t, np.triu(t))
+        assert np.array_equal(v, np.tril(v)) and np.all(np.diag(v) == 1.0)
+        v, t = v.astype(np.float64), t.astype(np.float64)
+        tol = 1e-12 if dtype == np.float64 else 10 * q * np.finfo(dtype).eps
+        assert np.abs(np.eye(q) - v @ t @ v.T - full).max() <= tol
 
     @settings(max_examples=60, deadline=None)
     @given(dtype=st.sampled_from([np.float32, np.float64]),
