@@ -24,10 +24,10 @@ def load_dataset(path, label_column: str | None = None,
     """Read a feature CSV into a Dataset.
 
     All columns except `label_column` must be finite numbers; a
-    non-numeric or non-finite cell is reported with its line and column.  When `positive_label` is given,
-    labels are mapped to 1 for that value and 0 otherwise, after checking
-    the value actually occurs.  A header-only file yields a valid empty
-    dataset.
+    non-numeric or non-finite cell is reported with its line and column.
+    When `positive_label` is given, labels are mapped to 1 for that value
+    and 0 otherwise, after checking the value actually occurs.  A
+    header-only file yields a valid empty dataset.
     """
     path = Path(path)
     if not path.exists():

@@ -159,12 +159,12 @@ def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
     (["roc", "--embedding"], "row,coord1,label\n0,1.0\n", ":2: expected 3 cells, got 2"),
     (["roc", "--embedding"], "row,coord1,label\n0,x,1\n",
      ":2: non-numeric value 'x' in column 'coord1'"),
+    (["roc", "--embedding"], "row,coord1,label\n0,1.0,yes\n1,2.0,no\n",
+     "labels must be integers unless --positive-label is given"),
     (["reduce", "--method", "pca", "--data"], "a,b\n1.0,2.0\n3.0,inf\n",
      ":3: non-finite value 'inf' in column 'b'"),
     (["roc", "--embedding"], "row,coord1,label\n0,nan,1\n",
      ":2: non-finite value 'nan' in column 'coord1'"),
-    (["roc", "--embedding"], "row,coord1,label\n0,1.0,yes\n1,2.0,no\n",
-     "labels must be integers unless --positive-label is given"),
 ])
 def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
     path = tmp_path / "input.csv"
