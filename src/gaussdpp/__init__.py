@@ -13,10 +13,9 @@ from .patterns import (BallWindow, BoxWindow, PointPattern, extract_ball,
 from .sampling import (SpectralBasis, build_spectral_basis,
                        count_dispersion_test, empirical_pair_correlation,
                        sample_gdp, sample_poisson)
-from .estimator import (EstimateResult, EstimatorConfig, bernstein_tail,
-                        bias_bound, count_expectation, default_cutoff,
-                        estimate_scattering, risk_rate, unit_ball_volume,
-                        variance_bound)
+from .estimator import (EstimateResult, bernstein_tail, bias_bound,
+                        count_expectation, default_cutoff, estimate_scattering,
+                        risk_rate, unit_ball_volume, variance_bound)
 from .spiked import (DetectionResult, NullCalibration, SpikeEstimate,
                      calibrate_null_threshold, davis_kahan_reference,
                      detection_test, detection_test_calibrated, estimate_spike,
@@ -35,7 +34,7 @@ __all__ = [
     "save_pattern",
     "SpectralBasis", "build_spectral_basis", "count_dispersion_test",
     "empirical_pair_correlation", "sample_gdp", "sample_poisson",
-    "EstimateResult", "EstimatorConfig", "bernstein_tail", "bias_bound",
+    "EstimateResult", "bernstein_tail", "bias_bound",
     "count_expectation", "default_cutoff",
     "estimate_scattering", "risk_rate", "unit_ball_volume", "variance_bound",
     "DetectionResult", "NullCalibration", "SpikeEstimate",

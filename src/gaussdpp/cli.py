@@ -9,12 +9,12 @@ and wall-clock time (the one field that varies between reruns).
 `detect --calibrate` caches the K null statistics it simulates, one JSON
 file per key under ${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/.  The key
 is the SHA-256 of the package's *.py sources, the numpy version, d, the
-null box side, the estimator settings (r, R, C0) recorded in
-estimate.json, K (--null-replicates) and the null --seed; the file is
-named by the SHA-256 of that key.  --delta is not part of it: a
-later call with the same key reads the statistics instead of simulating
-them and takes its own threshold from them, so calibration.json and
-detect.json are the same either way.  result.json reports
+null box side, the cutoff r recorded in estimate.json (null: automatic),
+K (--null-replicates) and the null --seed; the file is named by the
+SHA-256 of that key.  --delta is not part of it: a later call with the
+same key reads the statistics instead of simulating them and takes its
+own threshold from them, so calibration.json and detect.json are the
+same either way.  result.json reports
 "calibration_cache": "hit" or "miss".  Deleting the directory clears the
 cache; an unreadable entry is recomputed and an unwritable one ignored.
 
@@ -40,9 +40,8 @@ import numpy as np
 from . import __version__
 from .datasets import load_dataset
 from .dimred import dpp_embed, pca_embed, risk_scores, roc_auc, scree
-from .estimator import (EstimatorConfig, bernstein_tail, bias_bound,
-                        count_expectation, estimate_scattering, risk_rate,
-                        variance_bound)
+from .estimator import (bernstein_tail, bias_bound, count_expectation,
+                        estimate_scattering, risk_rate, variance_bound)
 from .kernel import (ScatteringMatrix, isotropic_scattering,
                      normalize_scattering, spiked_scattering,
                      truncated_pair_correlation)
@@ -164,15 +163,16 @@ def _cmd_sample(args, out: Path) -> dict:
     sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
     if args.process == "poisson":
-        draw = partial(sample_poisson, 1.0, window)
+        draw, model = partial(sample_poisson, 1.0, window), {}
     else:
         draw = partial(sample_gdp, sigma, window)
+        model = {"sigma_entries": sigma.entries, "tol": DEFAULT_TOL}
     patterns = [draw((args.seed, i)) for i in range(args.replicates)]
     names = []
     for i, pat in enumerate(patterns):
         stem = out / ("pattern" if args.replicates == 1 else f"pattern_{i:04d}")
-        save_pattern(pat, stem, seed=[args.seed, i], sigma_entries=sigma.entries,
-                     tol=DEFAULT_TOL, extra={"process": args.process})
+        save_pattern(pat, stem, seed=[args.seed, i], **model,
+                     extra={"process": args.process})
         names.append(stem.name)
     return {"patterns": names, "count": len(patterns[0]),
             "counts": [len(p) for p in patterns]}
@@ -197,27 +197,28 @@ def _cmd_estimate(args, out: Path) -> dict:
     pattern, _meta = load_pattern(args.pattern)
     if args.ball_radius is not None:
         pattern = extract_ball(pattern, args.ball_radius)
-    config = EstimatorConfig(r=args.r, R=args.R, c0=args.C0)
-    result = estimate_scattering(pattern, config)
-    payload = {**result.to_json_dict(),
-               "estimator": {"r": args.r, "R": args.R, "C0": args.C0}}
+    result = estimate_scattering(pattern, args.r)
+    payload = {**result.to_json_dict(), "estimator": {"r": args.r}}
     _write_json(out / "estimate.json", payload)
     return payload
 
 
-def _estimator_config(est: dict, source) -> EstimatorConfig:
-    """The estimator settings recorded in an estimate.json; files that
-    record none were made with the defaults.  r and R are null (auto) or
-    positive numbers, C0 a positive number."""
+def _estimator_cutoff(est: dict, source) -> float | None:
+    """The cutoff r recorded in an estimate.json: null (automatic) or a
+    positive number; files that record no estimator block used the
+    automatic one.  Older files also hold R, always equal to R_used and
+    so ignored, and C0, a removed scale of the automatic rule: a C0 other
+    than 1 would replay a different null, so it is refused."""
     block = est.get("estimator")
     if block is None:
-        return EstimatorConfig()
-
-    def radius(key):
-        value = _field(block, key, source)
-        return value if value is None else _positive_number(block, key, source)
-    return EstimatorConfig(r=radius("r"), R=radius("R"),
-                           c0=_positive_number(block, "C0", source))
+        return None
+    r = _field(block, "r", source)
+    if r is not None:
+        r = _positive_number(block, "r", source)
+    if block.get("C0", 1.0) != 1.0:
+        raise ValueError(f"{source}: 'C0' {block['C0']!r} is no longer supported "
+                         "(the automatic cutoff has no scale); re-run estimate")
+    return r
 
 
 def _cache_dir() -> Path:
@@ -254,14 +255,12 @@ def _store_atomically(path: Path, obj) -> None:
 
 
 def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed: int,
-                      config: EstimatorConfig) -> tuple[NullCalibration, str]:
+                      r: float | None) -> tuple[NullCalibration, str]:
     """Null calibration through the on-disk cache (see the module
     docstring); returns it with "hit" or "miss"."""
     import hashlib
     key = {"source_sha256": _source_fingerprint(), "numpy": np.__version__,
-           "d": d, "side": side,
-           "estimator": {"r": config.r, "R": config.R, "c0": config.c0},
-           "null_replicates": n_replicates, "seed": seed}
+           "d": d, "side": side, "r": r, "null_replicates": n_replicates, "seed": seed}
     name = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
     path = _cache_dir() / f"{name}.json"
     try:
@@ -273,7 +272,7 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
             return NullCalibration.from_statistics(stats, delta), "hit"
     except (OSError, ValueError, KeyError, TypeError):
         pass  # missing or unreadable: recompute and overwrite
-    cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, config=config)
+    cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, r)
     _store_atomically(path, {"key": key, "statistics": cal.statistics.tolist()})
     return cal, "miss"
 
@@ -296,7 +295,7 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
                 else 2.0 * _positive_number(est, "R_used", args.estimate))
         cal, status["calibration_cache"] = _calibrate_cached(
             d, side, args.delta, args.null_replicates, args.seed,
-            _estimator_config(est, args.estimate))
+            _estimator_cutoff(est, args.estimate))
         result = detection_test_calibrated(sigma_hat, cal.threshold)
         _write_json(out / "calibration.json", cal.to_json_dict())
         payload = {**result.to_json_dict(), "mode": "calibrated",
@@ -423,8 +422,8 @@ def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # No abbreviated options: a prefix of a live option (--C of --C0) must
-    # not stand in for a removed one in a stored config.
+    # No abbreviated options: a prefix of a live option must not stand in
+    # for a removed one in a stored config.
     parser = argparse.ArgumentParser(
         prog="gaussdpp", allow_abbrev=False,
         description="Gaussian determinantal point processes: simulate, estimate, "
@@ -449,26 +448,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pattern file stem (reads <stem>.csv and <stem>.json)")
     p.add_argument("--r", type=_positive_finite, default=None,
                    help="cutoff radius (default: auto)")
-    p.add_argument("--R", type=_positive_finite, default=None,
-                   help="observation ball radius")
     p.add_argument("--ball-radius", type=_positive_finite, default=None,
-                   help="restrict a box pattern to this ball before estimating")
-    p.add_argument("--C0", type=_positive_finite, default=1.0, help="auto-cutoff constant")
+                   help="restrict a box pattern to this ball before estimating; the "
+                        "window fixes the observation ball radius R, which is this "
+                        "radius, or half the box side without it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("detect", help="spike detection test on an estimate")
     p.add_argument("--estimate", required=True, help="estimate.json from `estimate`")
-    p.add_argument("--t", type=_positive_finite, default=20.0,
-                   help="analytic threshold multiplier")
-    p.add_argument("--calibrate", action="store_true",
-                   help="Monte-Carlo null calibration instead of the analytic threshold. "
-                        "The null statistics are cached under "
-                        "${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/, keyed by the "
-                        "package sources, numpy version, d, box side, estimator "
-                        "settings, --null-replicates and --seed (not --delta); delete "
-                        "that directory to clear it. result.json reports "
-                        "calibration_cache: hit or miss.")
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--t", type=_positive_finite, default=20.0,
+                           help="analytic threshold multiplier")
+    threshold.add_argument(
+        "--calibrate", action="store_true",
+        help="Monte-Carlo null calibration instead of the analytic threshold. The null "
+             "estimates use the cutoff r recorded in the estimate. The null statistics "
+             "are cached under ${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/, keyed by the "
+             "package sources, numpy version, d, box side, r, --null-replicates and "
+             "--seed (not --delta); delete that directory to clear it. result.json "
+             "reports calibration_cache: hit or miss.")
     p.add_argument("--delta", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
                    default=0.05)
     p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .estimator import EstimatorConfig, estimate_scattering, risk_rate
+from .estimator import estimate_scattering, risk_rate
 from .kernel import TWO_PI, isotropic_scattering
 from .patterns import BoxWindow, extract_ball
 from .sampling import sample_gdp
@@ -163,7 +163,7 @@ class NullCalibration:
 
 def calibrate_null_threshold(d: int, side: float, delta: float,
                              n_replicates: int, seed: int,
-                             config: EstimatorConfig | None = None) -> NullCalibration:
+                             r: float | None = None) -> NullCalibration:
     """Empirical null threshold for the detection test.
 
     Simulates the isotropic model on the given box window, estimates the
@@ -173,17 +173,21 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
     rate of a fresh replicate at or below delta up to Monte-Carlo error.
     Replicate i is drawn by sample_gdp with seed (seed, i), so the first
     statistics do not depend on n_replicates.  Replicate statistics are
-    kept for audit.
+    kept for audit.  r is the estimator's cutoff (None: automatic); a
+    fixed r must be below side/2, which is checked before any draw.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if n_replicates < 2:
         raise ValueError("need at least two replicates")
+    if r is not None and not r < side / 2.0:
+        raise ValueError(f"null box side {side:g} is too small for the cutoff r = {r:g}: "
+                         f"the null estimates need side > 2r = {2 * r:g}")
     sigma0 = isotropic_scattering(d)
     window = BoxWindow(side, d)
     stats = np.empty(n_replicates)
     for i in range(n_replicates):
         pat = sample_gdp(sigma0, window, (seed, i))
-        est = estimate_scattering(extract_ball(pat, side / 2.0), config)
+        est = estimate_scattering(extract_ball(pat, side / 2.0), r)
         stats[i] = TWO_PI * operator_norm(est.sigma_hat)
     return NullCalibration.from_statistics(stats, delta)

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussdpp import (EstimatorConfig, calibrate_null_threshold, cli, sample_gdp, spiked,
-                      spiked_scattering)
+from gaussdpp import calibrate_null_threshold, cli, sample_gdp, spiked, spiked_scattering
 
 SAMPLE = ["sample", "--d", "2", "--seed", "0"]
 VALIDATE = ["validate", "--d", "2", "--seed", "0"]
@@ -33,7 +32,7 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (DETECT + ["--delta", "1"], "--delta: must be in (0, 1)"),
     (DETECT + ["--null-replicates", "1"], "--null-replicates: must be >= 2"),
     (ESTIMATE + ["--r", "0"], "--r: must be positive and finite"),
-    (ESTIMATE + ["--R", "-3"], "--R: must be positive and finite"),
+    (ESTIMATE + ["--R", "3"], "unrecognized arguments: --R 3"),
     (ESTIMATE + ["--ball-radius", "inf"], "--ball-radius: must be positive and finite"),
     (["detect", "--estimate", "estimate.json", "--t", "0"], "--t: must be positive and finite"),
     (["reduce", "--data", "data.csv", "--method", "pca", "--k", "0"], "--k: must be >= 1"),
@@ -42,7 +41,7 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["sample", "--d", "0", "--L", "5", "--seed", "0"], "--d: must be >= 1"),
     (["validate", "--d", "0", "--L", "5", "--seed", "0"], "--d: must be >= 1"),
     (["bounds", "--variance", "--d", "0"], "--d: must be >= 1"),
-    (ESTIMATE + ["--C0", "0"], "--C0: must be positive and finite"),
+    (ESTIMATE + ["--C0", "1"], "unrecognized arguments: --C0 1"),
     (ESTIMATE + ["--C", "2"], "unrecognized arguments: --C 2"),
     (ESTIMATE + ["--c", "2"], "unrecognized arguments: --c 2"),
     (["detect", "--estimate", "estimate.json", "--c", "2"], "unrecognized arguments: --c 2"),
@@ -71,7 +70,7 @@ SRC = Path(cli.__file__).resolve().parents[1]
      "--sigma-entries: must be comma-separated numbers"),
     (["bounds", "--bias", "--d", "2", "--sigma-entries", "1,0;0"],
      "--sigma-entries: must be a square matrix"),
-    (SAMPLE + ["--L", "5", "--sigma-entries", "1,0;0,inf"], "--sigma-entries: must be finite"),
+    (SAMPLE + ["--L", "5", "--sigma-entries", "1,0;0,inf"], "--sigma-entries: must be finite"),    (DETECT + ["--t", "5"], "argument --t: not allowed with argument --calibrate"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -218,11 +217,15 @@ def _json_bytes(obj) -> bytes:
                                     "estimator": {"r": -1, "R": None, "C0": 1.0}})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
      "estimate.json: 'r' must be a positive number, got -1"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON,
+                                    "estimator": {"r": None, "R": None, "C0": 2.0}})},
+     ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
+     "estimate.json: 'C0' 2.0 is no longer supported"),
 ], ids=["config-no-path", "config-list", "config-not-utf8", "config-argv-not-strings",
         "pattern-csv-empty", "pattern-csv-non-numeric", "pattern-csv-non-finite",
         "estimate-dim-string",
         "estimate-sigma_hat-object", "estimate-R_used-string", "estimate-r-string",
-        "estimate-r-negative"])
+        "estimate-r-negative", "estimate-C0-not-one"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -234,14 +237,18 @@ def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_
     assert message in proc.stderr
 
 
-def test_stored_config_with_a_removed_option_is_a_usage_error(tmp_path):
-    config = {"command": "sample", "argv": ["--d", "2", "--L", "6", "--seed", "0",
-                                            "--tol", "1e-06"]}
+@pytest.mark.parametrize("command, argv, removed", [
+    ("sample", ["--d", "2", "--L", "6", "--seed", "0"], ["--tol", "1e-06"]),
+    ("estimate", ["--pattern", "pattern"], ["--R", "3.0"]),
+], ids=["tol", "R"])
+def test_stored_config_with_a_removed_option_is_a_usage_error(command, argv, removed,
+                                                              tmp_path):
+    config = {"command": command, "argv": [*argv, *removed]}
     (tmp_path / "run_config.json").write_text(json.dumps(config))
     proc = _run_cli("--config", "run_config.json", "--out", "out", cwd=tmp_path)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "unrecognized arguments: --tol 1e-06" in proc.stderr
+    assert f"unrecognized arguments: {' '.join(removed)}" in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -323,15 +330,43 @@ def _forbid_simulation(monkeypatch):
 
 def test_estimate_records_its_estimator_settings(estimate_json):
     est = json.loads(estimate_json.read_text())
-    assert est["estimator"] == {"r": NULL_R, "R": None, "C0": 1.0}
+    assert est["estimator"] == {"r": NULL_R}
 
 
 def test_calibrated_null_uses_the_estimate_settings(estimate_json, tmp_path):
     _calibrate(estimate_json, tmp_path / "out")
     stats = json.loads((tmp_path / "out" / "calibration.json").read_text())["statistics"]
     cal = calibrate_null_threshold(2, float(NULL_L), float(NULL_DELTA), int(NULL_K),
-                                   int(NULL_SEED), config=EstimatorConfig(r=NULL_R))
+                                   int(NULL_SEED), r=NULL_R)
     assert stats == cal.statistics.tolist()
+
+
+def test_older_estimate_record_replays_the_same_null(estimate_json, tmp_path, monkeypatch):
+    # Before the window fixed R, estimate.json recorded R (null unless
+    # --R was given) and the auto-rule scale C0 beside r.
+    older = tmp_path / "older.json"
+    est = json.loads(estimate_json.read_text())
+    older.write_text(json.dumps({**est, "estimator": {"r": NULL_R, "R": None, "C0": 1.0}}))
+    assert _calibrate(estimate_json, tmp_path / "current") == "miss"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "another-cache"))
+    assert _calibrate(older, tmp_path / "older") == "miss"
+    for name in ("calibration.json", "detect.json"):
+        assert ((tmp_path / "current" / name).read_bytes()
+                == (tmp_path / "older" / name).read_bytes())
+
+
+def test_null_box_too_small_for_the_cutoff_fails_before_sampling(estimate_json, tmp_path,
+                                                                 monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("calibration sampled before checking its cutoff")
+    monkeypatch.setattr(spiked, "sample_gdp", fail)
+    argv = ["detect", "--estimate", str(estimate_json), "--calibrate", "--L", "1.5",
+            "--null-replicates", NULL_K, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaussdpp: error: null box side 1.5 is too small for the cutoff "
+                          "r = 0.8")
+    assert not (tmp_path / "out" / "result.json").exists()
 
 
 def test_warm_calibration_is_byte_identical(estimate_json, tmp_path, monkeypatch):
@@ -346,7 +381,7 @@ def test_warm_calibration_is_byte_identical(estimate_json, tmp_path, monkeypatch
 def test_other_delta_hits_with_its_own_threshold(estimate_json, tmp_path, monkeypatch):
     assert _calibrate(estimate_json, tmp_path / "cold") == "miss"
     fresh = calibrate_null_threshold(2, float(NULL_L), 0.5, int(NULL_K), int(NULL_SEED),
-                                     config=EstimatorConfig(r=NULL_R))
+                                     r=NULL_R)
     _forbid_simulation(monkeypatch)
     assert _calibrate(estimate_json, tmp_path / "warm", delta="0.5") == "hit"
     cal = json.loads((tmp_path / "warm" / "calibration.json").read_text())
@@ -393,6 +428,16 @@ def test_calibration_replicate_prefix_is_stable(estimate_json, tmp_path):
     three, five = (json.loads((tmp_path / k / "calibration.json").read_text())["statistics"]
                    for k in ("three", "five"))
     assert len(five) == 5 and five[:3] == three
+
+
+def test_poisson_sidecar_records_no_scattering_matrix(tmp_path):
+    # The Poisson draw uses neither --sigma nor the spectral tolerance.
+    assert cli.main(SAMPLE + ["--L", "6", "--sigma", "spiked", "--lam", "2", "--process",
+                              "poisson", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "pattern.json").read_text())
+    assert meta["process"] == "poisson"
+    assert "sigma" not in meta and "tol" not in meta
+    assert meta["count"] == len((tmp_path / "pattern.csv").read_text().splitlines()) - 1
 
 
 def test_sample_replicate_prefix_is_stable(tmp_path):

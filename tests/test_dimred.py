@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gaussdpp import (BallWindow, Dataset, EstimatorConfig, PointPattern,
-                      dpp_embed, estimate_scattering, pca_embed, risk_scores,
-                      roc_auc, scree)
+from gaussdpp import (BallWindow, Dataset, PointPattern, dpp_embed,
+                      estimate_scattering, pca_embed, risk_scores, roc_auc,
+                      scree)
 from gaussdpp import dimred
 from gaussdpp.dimred import pair_difference_sum
 
@@ -97,14 +97,15 @@ class TestDppEmbed:
 
     def test_estimator_matrix_has_reversed_eigenvector_order(self):
         # The full estimator is a*I - c*S, so its eigenvectors are those of
-        # the pair sum S with eigenvalue order reversed.  r exceeds the
-        # diameter and R - r the window radius, so every ordered pair
-        # contributes and the pair term equals S exactly.
+        # the pair sum S with eigenvalue order reversed.  The points lie
+        # within 2.5 of the origin; r = 6 exceeds their diameter and
+        # R - r = 3 their radius, so every ordered pair contributes and
+        # the pair term equals S exactly.
         rng = np.random.default_rng(5)
         pts = rng.uniform(-2, 2, size=(60, 2))
         pts = pts[np.linalg.norm(pts, axis=1) <= 2.5]
-        pat = PointPattern(pts, BallWindow(2.5, 2))
-        res = estimate_scattering(pat, EstimatorConfig(r=6.0, R=9.0))
+        pat = PointPattern(pts, BallWindow(9.0, 2))
+        res = estimate_scattering(pat, 6.0)
         w_hat, v_hat = np.linalg.eigh(res.sigma_hat)
         total, _ = pair_difference_sum(pts)
         w_s, v_s = np.linalg.eigh(total)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdpp import (BallWindow, BoxWindow, EstimatorConfig, PointPattern,
-                      bernstein_tail, bias_bound, count_expectation,
-                      default_cutoff, estimate_scattering, isotropic_scattering,
+from gaussdpp import (BallWindow, BoxWindow, PointPattern, bernstein_tail,
+                      bias_bound, count_expectation, default_cutoff,
+                      estimate_scattering, extract_ball, isotropic_scattering,
                       risk_rate, sample_gdp, spiked_scattering,
                       unit_ball_volume, variance_bound)
 from gaussdpp.patterns import close_pairs
@@ -61,8 +61,6 @@ class TestBounds:
     def test_default_cutoff(self):
         assert default_cutoff(math.e, 1) == pytest.approx(1.0, rel=1e-12)
         assert default_cutoff(math.e ** 4, 4) == pytest.approx(4.0, rel=1e-12)
-        assert default_cutoff(10.0, 2, 2.0) == pytest.approx(
-            2 * math.sqrt(2 * math.log(10)), rel=1e-12)
         with pytest.raises(ValueError):
             default_cutoff(1.0, 2)
 
@@ -116,7 +114,7 @@ class TestNeighborhoods:
     def test_interior_set_strict(self):
         # ||x|| = R - r exactly is excluded from the interior set.
         pat = _ball_pattern([[9.0, 0.0], [8.999, 0.0]], 10.0)
-        res = estimate_scattering(pat, EstimatorConfig(r=1.0, R=10.0))
+        res = estimate_scattering(pat, 1.0)
         assert res.diagnostics["inner_count"] == 1
         assert res.pair_count == 1  # (8.999, 0) -> (9, 0) only
 
@@ -174,7 +172,7 @@ class TestNeighborhoods:
     def test_rejects_bad_radii(self):
         pat = _ball_pattern([[0.0, 0.0]], 5.0)
         with pytest.raises(ValueError, match="need 0 < r < R"):
-            estimate_scattering(pat, EstimatorConfig(r=5.0, R=5.0))
+            estimate_scattering(pat, 5.0)
         with pytest.raises(ValueError, match="r must be positive"):
             close_pairs([[0.0], [1.0]], 0.0)
 
@@ -187,7 +185,7 @@ D2_SCALE = 2.0 ** 2
 class TestEstimateScattering:
     def test_empty_pattern_identity_term(self):
         pat = PointPattern(np.empty((0, 2)), BallWindow(10.0, 2))
-        res = estimate_scattering(pat, EstimatorConfig(r=1.0))
+        res = estimate_scattering(pat, 1.0)
         assert np.allclose(res.sigma_hat, D2_SCALE * (math.pi / 4) * np.eye(2),
                            rtol=1e-12)
         assert res.pair_count == 0
@@ -196,8 +194,7 @@ class TestEstimateScattering:
     def test_two_point_pattern_by_hand(self):
         r, big_r = 2.0, 10.0
         pts = [[0.5, 0.0], [-0.5, 0.0]]
-        res = estimate_scattering(_ball_pattern(pts, big_r),
-                                  EstimatorConfig(r=r, R=big_r))
+        res = estimate_scattering(_ball_pattern(pts, big_r), r)
         diff = np.array([1.0, 0.0])
         expected = D2_SCALE * (
             math.pi * r ** 4 / 4 * np.eye(2)
@@ -209,18 +206,16 @@ class TestEstimateScattering:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-4, 4, size=(200, 3))
         pts = pts[np.linalg.norm(pts, axis=1) <= 5.0]
-        res = estimate_scattering(_ball_pattern(pts, 5.0),
-                                  EstimatorConfig(r=1.5))
+        res = estimate_scattering(_ball_pattern(pts, 5.0), 1.5)
         assert np.array_equal(res.sigma_hat, res.sigma_hat.T)
 
     def test_permutation_bitwise_stable(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-4, 4, size=(150, 2))
         pts = pts[np.linalg.norm(pts, axis=1) <= 5.0]
-        cfg = EstimatorConfig(r=1.2)
-        res = estimate_scattering(_ball_pattern(pts, 5.0), cfg)
+        res = estimate_scattering(_ball_pattern(pts, 5.0), 1.2)
         shuffled = pts[rng.permutation(pts.shape[0])]
-        res2 = estimate_scattering(_ball_pattern(shuffled, 5.0), cfg)
+        res2 = estimate_scattering(_ball_pattern(shuffled, 5.0), 1.2)
         assert np.array_equal(res.sigma_hat, res2.sigma_hat)
         assert res.pair_count == res2.pair_count
 
@@ -231,9 +226,8 @@ class TestEstimateScattering:
         theta = 0.7
         q = np.array([[math.cos(theta), -math.sin(theta)],
                       [math.sin(theta), math.cos(theta)]])
-        cfg = EstimatorConfig(r=1.0)
-        base = estimate_scattering(_ball_pattern(pts, 5.0), cfg).sigma_hat
-        rotated = estimate_scattering(_ball_pattern(pts @ q.T, 5.0), cfg).sigma_hat
+        base = estimate_scattering(_ball_pattern(pts, 5.0), 1.0).sigma_hat
+        rotated = estimate_scattering(_ball_pattern(pts @ q.T, 5.0), 1.0).sigma_hat
         assert np.allclose(rotated, q @ base @ q.T, atol=1e-10)
 
     @settings(max_examples=40, deadline=None)
@@ -246,17 +240,33 @@ class TestEstimateScattering:
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         pts = rng.uniform(-5.0, 5.0, size=(n, d))
         pts = pts[np.linalg.norm(pts, axis=1) <= 4.9]
-        cfg = EstimatorConfig(r=1.5)
-        base = estimate_scattering(_ball_pattern(pts, 5.0), cfg).sigma_hat
-        rotated = estimate_scattering(_ball_pattern(pts @ q.T, 5.0), cfg).sigma_hat
+        base = estimate_scattering(_ball_pattern(pts, 5.0), 1.5).sigma_hat
+        rotated = estimate_scattering(_ball_pattern(pts @ q.T, 5.0), 1.5).sigma_hat
         assert np.abs(rotated - q @ base @ q.T).max() <= 1e-9 * np.linalg.norm(base)
 
     def test_box_window_uses_inscribed_ball(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-5, 5, size=(100, 2))
         pat = PointPattern(pts, BoxWindow(10.0, 2))
-        res = estimate_scattering(pat, EstimatorConfig(r=1.0))
+        res = estimate_scattering(pat, 1.0)
         assert res.R_used == 5.0
+
+    # The window fixes R: a point outside the inscribed ball is never a
+    # centre (those lie within R - r of the origin) nor a neighbour of
+    # one, so cutting it off changes neither the pair set nor its order.
+    @pytest.mark.parametrize("sigma, side", [
+        (spiked_scattering(3.0, [1.0, 0.0]), 28.0),
+        (isotropic_scattering(3), 12.0),
+    ], ids=["spiked2-L28", "iso3-L12"])
+    def test_box_window_equals_its_inscribed_ball(self, sigma, side):
+        box = sample_gdp(sigma, BoxWindow(side, sigma.dim), 1)
+        ball = extract_ball(box, side / 2.0)
+        assert len(ball) < len(box)
+        for r in (None, 0.8):  # the auto cutoff, and a fixed one
+            on_box, on_ball = estimate_scattering(box, r), estimate_scattering(ball, r)
+            assert np.array_equal(on_box.sigma_hat, on_ball.sigma_hat)
+            assert on_box.pair_count == on_ball.pair_count
+            assert (on_box.r_used, on_box.R_used) == (on_ball.r_used, on_ball.R_used)
 
     def test_auto_cutoff_within_clamp(self):
         rng = np.random.default_rng(6)
@@ -287,7 +297,7 @@ class TestEstimateScattering:
 
     def test_json_payload(self):
         pat = PointPattern(np.empty((0, 2)), BallWindow(10.0, 2))
-        res = estimate_scattering(pat, EstimatorConfig(r=2.0))
+        res = estimate_scattering(pat, 2.0)
         payload = res.to_json_dict()
         blob = json.loads(json.dumps(payload))
         assert blob["N"] == 0

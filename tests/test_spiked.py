@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussdpp import (EstimatorConfig, NullCalibration, calibrate_null_threshold,
+from gaussdpp import (NullCalibration, calibrate_null_threshold,
                       davis_kahan_reference, detection_test,
                       detection_test_calibrated, estimate_spike,
                       isotropic_scattering, operator_norm, risk_rate,
@@ -140,8 +140,7 @@ class TestDavisKahanReference:
 class TestCalibration:
     def test_threshold_is_high_order_statistic(self):
         cal = calibrate_null_threshold(
-            d=2, side=10.0, delta=0.1, n_replicates=30, seed=4,
-            config=EstimatorConfig(r=0.8))
+            d=2, side=10.0, delta=0.1, n_replicates=30, seed=4, r=0.8)
         stats = np.sort(cal.statistics)
         # ceil(31 * 0.9) = 28th order statistic
         assert cal.threshold == stats[27]
