@@ -17,9 +17,9 @@ from .estimator import (EstimateResult, bernstein_tail, bias_bound,
                         count_expectation, default_cutoff, estimate_scattering,
                         risk_rate, unit_ball_volume, variance_bound)
 from .spiked import (DetectionResult, NullCalibration, SpikeEstimate,
-                     calibrate_null_threshold, davis_kahan_reference,
-                     detection_test, detection_test_calibrated, estimate_spike,
-                     operator_norm, sin_angle)
+                     calibrate_null_threshold, detection_test,
+                     detection_test_calibrated, estimate_spike, operator_norm,
+                     sin_angle)
 from .dimred import (Dataset, ProjectionResult, RocCurve, dpp_embed,
                      pca_embed, risk_scores, roc_auc, scree)
 from .datasets import load_dataset
@@ -38,8 +38,8 @@ __all__ = [
     "count_expectation", "default_cutoff",
     "estimate_scattering", "risk_rate", "unit_ball_volume", "variance_bound",
     "DetectionResult", "NullCalibration", "SpikeEstimate",
-    "calibrate_null_threshold", "davis_kahan_reference", "detection_test",
-    "detection_test_calibrated", "estimate_spike", "operator_norm", "sin_angle",
+    "calibrate_null_threshold", "detection_test", "detection_test_calibrated",
+    "estimate_spike", "operator_norm", "sin_angle",
     "Dataset", "ProjectionResult", "RocCurve", "dpp_embed", "pca_embed",
     "risk_scores", "roc_auc", "scree",
     "load_dataset",

@@ -42,16 +42,23 @@ from .datasets import load_dataset
 from .dimred import dpp_embed, pca_embed, risk_scores, roc_auc, scree
 from .estimator import (bernstein_tail, bias_bound, count_expectation,
                         estimate_scattering, risk_rate, variance_bound)
-from .kernel import (ScatteringMatrix, isotropic_scattering,
-                     normalize_scattering, spiked_scattering,
-                     truncated_pair_correlation)
+from .kernel import (TWO_PI, ScatteringMatrix, isotropic_scattering,
+                     normalize_scattering, spiked_scattering)
 from .patterns import BoxWindow, extract_ball, load_pattern, save_pattern
 from .sampling import (DEFAULT_TOL, count_dispersion_test, empirical_pair_correlation,
-                       sample_gdp, sample_poisson)
+                       pair_metric, sample_gdp, sample_poisson)
 from .spiked import (NullCalibration, calibrate_null_threshold, detection_test,
                      detection_test_calibrated, estimate_spike)
 
 SCHEMA_VERSION = 1
+
+# Options only one mode of a subcommand reads: (is that mode on, the other mode, options).
+_MODE_OPTIONS = {
+    "detect": (lambda args: args.calibrate, "without --calibrate",
+               ("--L", "--null-replicates", "--seed", "--delta")),
+    "sample": (lambda args: args.process == "gdp", "by --process poisson",
+               ("--sigma", "--lam", "--u", "--sigma-entries")),
+}
 
 
 def _checked(convert, ok, requirement: str):
@@ -107,14 +114,8 @@ def _parse_sigma(args, d: int) -> ScatteringMatrix:
         return normalize_scattering(sigma)
     if args.sigma == "iso":
         return isotropic_scattering(d)
-    if args.sigma == "spiked":
-        if args.u:
-            u = np.asarray(args.u) / math.hypot(*args.u)
-        else:
-            u = np.zeros(d)
-            u[0] = 1.0
-        return spiked_scattering(args.lam, u, d)
-    raise ValueError(f"unknown --sigma {args.sigma!r}")
+    u = np.asarray(args.u or [1.0] + [0.0] * (d - 1))  # --sigma spiked; e1 by default
+    return spiked_scattering(args.lam, u / math.hypot(*u), d)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -160,11 +161,11 @@ def _summary(payload: dict) -> dict:
 
 
 def _cmd_sample(args, out: Path) -> dict:
-    sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
     if args.process == "poisson":
         draw, model = partial(sample_poisson, 1.0, window), {}
     else:
+        sigma = _parse_sigma(args, args.d)
         draw = partial(sample_gdp, sigma, window)
         model = {"sigma_entries": sigma.entries, "tol": DEFAULT_TOL}
     patterns = [draw((args.seed, i)) for i in range(args.replicates)]
@@ -315,8 +316,7 @@ def _cmd_reduce(args, out: Path) -> dict:
     if args.method == "dpp":
         proj = dpp_embed(dataset, args.k, r=args.r, standardize=args.standardize)
     else:
-        proj = pca_embed(dataset, args.k, center=not args.no_center,
-                         scale=not args.no_scale)
+        proj = pca_embed(dataset, args.k)
     labels = dataset.labels if dataset.labels is not None else [""] * dataset.n_rows
     rows = [[i, *map(float, proj.coords[i]), labels[i]]
             for i in range(dataset.n_rows)]
@@ -370,10 +370,9 @@ def _cmd_validate(args, out: Path) -> dict:
         bern.append({"eps": eps, "empirical": freq,
                      "bound": bernstein_tail(eps, radius, args.d)})
 
-    est = empirical_pair_correlation(patterns, _bin_edges(args))
-    theory = [1.0 + truncated_pair_correlation(
-        sigma, np.zeros(args.d), np.r_[c, np.zeros(args.d - 1)])
-        for c, _ in est]
+    # Binned by rho = sqrt(u'(2 pi S)^-1 u), where g = 1 - exp(-2 pi rho^2) for any S.
+    est = empirical_pair_correlation(patterns, _bin_edges(args), sigma)
+    theory = [1.0 - math.exp(-TWO_PI * c * c) for c, _ in est]
     _write_csv(out / "paircorr.csv", ["center", "empirical", "theoretical"],
                [[c, g, th] for (c, g), th in zip(est, theory)])
     payload = {
@@ -399,9 +398,9 @@ def _cmd_bounds(args, out: Path) -> dict:
         sigma = _parse_sigma(args, args.d)
         payload["bias_bound"] = bias_bound(sigma, args.r)
     if args.variance:
-        payload["variance_bound"] = variance_bound(args.r, args.d, args.n, args.C)
+        payload["variance_bound"] = variance_bound(args.r, args.d, args.n)
     if args.rate:
-        payload["risk_rate"] = risk_rate(args.n, args.d, args.c)
+        payload["risk_rate"] = risk_rate(args.n, args.d)
     if args.count:
         payload["count_expectation"] = count_expectation(args.R, args.d)
     if not payload:
@@ -436,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="simulate point patterns on a box window")
     p.add_argument("--d", type=_positive_int, required=True)
     _add_sigma_flags(p)
-    p.add_argument("--process", default="gdp", choices=["gdp", "poisson"])
+    p.add_argument("--process", default="gdp", choices=["gdp", "poisson"],
+                   help="poisson: unit intensity, takes no scattering option")
     p.add_argument("--L", type=_positive_finite, required=True, help="box side")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--replicates", type=_positive_int, default=1)
@@ -469,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
              "--seed (not --delta); delete that directory to clear it. result.json "
              "reports calibration_cache: hit or miss.")
     p.add_argument("--delta", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
-                   default=0.05)
+                   default=0.05, help="with --calibrate: test level")
     p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),
-                   default=200)
-    p.add_argument("--seed", type=int, default=0)
+                   default=200, help="with --calibrate: null replicates K")
+    p.add_argument("--seed", type=int, default=0, help="with --calibrate: null seed")
     p.add_argument("--L", type=_positive_finite, default=None,
-                   help="box side for null simulation (default 2 * R_used)")
+                   help="with --calibrate: null box side (default 2 * R_used)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
 
@@ -490,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "r_used null in reduce.json)")
     p.add_argument("--standardize", action="store_true",
                    help="center+scale features before the DPP pipeline")
-    p.add_argument("--no-center", action="store_true", help="PCA: skip centering")
-    p.add_argument("--no-scale", action="store_true", help="PCA: use covariance")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reduce)
 
@@ -527,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, default=2)
     p.add_argument("--r", type=_positive_finite, default=3.0)
     p.add_argument("--n", type=_positive_finite, default=100.0)
-    p.add_argument("--C", type=_positive_finite, default=1.0)
-    p.add_argument("--c", type=_positive_finite, default=1.0)
     _add_sigma_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
@@ -562,27 +558,26 @@ def main(argv=None) -> int:
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        edges = _bin_edges(args)  # checked before any replicate is drawn
-        if edges.size < 2 or edges[-1] > args.L / 2:
+    tokens = argv[1:]  # after the subcommand
+    if args.command in _MODE_OPTIONS:  # refused, not echoed into run_config.json as if used
+        used, mode, options = _MODE_OPTIONS[args.command]
+        given = [o for o in options if any(t == o or t.startswith(o + "=") for t in tokens)]
+        if given and not used(args):
+            parser.error(f"{args.command}: {', '.join(given)} not used {mode}")
+    if args.command == "validate":  # checked before any replicate is drawn
+        edges = _bin_edges(args)
+        try:
+            reach = edges[-1] * pair_metric(_parse_sigma(args, args.d))[1]
+        except ValueError as exc:
+            parser.error(f"validate: {exc}")
+        if edges.size < 2 or reach > args.L / 2:
+            pairs = f", whose pairs reach {reach:g}" if reach != edges[-1] else ""
             parser.error(f"validate: --r-max {args.r_max:g} and --bin-width {args.bin_width:g}"
                          + (" give no bin" if edges.size < 2 else " put the last bin edge at "
-                            f"{edges[-1]:g}, beyond --L/2 = {args.L / 2:g}"))
+                            f"{edges[-1]:g}{pairs}, beyond --L/2 = {args.L / 2:g}"))
     # Stored for the config echo: everything after the subcommand, minus --out.
-    tokens = argv[1:]
-    cleaned = []
-    skip = False
-    for i, tok in enumerate(tokens):
-        if skip:
-            skip = False
-            continue
-        if tok == "--out":
-            skip = True
-            continue
-        if tok.startswith("--out="):
-            continue
-        cleaned.append(tok)
-    args._argv = cleaned
+    args._argv = [tok for i, tok in enumerate(tokens) if not (
+        tok == "--out" or tok.startswith("--out=") or (i and tokens[i - 1] == "--out"))]
     try:
         t0 = time.perf_counter()
         out = Path(args.out)

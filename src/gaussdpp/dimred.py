@@ -5,8 +5,8 @@ The DPP embedding ranks directions by the descending spectrum of the
 pair-difference sum S(r) = sum over i != j with |Xi - Xj| < r of
 (Xi - Xj)(Xi - Xj)', the data term of the scattering estimator.  Over all
 pairs (the default) S = 2N Xc'Xc, Xc the column-centered rows, so the
-embedding is covariance PCA and "DPP vs PCA" at the defaults compares
-covariance PCA with correlation PCA.  Only a finite r gives a local,
+embedding is covariance PCA, and "DPP vs PCA" at the defaults compares it
+with the correlation PCA of `pca_embed`.  Only a finite r gives a local,
 repulsion-based embedding: S(r) is then the graph-Laplacian form
 2 X'(D - A)X of the 0/1 matrix A of pairs closer than r and its row sums D.
 """
@@ -62,7 +62,7 @@ class ProjectionResult:
     """Embedded coordinates plus the spectrum behind them.
 
     eigvals is the full descending spectrum used for ranking (pair-term
-    spectrum for the DPP method, correlation/covariance spectrum for PCA);
+    spectrum for the DPP method, correlation spectrum for PCA);
     eigvecs holds the top-k components column-wise.  r_used is the DPP
     cutoff, None over all pairs and for PCA.
     """
@@ -88,18 +88,14 @@ def _fix_column_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _standardize(x: np.ndarray, center: bool, scale: bool) -> np.ndarray:
-    out = x
-    if center:
-        out = out - out.mean(axis=0)
-    if scale:
-        sd = x.std(axis=0, ddof=1)
-        bad = np.nonzero(sd == 0)[0]
-        if bad.size:
-            raise ValueError(f"zero-variance feature column(s) {bad.tolist()} "
-                             "cannot be scaled")
-        out = out / sd
-    return out
+def _standardize(x: np.ndarray) -> np.ndarray:
+    """Columns centered and scaled to unit sample variance."""
+    sd = x.std(axis=0, ddof=1)
+    bad = np.nonzero(sd == 0)[0]
+    if bad.size:
+        raise ValueError(f"zero-variance feature column(s) {bad.tolist()} "
+                         "cannot be scaled")
+    return (x - x.mean(axis=0)) / sd
 
 
 def _sq_dist_blocks(xc: np.ndarray):
@@ -180,8 +176,8 @@ def dpp_embed(dataset: Dataset, k: int, r: float | None = None,
               standardize: bool = False) -> ProjectionResult:
     """Project rows onto the leading directions of the pair-difference sum.
 
-    r None or inf sums over every pair, which equals covariance PCA
-    (`pca_embed(center=False, scale=False)`, eigenvalues times 2(N - 1)),
+    r None or inf sums over every pair, which equals covariance PCA (the
+    eigenvectors of the sample covariance, eigenvalues times 2(N - 1)),
     computed by the closed form; r_used is then None.  A positive finite r
     keeps only pairs strictly closer than r, the local embedding, and is
     reported as r_used.  Any other r raises ValueError.  Eigenvalues are
@@ -201,22 +197,19 @@ def dpp_embed(dataset: Dataset, k: int, r: float | None = None,
     x = dataset.features
     _check_k(x, k)
     if standardize:
-        x = _standardize(x, center=True, scale=True)
+        x = _standardize(x)
     pair_sum, _ = pair_difference_sum(x, r=r)
     return _project(pair_sum / x.shape[0], x, k, "dpp", r_used=r)
 
 
-def pca_embed(dataset: Dataset, k: int, center: bool = True,
-              scale: bool = True) -> ProjectionResult:
-    """PCA baseline: eigenvectors of the sample correlation matrix (the
-    default center+scale configuration) or of the covariance matrix when
-    scale is off.  Rows are transformed by the same center/scale flags
-    before projection."""
+def pca_embed(dataset: Dataset, k: int) -> ProjectionResult:
+    """PCA baseline: standardized rows (columns centered and scaled to unit
+    variance) projected on the eigenvectors of the sample correlation
+    matrix.  A zero-variance column raises ValueError."""
     x = dataset.features
     _check_k(x, k)
-    xs = _standardize(x, center=center, scale=scale)  # rejects zero variance
-    matrix = np.corrcoef(x, rowvar=False) if scale else np.cov(x, rowvar=False)
-    return _project(matrix, xs, k, "pca")
+    xs = _standardize(x)  # first: rejects zero variance before corrcoef divides by it
+    return _project(np.corrcoef(x, rowvar=False), xs, k, "pca")
 
 
 def risk_scores(coords: np.ndarray, component: int = 0,

@@ -75,8 +75,8 @@ def bias_bound(sigma: ScatteringMatrix, r: float) -> float | None:
     return 9.0 * sigma.dim * s ** 2 * math.exp((4.0 * tr - 2.0 * r ** 2) / (3.0 * s))
 
 
-def variance_bound(r: float, d: int, n: float, c: float = 1.0) -> float | None:
-    """Frobenius variance bound d^2 (C/d)^d r^(2d+4) / n.
+def variance_bound(r: float, d: int, n: float) -> float | None:
+    """Frobenius variance bound d^2 (1/d)^d r^(2d+4) / n, universal constant C = 1.
 
     Asserted only for r >= sqrt(d); returns None below that.
     """
@@ -84,14 +84,14 @@ def variance_bound(r: float, d: int, n: float, c: float = 1.0) -> float | None:
         raise ValueError("expected count n must be positive")
     if r < math.sqrt(d):
         return None
-    return d ** 2 * (c / d) ** d * r ** (2 * d + 4) / n
+    return d ** 2 * (1.0 / d) ** d * r ** (2 * d + 4) / n
 
 
-def risk_rate(n: float, d: int, c: float = 1.0) -> float:
-    """Frobenius risk rate d^2 (c sqrt(log n))^(d+1) / sqrt(n)."""
+def risk_rate(n: float, d: int) -> float:
+    """Frobenius risk rate d^2 sqrt(log n)^(d+1) / sqrt(n), universal constant c = 1."""
     if not n > 1:
         raise ValueError("expected count n must exceed 1")
-    return d ** 2 * (c * math.sqrt(math.log(n))) ** (d + 1) / math.sqrt(n)
+    return d ** 2 * math.sqrt(math.log(n)) ** (d + 1) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ class EstimateResult:
 
     def to_json_dict(self) -> dict:
         """JSON payload: matrix (row-major), counts, cutoff, and the
-        theoretical bounds where applicable (plug-in scattering matrix,
-        constants C = c = 1; `gaussdpp bounds` takes any others)."""
+        theoretical bounds where applicable (plug-in scattering matrix)."""
         d = self.sigma_hat.shape[0]
         bias = None
         w = np.linalg.eigvalsh(self.sigma_hat)

@@ -141,7 +141,8 @@ def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray
         m = max(1, min(bins, int(side / width)))
         cells = np.floor((pts + side / 2) / (side / m)).astype(np.int64) % m
         radix = np.full(d, m)
-    steps = [np.unique(np.array([-1, 0, 1]) % k) for k in radix]
+    # A set, not np.unique, which imports numpy.ma on first use.
+    steps = [sorted({-1 % k, 0, 1 % k}) for k in radix.tolist()]
     offsets = np.stack(np.meshgrid(*steps, indexing="ij"), axis=-1).reshape(-1, d)
 
     key = np.ravel_multi_index(tuple(cells.T), radix)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import unit_ball_volume
-from .kernel import ScatteringMatrix
+from .kernel import TWO_PI, ScatteringMatrix
 from .patterns import BoxWindow, PointPattern, close_pairs
 
 DEFAULT_TOL = 1e-6
@@ -487,13 +487,29 @@ def sample_poisson(intensity: float, window: BoxWindow, seed) -> PointPattern:
     return PointPattern(pts, window)
 
 
-def empirical_pair_correlation(patterns, bin_edges) -> list[tuple[float, float]]:
-    """Radial pair-correlation estimate on torus windows.
+def pair_metric(sigma: ScatteringMatrix | None) -> tuple[np.ndarray | None, float]:
+    """Separation rho(u) = sqrt(u'(2 pi S)^-1 u) for a normalized S, as (W, s)
+    with rho(u) = |u W| and |u| <= s rho(u); (None, 1) when rho(u) = |u|,
+    for S None or isotropic."""
+    if sigma is not None and not sigma.normalized:
+        raise ValueError("pair separation requires a normalized scattering matrix")
+    if sigma is None or np.array_equal(sigma.entries, sigma.entries[0, 0] * np.eye(sigma.dim)):
+        return None, 1.0
+    scaled = TWO_PI * sigma.eigenvalues
+    return sigma.eigenvectors / np.sqrt(scaled), math.sqrt(scaled[-1])
+
+
+def empirical_pair_correlation(patterns, bin_edges,
+                               sigma: ScatteringMatrix | None = None) -> list[tuple[float, float]]:
+    """Pair-correlation estimate on torus windows, binned by the separation
+    rho of `pair_metric(sigma)`, at which the model's pair correlation is
+    1 - exp(-2 pi rho^2) for every sigma.
 
     For each bin the ordered-pair count at that separation (torus metric)
     is divided by the count an intensity-1 Poisson process would produce,
-    L^d * |shell|, and averaged over patterns.  The torus has no boundary,
-    so no edge correction is needed or applied.
+    L^d * |shell| (det(2 pi S) = 1 keeps the Euclidean shell volume), and
+    averaged over patterns.  The torus has no boundary, so no edge
+    correction is needed or applied.
 
     Returns a list of (bin center, estimate) pairs.
     """
@@ -507,22 +523,24 @@ def empirical_pair_correlation(patterns, bin_edges) -> list[tuple[float, float]]
     if not isinstance(window, BoxWindow):
         raise ValueError("pair-correlation estimate expects box (torus) windows")
     side, d = window.side, window.dim
-    if edges[-1] > side / 2:
-        raise ValueError("largest bin edge exceeds half the torus side")
-    vb1 = unit_ball_volume(d)
-    shell = side ** d * vb1 * (edges[1:] ** d - edges[:-1] ** d)
+    whiten, stretch = pair_metric(sigma)
+    reach = edges[-1] * stretch  # Euclidean length of the largest separation
+    if reach > side / 2:
+        raise ValueError("pairs up to the largest bin edge reach beyond half the torus side")
+    shell = side ** d * unit_ball_volume(d) * (edges[1:] ** d - edges[:-1] ** d)
 
-    # The last bin is closed: query a hair beyond its edge and let the
+    # The last bin is closed: query a hair beyond its reach and let the
     # histogram drop the rest.
-    reach = edges[-1] * (1.0 + 1e-9)
     totals = np.zeros(edges.size - 1)
     for pat in patterns:
         if pat.window != window:
             raise ValueError("all patterns must share the same window")
         pts = pat.points
-        i, j = close_pairs(pts, reach, side)
-        diff = np.abs(pts[i] - pts[j])
-        diff = np.minimum(diff, side - diff)
+        i, j = close_pairs(pts, reach * (1.0 + 1e-9), side)
+        diff = pts[i] - pts[j]
+        diff -= side * np.round(diff / side)  # the shorter way round, signed
+        if whiten is not None:
+            diff = diff @ whiten
         counts, _ = np.histogram(np.sqrt(np.einsum("ij,ij->i", diff, diff)), bins=edges)
         totals += 2.0 * counts  # ordered pairs
     est = totals / (len(patterns) * shell)

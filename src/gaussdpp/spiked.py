@@ -128,13 +128,6 @@ def sin_angle(u, v) -> float:
     return math.sqrt(max(0.0, 1.0 - dot * dot))
 
 
-def davis_kahan_reference(rate: float, lam: float) -> float:
-    """Reference perturbation bound rate / lambda on E|sin(angle)|."""
-    if not lam > 0:
-        raise ValueError("spike strength must be positive")
-    return rate / lam
-
-
 @dataclass(frozen=True)
 class NullCalibration:
     threshold: float

@@ -51,8 +51,8 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["bounds", "--count", "--R", "-3"], "--R: must be positive and finite"),
     (["bounds", "--bias", "--r", "inf"], "--r: must be positive and finite"),
     (["bounds", "--variance", "--n", "-1"], "--n: must be positive and finite"),
-    (["bounds", "--variance", "--C", "0"], "--C: must be positive and finite"),
-    (["bounds", "--rate", "--c", "nan"], "--c: must be positive and finite"),
+    (["bounds", "--variance", "--C", "2"], "unrecognized arguments: --C 2"),
+    (["bounds", "--rate", "--c", "2"], "unrecognized arguments: --c 2"),
     (SAMPLE + ["--L", "5", "--sigma", "spiked", "--lam", "-0.5"],
      "--lam: must be finite and >= 0"),
     (SAMPLE + ["--L", "5", "--sigma", "spiked", "--lam", "inf"],
@@ -71,6 +71,22 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["bounds", "--bias", "--d", "2", "--sigma-entries", "1,0;0"],
      "--sigma-entries: must be a square matrix"),
     (SAMPLE + ["--L", "5", "--sigma-entries", "1,0;0,inf"], "--sigma-entries: must be finite"),    (DETECT + ["--t", "5"], "argument --t: not allowed with argument --calibrate"),
+    (["reduce", "--data", "data.csv", "--method", "pca", "--no-center"],
+     "unrecognized arguments: --no-center"),
+    (["reduce", "--data", "data.csv", "--method", "pca", "--no-scale"],
+     "unrecognized arguments: --no-scale"),
+    # Options the chosen mode never reads.
+    (["detect", "--estimate", "estimate.json", "--L", "3", "--null-replicates", "7", "--seed",
+      "5", "--delta", "0.3"],
+     "detect: --L, --null-replicates, --seed, --delta not used without --calibrate"),
+    (["detect", "--estimate", "estimate.json", "--t", "5", "--delta=0.3"],
+     "detect: --delta not used without --calibrate"),
+    (SAMPLE + ["--L", "5", "--sigma", "spiked", "--lam", "2", "--process", "poisson"],
+     "sample: --sigma, --lam not used by --process poisson"),
+    (SAMPLE + ["--L", "5", "--process", "poisson", "--u", "1,0"],
+     "sample: --u not used by --process poisson"),
+    (SAMPLE + ["--L", "5", "--process", "poisson", "--sigma-entries=1,0;0,1"],
+     "sample: --sigma-entries not used by --process poisson"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -240,7 +256,11 @@ def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_
 @pytest.mark.parametrize("command, argv, removed", [
     ("sample", ["--d", "2", "--L", "6", "--seed", "0"], ["--tol", "1e-06"]),
     ("estimate", ["--pattern", "pattern"], ["--R", "3.0"]),
-], ids=["tol", "R"])
+    ("bounds", ["--variance"], ["--C", "2.0"]),
+    ("bounds", ["--rate"], ["--c", "2.0"]),
+    ("reduce", ["--data", "data.csv", "--method", "pca"], ["--no-center"]),
+    ("reduce", ["--data", "data.csv", "--method", "pca"], ["--no-scale"]),
+], ids=["tol", "R", "C", "c", "no-center", "no-scale"])
 def test_stored_config_with_a_removed_option_is_a_usage_error(command, argv, removed,
                                                               tmp_path):
     config = {"command": command, "argv": [*argv, *removed]}
@@ -431,9 +451,9 @@ def test_calibration_replicate_prefix_is_stable(estimate_json, tmp_path):
 
 
 def test_poisson_sidecar_records_no_scattering_matrix(tmp_path):
-    # The Poisson draw uses neither --sigma nor the spectral tolerance.
-    assert cli.main(SAMPLE + ["--L", "6", "--sigma", "spiked", "--lam", "2", "--process",
-                              "poisson", "--out", str(tmp_path)]) == 0
+    # The Poisson draw uses neither a scattering matrix nor the spectral
+    # tolerance (its scattering options are usage errors).
+    assert cli.main(SAMPLE + ["--L", "6", "--process", "poisson", "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "pattern.json").read_text())
     assert meta["process"] == "poisson"
     assert "sigma" not in meta and "tol" not in meta
@@ -590,7 +610,7 @@ EXIT_CASES = {
                  ["validate", "--d", "1", "--L", "6"]),
     "bounds": (["bounds", "--bernstein", "--count"],
                ["bounds", "--eps", "0.2"],
-               ["bounds", "--rate", "--c", "-1"]),
+               ["bounds", "--rate", "--n", "-1"]),
 }
 
 
@@ -632,6 +652,12 @@ def test_exit_code_contract(command, outcome, code, cli_inputs, tmp_path, capsys
     (["--r-max", "5"], "--r-max 5 and --bin-width 0.1 put the last bin edge at 5, "
                        "beyond --L/2 = 4"),
     (["--bin-width", "5"], "--r-max 2 and --bin-width 5 give no bin"),
+    # Under 2 pi S = diag(4, 1/4) a separation rho = 2.5 spans 5 along e1.
+    (["--r-max", "2.5", "--sigma", "spiked", "--lam", "3"],
+     "--r-max 2.5 and --bin-width 0.1 put the last bin edge at 2.5, whose pairs reach 5, "
+     "beyond --L/2 = 4"),
+    (["--sigma", "spiked", "--lam", "3", "--u", "1,0,0"],
+     "validate: spike direction has length 3, expected 2"),
 ])
 def test_validate_checks_its_bins_before_sampling(options, message, tmp_path, capsys,
                                                   monkeypatch):
@@ -646,3 +672,40 @@ def test_validate_checks_its_bins_before_sampling(options, message, tmp_path, ca
     assert err.startswith("usage: gaussdpp")
     assert message in err
     assert not out.exists()
+
+
+def test_validate_bins_an_anisotropic_model_by_its_own_separation(tmp_path):
+    # The model's pair correlation depends on u through rho = sqrt(u'(2 pi S)^-1 u)
+    # alone, so a correct sampler matches it as closely for a spike, along an
+    # axis or not, as for the isotropic model.
+    errors = {}
+    for name, model in {"iso": [], "spiked": ["--sigma", "spiked", "--lam", "3"],
+                        "diagonal": ["--sigma", "spiked", "--lam", "3", "--u", "1,1"]}.items():
+        assert cli.main(["validate", "--d", "2", "--L", "20", "--replicates", "8", "--seed",
+                         "3", *model, "--out", str(tmp_path / name)]) == 0
+        errors[name] = json.loads((tmp_path / name / "validate.json").read_text())[
+            "paircorr_max_abs_err"]
+    assert errors["iso"] < 0.15
+    assert errors["spiked"] <= 1.25 * errors["iso"]
+    assert errors["diagonal"] <= 1.25 * errors["iso"]
+
+
+def test_estimate_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma (about 10 ms) on first use.
+    assert cli.main(SAMPLE + ["--L", "6", "--out", str(tmp_path / "sample")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = ["estimate", "--pattern", str(tmp_path / "sample" / "pattern"), "--r", "0.8",
+            "--out", str(tmp_path / "estimate")]
+    loaded = {}
+    for name, code in {"numpy": "import numpy",
+                       "estimate": f"from gaussdpp import cli; assert cli.main({argv!r}) == 0"
+                       }.items():
+        proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; "
+                               "print('numpy.ma' in sys.modules)"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = proc.stdout.split()[-1]
+    if loaded["numpy"] == "True":
+        pytest.skip("this numpy imports numpy.ma itself")
+    assert loaded["estimate"] == "False"

@@ -17,6 +17,14 @@ def make_dataset(rng, n=40, d=5):
     return Dataset(rng.standard_normal((n, d)) @ np.diag([3, 2, 1, 0.5, 0.2]))
 
 
+def covariance_pca(x, k):
+    """Reference covariance PCA: the descending spectrum of the sample
+    covariance and its k leading eigenvectors, columns in arbitrary sign."""
+    w, v = np.linalg.eigh(np.cov(x, rowvar=False))
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order[:k]]
+
+
 def principal_angle(a, b):
     # sin of the largest principal angle between equal-dimension column
     # spaces, via the spectral norm of the projector difference (well
@@ -166,11 +174,11 @@ class TestPairSumForms:
         rng = np.random.default_rng(20)
         ds = make_dataset(rng, n=60)
         a = dpp_embed(ds, 3)
-        b = pca_embed(ds, 3, center=False, scale=False)
-        sign = np.sign(np.sum(a.eigvecs * b.eigvecs, axis=0))
-        assert np.allclose(a.eigvecs, sign * b.eigvecs, rtol=0, atol=1e-12)
-        assert np.allclose(a.coords, sign * b.coords, rtol=0, atol=1e-10)
-        assert np.allclose(a.eigvals / b.eigvals, 2 * (ds.n_rows - 1), rtol=1e-12)
+        eigvals, eigvecs = covariance_pca(ds.features, 3)
+        eigvecs = eigvecs * np.sign(np.sum(a.eigvecs * eigvecs, axis=0))
+        assert np.allclose(a.eigvecs, eigvecs, rtol=0, atol=1e-12)
+        assert np.allclose(a.coords, ds.features @ eigvecs, rtol=0, atol=1e-10)
+        assert np.allclose(a.eigvals / eigvals, 2 * (ds.n_rows - 1), rtol=1e-12)
         assert a.r_used is None
 
     def test_pair_at_exactly_r_is_excluded(self):
@@ -232,11 +240,14 @@ class TestPcaEmbed:
         q = np.array([[math.cos(theta), -math.sin(theta), 0],
                       [math.sin(theta), math.cos(theta), 0],
                       [0, 0, 1.0]])
-        a = pca_embed(Dataset(x), 3, center=True, scale=False)
-        b = pca_embed(Dataset(x @ q.T), 3, center=True, scale=False)
+        # Covariance PCA is the all-pairs DPP embedding; pca_embed is
+        # correlation PCA, which a rotation does not commute with.
+        a = dpp_embed(Dataset(x), 3)
+        b = dpp_embed(Dataset(x @ q.T), 3)
         assert np.allclose(np.abs(np.sum((q @ a.eigvecs) * b.eigvecs, axis=0)),
                            1.0, atol=1e-9)
-        assert np.allclose(a.eigvals, b.eigvals, atol=1e-9)
+        assert np.allclose(a.eigvals, b.eigvals, rtol=1e-9)
+        assert np.allclose(a.eigvals, 2 * 79 * covariance_pca(x, 3)[0], rtol=1e-9)
 
     def test_correlation_matrix_spectrum(self):
         rng = np.random.default_rng(12)

@@ -484,6 +484,37 @@ class TestEmpiricalPairCorrelation:
         assert est == dense_pair_correlation([pat], edges)
         assert est[1][1] > 0
 
+    def test_pair_metric(self):
+        sigma = spiked_scattering(3.0, np.array([1.0, 1.0]) / math.sqrt(2.0))
+        whiten, stretch = sampling.pair_metric(sigma)
+        u = np.random.default_rng(4).standard_normal((20, 2))
+        rho2 = np.einsum("ij,jk,ik->i", u, np.linalg.inv(2 * math.pi * sigma.entries), u)
+        assert np.allclose(np.sum((u @ whiten) ** 2, axis=1), rho2, rtol=1e-12)
+        assert stretch == pytest.approx(2.0, rel=1e-12)  # sqrt of 1 + lambda
+        assert sampling.pair_metric(isotropic_scattering(3)) == (None, 1.0)
+        assert sampling.pair_metric(None) == (None, 1.0)
+        with pytest.raises(ValueError, match="normalized"):
+            sampling.pair_metric(ScatteringMatrix(np.eye(2)))
+
+    def test_anisotropic_pairs_are_binned_by_their_separation(self):
+        # 2 pi S = diag(4, 1/4), so rho(u) = sqrt(u1^2 / 4 + 4 u2^2): the
+        # first pair is 0.5 apart, the second 0.75 across the x faces.
+        w = BoxWindow(8.0, 2)
+        pat = PointPattern([[0.0, 0.0], [1.0, 0.0], [3.0, 3.0], [-3.5, 3.0]], w)
+        edges = np.array([0.0, 0.6, 0.9, 1.0])
+        est = empirical_pair_correlation([pat], edges, spiked_scattering(3.0, [1.0, 0.0]))
+        shell = 64.0 * math.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
+        assert [v for _, v in est] == pytest.approx((2.0 * np.array([1, 1, 0]) / shell).tolist())
+
+    def test_separation_keeps_the_sign_of_a_wrapped_difference(self):
+        # Across the x faces the difference is (-0.2, 0.2): across the spike
+        # (1, 1)/sqrt(2), so rho = 2 |u| = 0.57, not |u| / 2 = 0.14.
+        w = BoxWindow(8.0, 2)
+        pat = PointPattern([[3.9, 0.1], [-3.9, -0.1]], w)
+        sigma = spiked_scattering(3.0, np.array([1.0, 1.0]) / math.sqrt(2.0))
+        est = empirical_pair_correlation([pat], [0.0, 0.3, 0.7], sigma)
+        assert [v > 0 for _, v in est] == [False, True]
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             empirical_pair_correlation([], [0.0, 1.0])
@@ -492,6 +523,8 @@ class TestEmpiricalPairCorrelation:
             empirical_pair_correlation([pat], [1.0, 0.5])
         with pytest.raises(ValueError, match="half the torus"):
             empirical_pair_correlation([pat], [0.0, 4.0])
+        with pytest.raises(ValueError, match="half the torus"):  # reaches 2 * 1.6 along e1
+            empirical_pair_correlation([pat], [0.0, 1.6], spiked_scattering(3.0, [1.0, 0.0]))
 
 
 def test_dispersion_test_validation():

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussdpp import (NullCalibration, calibrate_null_threshold,
-                      davis_kahan_reference, detection_test,
+from gaussdpp import (NullCalibration, calibrate_null_threshold, detection_test,
                       detection_test_calibrated, estimate_spike,
                       isotropic_scattering, operator_norm, risk_rate,
                       sin_angle, spiked_scattering)
@@ -125,16 +124,6 @@ class TestSinAngle:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             sin_angle([2.0, 0.0], [1.0, 0.0])
-
-
-class TestDavisKahanReference:
-    def test_values(self):
-        assert davis_kahan_reference(0.0, 1.0) == 0.0
-        assert davis_kahan_reference(0.1, 0.5) == pytest.approx(0.2)
-        assert davis_kahan_reference(0.1, 1.0) == pytest.approx(
-            2 * davis_kahan_reference(0.1, 2.0))
-        with pytest.raises(ValueError):
-            davis_kahan_reference(0.1, 0.0)
 
 
 class TestCalibration:
