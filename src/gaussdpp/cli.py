@@ -18,7 +18,8 @@ same either way.  result.json reports
 "calibration_cache": "hit" or "miss".  Deleting the directory clears the
 cache; an unreadable entry is recomputed and an unwritable one ignored.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error; an option the run
+would not read, or a Sigma that cannot be built, exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -52,13 +53,18 @@ from .spiked import (NullCalibration, calibrate_null_threshold, detection_test,
 
 SCHEMA_VERSION = 1
 
-# Options only one mode of a subcommand reads: (is that mode on, the other mode, options).
-_MODE_OPTIONS = {
-    "detect": (lambda args: args.calibrate, "without --calibrate",
-               ("--L", "--null-replicates", "--seed", "--delta")),
-    "sample": (lambda args: args.process == "gdp", "by --process poisson",
-               ("--sigma", "--lam", "--u", "--sigma-entries")),
-}
+_WITH_SIGMA = ("sample", "validate", "bounds")  # the commands that take the Sigma options
+# Options a run reads in one mode only: (commands, is that mode on, the other mode, options).
+_MODE_OPTIONS = [
+    (["detect"], lambda args: args.calibrate, "without --calibrate",
+     ("--L", "--null-replicates", "--seed", "--delta")),
+    (["reduce"], lambda args: args.method == "dpp", "by --method pca", ("--r", "--standardize")),
+    (["sample"], lambda args: args.process == "gdp", "by --process poisson",
+     ("--sigma", "--lam", "--u", "--sigma-entries")),
+    (_WITH_SIGMA, lambda args: not args.sigma_entries, "with --sigma-entries",
+     ("--sigma", "--lam", "--u")),
+    (_WITH_SIGMA, lambda args: args.sigma == "spiked", "without --sigma spiked", ("--lam", "--u")),
+]
 
 
 def _checked(convert, ok, requirement: str):
@@ -165,9 +171,8 @@ def _cmd_sample(args, out: Path) -> dict:
     if args.process == "poisson":
         draw, model = partial(sample_poisson, 1.0, window), {}
     else:
-        sigma = _parse_sigma(args, args.d)
-        draw = partial(sample_gdp, sigma, window)
-        model = {"sigma_entries": sigma.entries, "tol": DEFAULT_TOL}
+        draw = partial(sample_gdp, args._sigma, window)
+        model = {"sigma_entries": args._sigma.entries, "tol": DEFAULT_TOL}
     patterns = [draw((args.seed, i)) for i in range(args.replicates)]
     names = []
     for i, pat in enumerate(patterns):
@@ -357,9 +362,8 @@ def _bin_edges(args) -> np.ndarray:
 
 
 def _cmd_validate(args, out: Path) -> dict:
-    sigma = _parse_sigma(args, args.d)
     window = BoxWindow(args.L, args.d)
-    patterns = [sample_gdp(sigma, window, (args.seed, i)) for i in range(args.replicates)]
+    patterns = [sample_gdp(args._sigma, window, (args.seed, i)) for i in range(args.replicates)]
     radius = args.L / 2.0
     counts = np.asarray([len(extract_ball(p, radius)) for p in patterns])
     n_exp = count_expectation(radius, args.d)
@@ -371,7 +375,7 @@ def _cmd_validate(args, out: Path) -> dict:
                      "bound": bernstein_tail(eps, radius, args.d)})
 
     # Binned by rho = sqrt(u'(2 pi S)^-1 u), where g = 1 - exp(-2 pi rho^2) for any S.
-    est = empirical_pair_correlation(patterns, _bin_edges(args), sigma)
+    est = empirical_pair_correlation(patterns, _bin_edges(args), args._sigma)
     theory = [1.0 - math.exp(-TWO_PI * c * c) for c, _ in est]
     _write_csv(out / "paircorr.csv", ["center", "empirical", "theoretical"],
                [[c, g, th] for (c, g), th in zip(est, theory)])
@@ -391,20 +395,11 @@ def _cmd_validate(args, out: Path) -> dict:
 
 
 def _cmd_bounds(args, out: Path) -> dict:
-    payload: dict = {}
-    if args.bernstein:
-        payload["bernstein"] = bernstein_tail(args.eps, args.R, args.d)
-    if args.bias:
-        sigma = _parse_sigma(args, args.d)
-        payload["bias_bound"] = bias_bound(sigma, args.r)
-    if args.variance:
-        payload["variance_bound"] = variance_bound(args.r, args.d, args.n)
-    if args.rate:
-        payload["risk_rate"] = risk_rate(args.n, args.d)
-    if args.count:
-        payload["count_expectation"] = count_expectation(args.R, args.d)
-    if not payload:
-        raise ValueError("select at least one of --bernstein/--bias/--variance/--rate/--count")
+    payload = {"bernstein": bernstein_tail(args.eps, args.R, args.d),
+               "bias_bound": bias_bound(args._sigma, args.r),
+               "variance_bound": variance_bound(args.r, args.d, args.n),
+               "risk_rate": risk_rate(args.n, args.d),
+               "count_expectation": count_expectation(args.R, args.d)}
     _write_json(out / "bounds.json", payload)
     return payload
 
@@ -514,17 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("bounds", help="theoretical bound calculators")
-    p.add_argument("--bernstein", action="store_true")
-    p.add_argument("--bias", action="store_true")
-    p.add_argument("--variance", action="store_true")
-    p.add_argument("--rate", action="store_true")
-    p.add_argument("--count", action="store_true")
+    p = sub.add_parser("bounds", help="the paper's bernstein, bias_bound, variance_bound, "
+                                      "risk_rate and count_expectation, all in bounds.json")
     p.add_argument("--eps", type=_positive_finite, default=0.1)
     p.add_argument("--R", type=_positive_finite, default=10.0)
     p.add_argument("--d", type=_positive_int, default=2)
     p.add_argument("--r", type=_positive_finite, default=3.0)
-    p.add_argument("--n", type=_positive_finite, default=100.0)
+    p.add_argument("--n", type=_checked(float, lambda v: 1 < v < math.inf, "finite and > 1"),
+                   default=100.0, help="expected count")
     _add_sigma_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
@@ -549,6 +541,25 @@ def _replay_argv(argv: list[str]) -> list[str]:
     return [command, *stored, *argv[2:]]
 
 
+def _preflight(args, tokens: list[str]) -> None:
+    """Usage checks before any work, each a ValueError: refuse options the run
+    would not read, build Sigma once into args._sigma, keep validate's bins in --L/2."""
+    for commands, used, mode, options in _MODE_OPTIONS:
+        given = [o for o in options if any(t == o or t.startswith(o + "=") for t in tokens)]
+        if args.command in commands and given and not used(args):
+            raise ValueError(f"{', '.join(given)} not used {mode}")
+    if args.command in _WITH_SIGMA and getattr(args, "process", "gdp") == "gdp":
+        args._sigma = _parse_sigma(args, args.d)
+    if args.command == "validate":
+        edges = _bin_edges(args)
+        reach = edges[-1] * pair_metric(args._sigma)[1]
+        if edges.size < 2 or reach > args.L / 2:
+            pairs = f", whose pairs reach {reach:g}" if reach != edges[-1] else ""
+            raise ValueError(f"--r-max {args.r_max:g} and --bin-width {args.bin_width:g}" + (
+                " give no bin" if edges.size < 2 else " put the last bin edge at "
+                f"{edges[-1]:g}{pairs}, beyond --L/2 = {args.L / 2:g}"))
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -559,22 +570,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     tokens = argv[1:]  # after the subcommand
-    if args.command in _MODE_OPTIONS:  # refused, not echoed into run_config.json as if used
-        used, mode, options = _MODE_OPTIONS[args.command]
-        given = [o for o in options if any(t == o or t.startswith(o + "=") for t in tokens)]
-        if given and not used(args):
-            parser.error(f"{args.command}: {', '.join(given)} not used {mode}")
-    if args.command == "validate":  # checked before any replicate is drawn
-        edges = _bin_edges(args)
-        try:
-            reach = edges[-1] * pair_metric(_parse_sigma(args, args.d))[1]
-        except ValueError as exc:
-            parser.error(f"validate: {exc}")
-        if edges.size < 2 or reach > args.L / 2:
-            pairs = f", whose pairs reach {reach:g}" if reach != edges[-1] else ""
-            parser.error(f"validate: --r-max {args.r_max:g} and --bin-width {args.bin_width:g}"
-                         + (" give no bin" if edges.size < 2 else " put the last bin edge at "
-                            f"{edges[-1]:g}{pairs}, beyond --L/2 = {args.L / 2:g}"))
+    try:
+        _preflight(args, tokens)
+    except ValueError as exc:
+        parser.error(f"{args.command}: {exc}")
     # Stored for the config echo: everything after the subcommand, minus --out.
     args._argv = [tok for i, tok in enumerate(tokens) if not (
         tok == "--out" or tok.startswith("--out=") or (i and tokens[i - 1] == "--out"))]
@@ -585,7 +584,7 @@ def main(argv=None) -> int:
         result = args.func(args, out)
         payload, status = result if isinstance(result, tuple) else (result, {})
         return _finish(args, out, payload, t0, status)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
         print(f"gaussdpp: error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussdpp import calibrate_null_threshold, cli, sample_gdp, spiked, spiked_scattering
+from gaussdpp import (bernstein_tail, bias_bound, calibrate_null_threshold, cli,
+                      count_expectation, isotropic_scattering, risk_rate, sample_gdp, spiked,
+                      spiked_scattering, variance_bound)
 
 SAMPLE = ["sample", "--d", "2", "--seed", "0"]
 VALIDATE = ["validate", "--d", "2", "--seed", "0"]
@@ -40,24 +42,24 @@ SRC = Path(cli.__file__).resolve().parents[1]
      "--component: must be >= 1"),
     (["sample", "--d", "0", "--L", "5", "--seed", "0"], "--d: must be >= 1"),
     (["validate", "--d", "0", "--L", "5", "--seed", "0"], "--d: must be >= 1"),
-    (["bounds", "--variance", "--d", "0"], "--d: must be >= 1"),
+    (["bounds", "--d", "0"], "--d: must be >= 1"),
     (ESTIMATE + ["--C0", "1"], "unrecognized arguments: --C0 1"),
     (ESTIMATE + ["--C", "2"], "unrecognized arguments: --C 2"),
     (ESTIMATE + ["--c", "2"], "unrecognized arguments: --c 2"),
     (["detect", "--estimate", "estimate.json", "--c", "2"], "unrecognized arguments: --c 2"),
     (["reduce", "--data", "data.csv", "--method", "dpp", "--r", "-1"], "--r: must be positive"),
     (["reduce", "--data", "data.csv", "--method", "dpp", "--r", "nan"], "--r: must be positive"),
-    (["bounds", "--bernstein", "--eps", "0"], "--eps: must be positive and finite"),
-    (["bounds", "--count", "--R", "-3"], "--R: must be positive and finite"),
-    (["bounds", "--bias", "--r", "inf"], "--r: must be positive and finite"),
-    (["bounds", "--variance", "--n", "-1"], "--n: must be positive and finite"),
-    (["bounds", "--variance", "--C", "2"], "unrecognized arguments: --C 2"),
-    (["bounds", "--rate", "--c", "2"], "unrecognized arguments: --c 2"),
+    (["bounds", "--eps", "0"], "--eps: must be positive and finite"),
+    (["bounds", "--R", "-3"], "--R: must be positive and finite"),
+    (["bounds", "--r", "inf"], "--r: must be positive and finite"),
+    (["bounds", "--n", "1"], "--n: must be finite and > 1"),
+    (["bounds", "--C", "2"], "unrecognized arguments: --C 2"),
+    (["bounds", "--c", "2"], "unrecognized arguments: --c 2"),
     (SAMPLE + ["--L", "5", "--sigma", "spiked", "--lam", "-0.5"],
      "--lam: must be finite and >= 0"),
     (SAMPLE + ["--L", "5", "--sigma", "spiked", "--lam", "inf"],
      "--lam: must be finite and >= 0"),
-    (["bounds", "--count", "--lam", "nan"], "--lam: must be finite and >= 0"),
+    (["bounds", "--lam", "nan"], "--lam: must be finite and >= 0"),
     (VALIDATE + ["--L", "5", "--sigma", "spiked", "--lam", "-1"],
      "--lam: must be finite and >= 0"),
     (SAMPLE + ["--L", "5", "--sigma", "spiked", "--u", "1,x"],
@@ -66,11 +68,12 @@ SRC = Path(cli.__file__).resolve().parents[1]
      "--u: must be finite with a nonzero norm"),
     (VALIDATE + ["--L", "5", "--sigma", "spiked", "--u", "1,inf"],
      "--u: must be finite with a nonzero norm"),
-    (["bounds", "--bias", "--d", "2", "--sigma-entries", "1,x;0,1"],
+    (["bounds", "--d", "2", "--sigma-entries", "1,x;0,1"],
      "--sigma-entries: must be comma-separated numbers"),
-    (["bounds", "--bias", "--d", "2", "--sigma-entries", "1,0;0"],
+    (["bounds", "--d", "2", "--sigma-entries", "1,0;0"],
      "--sigma-entries: must be a square matrix"),
-    (SAMPLE + ["--L", "5", "--sigma-entries", "1,0;0,inf"], "--sigma-entries: must be finite"),    (DETECT + ["--t", "5"], "argument --t: not allowed with argument --calibrate"),
+    (SAMPLE + ["--L", "5", "--sigma-entries", "1,0;0,inf"], "--sigma-entries: must be finite"),
+    (DETECT + ["--t", "5"], "argument --t: not allowed with argument --calibrate"),
     (["reduce", "--data", "data.csv", "--method", "pca", "--no-center"],
      "unrecognized arguments: --no-center"),
     (["reduce", "--data", "data.csv", "--method", "pca", "--no-scale"],
@@ -87,6 +90,29 @@ SRC = Path(cli.__file__).resolve().parents[1]
      "sample: --u not used by --process poisson"),
     (SAMPLE + ["--L", "5", "--process", "poisson", "--sigma-entries=1,0;0,1"],
      "sample: --sigma-entries not used by --process poisson"),
+    (["reduce", "--data", "data.csv", "--method", "pca", "--r", "1.5"],
+     "reduce: --r not used by --method pca"),
+    (["reduce", "--data", "data.csv", "--method", "pca", "--r=1.5"],
+     "reduce: --r not used by --method pca"),
+    (["reduce", "--data", "data.csv", "--method", "pca", "--standardize"],
+     "reduce: --standardize not used by --method pca"),
+    (["reduce", "--data", "data.csv", "--method", "pca", "--standardize", "--r=1.5"],
+     "reduce: --r, --standardize not used by --method pca"),
+    # A scattering matrix that cannot be built.
+    (SAMPLE + ["--L", "5", "--sigma-entries", "1,0,0;0,1,0;0,0,1"],
+     "sample: --sigma-entries is 3x3 but --d is 2"),
+    (["bounds", "--d", "2", "--sigma-entries", "1,0,0;0,1,0;0,0,1"],
+     "bounds: --sigma-entries is 3x3 but --d is 2"),
+    (["sample", "--d", "1", "--L", "5", "--seed", "0", "--sigma", "spiked"],
+     "sample: spiked model needs d >= 2"),
+    (["bounds", "--d", "1", "--sigma", "spiked"], "bounds: spiked model needs d >= 2"),
+    (["validate", "--d", "1", "--L", "8", "--seed", "0", "--sigma", "spiked"],
+     "validate: spiked model needs d >= 2"),
+    # Spike options that the chosen scattering matrix does not read.
+    (["bounds", "--sigma", "iso", "--lam", "3"], "bounds: --lam not used without --sigma spiked"),
+    (SAMPLE + ["--L", "5", "--u=1,0"], "sample: --u not used without --sigma spiked"),
+    (VALIDATE + ["--L", "8", "--sigma", "spiked", "--lam", "3", "--sigma-entries", "1,0;0,1"],
+     "validate: --sigma, --lam not used with --sigma-entries"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -253,14 +279,19 @@ def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_
     assert message in proc.stderr
 
 
+# bounds writes all five values; these once selected them one at a time.
+BOUNDS_SELECTORS = ["--bernstein", "--bias", "--variance", "--rate", "--count"]
+
+
 @pytest.mark.parametrize("command, argv, removed", [
     ("sample", ["--d", "2", "--L", "6", "--seed", "0"], ["--tol", "1e-06"]),
     ("estimate", ["--pattern", "pattern"], ["--R", "3.0"]),
-    ("bounds", ["--variance"], ["--C", "2.0"]),
-    ("bounds", ["--rate"], ["--c", "2.0"]),
+    ("bounds", [], ["--C", "2.0"]),
+    ("bounds", [], ["--c", "2.0"]),
     ("reduce", ["--data", "data.csv", "--method", "pca"], ["--no-center"]),
     ("reduce", ["--data", "data.csv", "--method", "pca"], ["--no-scale"]),
-], ids=["tol", "R", "C", "c", "no-center", "no-scale"])
+    *[("bounds", [], [flag]) for flag in BOUNDS_SELECTORS],
+], ids=["tol", "R", "C", "c", "no-center", "no-scale", *(f[2:] for f in BOUNDS_SELECTORS)])
 def test_stored_config_with_a_removed_option_is_a_usage_error(command, argv, removed,
                                                               tmp_path):
     config = {"command": command, "argv": [*argv, *removed]}
@@ -273,8 +304,8 @@ def test_stored_config_with_a_removed_option_is_a_usage_error(command, argv, rem
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["bounds", "--count", "--out", "afile"], "afile"),
-    (["bounds", "--count", "--out", "afile/x"], "afile/x"),
+    (["bounds", "--out", "afile"], "afile"),
+    (["bounds", "--out", "afile/x"], "afile/x"),
     (["estimate", "--pattern", "adir/pattern", "--out", "out"], "pattern.json"),
     (["detect", "--estimate", "adir", "--out", "out"], "adir"),
     (["reduce", "--data", "adir", "--method", "pca", "--out", "out"], "adir"),
@@ -563,8 +594,49 @@ def test_config_replay_reproduces_validate(tmp_path):
 
 
 def test_config_replay_reproduces_bounds(tmp_path):
-    _replays_byte_identically(["bounds", "--bernstein", "--bias", "--variance", "--rate",
-                               "--count", "--sigma", "spiked", "--lam", "1.5"], tmp_path)
+    _replays_byte_identically(["bounds", "--sigma", "spiked", "--lam", "1.5"], tmp_path)
+
+
+@pytest.mark.parametrize("d, model", [(1, "iso"), (2, "iso"), (2, "spiked"), (3, "iso"),
+                                      (3, "spiked")])
+def test_bounds_writes_each_value_as_its_estimator_function_returns_it(d, model, tmp_path):
+    if model == "iso":
+        sigma, options = isotropic_scattering(d), []
+    else:
+        sigma = spiked_scattering(3.0, np.eye(d)[0], d)
+        options = ["--sigma", "spiked", "--lam", "3"]
+    for r in (1.0, 3.0):
+        for n in (2.0, 100.0):
+            out = tmp_path / f"r{r}-n{n}"
+            assert cli.main(["bounds", "--d", str(d), "--r", str(r), "--n", str(n), "--eps",
+                             "0.3", "--R", "4", *options, "--out", str(out)]) == 0
+            assert _strict_json(out / "bounds.json") == {
+                "bernstein": bernstein_tail(0.3, 4.0, d),
+                "bias_bound": bias_bound(sigma, r),
+                "variance_bound": variance_bound(r, d, n),
+                "risk_rate": risk_rate(n, d),
+                "count_expectation": count_expectation(4.0, d)}
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (SAMPLE + ["--L", "4", "--sigma", "spiked", "--lam", "2"], 1),
+    (SAMPLE + ["--L", "4", "--process", "poisson"], 0),
+    (["validate", "--d", "1", "--L", "6", "--seed", "0", "--replicates", "2", "--r-max", "1",
+      "--bin-width", "0.25"], 1),
+    (["bounds"], 1),
+], ids=["sample", "poisson", "validate", "bounds"])
+def test_a_run_builds_its_scattering_matrix_once(argv, builds, tmp_path, monkeypatch):
+    calls = []
+    parse = cli._parse_sigma
+    monkeypatch.setattr(cli, "_parse_sigma", lambda *a: calls.append(a) or parse(*a))
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == builds
+
+
+def test_bounds_overflow_is_a_runtime_error(tmp_path):
+    # |B(1)| R^d: 10^400 is not a float.
+    _assert_clean_runtime_error(_run_cli("bounds", "--d", "400", "--out", "out", cwd=tmp_path),
+                                "out of range")
 
 
 def _strict_json(path: Path):
@@ -593,7 +665,8 @@ def test_all_pairs_reduce_writes_strict_json(cutoff, labelled_csv, tmp_path):
 
 
 # The exit-code contract, one subcommand at a time: 0 success, 1 runtime
-# failure, 2 usage error.  Paths are relative to the inputs fixture.
+# failure, 2 usage error.  Paths are relative to the inputs fixture; an
+# --out in a case stands in for the test's own.
 EXIT_CASES = {
     "estimate": (["estimate", "--pattern", "sample/pattern", "--r", "0.8"],
                  ["estimate", "--pattern", "missing/pattern"],
@@ -608,9 +681,9 @@ EXIT_CASES = {
                   "--r-max", "1.0", "--bin-width", "0.25"],
                  ["validate", "--d", "1", "--L", "1e7", "--seed", "0", "--replicates", "2"],
                  ["validate", "--d", "1", "--L", "6"]),
-    "bounds": (["bounds", "--bernstein", "--count"],
-               ["bounds", "--eps", "0.2"],
-               ["bounds", "--rate", "--n", "-1"]),
+    "bounds": (["bounds"],
+               ["bounds", "--out", "data.csv/bounds"],  # a directory under a regular file
+               ["bounds", "--n", "1"]),
 }
 
 
@@ -632,7 +705,7 @@ def test_exit_code_contract(command, outcome, code, cli_inputs, tmp_path, capsys
     monkeypatch.chdir(cli_inputs)
     out = tmp_path / "out"
     try:
-        status = cli.main([*argv, "--out", str(out)])
+        status = cli.main([argv[0], "--out", str(out), *argv[1:]])
     except SystemExit as exc:
         status = exc.code
     assert status == code
