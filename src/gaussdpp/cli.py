@@ -15,7 +15,9 @@ SHA-256 of that key.  --delta is not part of it: a later call with the
 same key reads the statistics instead of simulating them and takes its
 own threshold from them, so calibration.json and detect.json are the
 same either way.  result.json reports
-"calibration_cache": "hit" or "miss".  Deleting the directory clears the
+"calibration_cache": "hit" or "miss".  An entry is written like every
+other file (`datasets.write_json`: a temporary file renamed onto it), so
+a reader never sees half of one.  Deleting the directory clears the
 cache; an unreadable entry is recomputed and an unwritable one ignored.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error; an option the run
@@ -25,12 +27,10 @@ would not read, or a Sigma that cannot be built, exits 2 before any work.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 from contextlib import suppress
 from functools import partial
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import load_dataset
+from .datasets import load_dataset, read_json, write_csv, write_json
 from .dimred import dpp_embed, pca_embed, risk_scores, roc_auc, scree
 from .estimator import (bernstein_tail, bias_bound, count_expectation,
                         estimate_scattering, risk_rate, variance_bound)
@@ -58,6 +58,7 @@ _WITH_SIGMA = ("sample", "validate", "bounds")  # the commands that take the Sig
 _MODE_OPTIONS = [
     (["detect"], lambda args: args.calibrate, "without --calibrate",
      ("--L", "--null-replicates", "--seed", "--delta")),
+    (["detect"], lambda args: not args.calibrate, "with --calibrate", ("--t",)),
     (["reduce"], lambda args: args.method == "dpp", "by --method pca", ("--r", "--standardize")),
     (["sample"], lambda args: args.process == "gdp", "by --process poisson",
      ("--sigma", "--lam", "--u", "--sigma-entries")),
@@ -124,23 +125,6 @@ def _parse_sigma(args, d: int) -> ScatteringMatrix:
     return spiked_scattering(args.lam, u / math.hypot(*u), d)
 
 
-def _write_json(path: Path, obj) -> None:
-    """Strict JSON: a non-finite float raises ValueError before the file
-    is opened."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else v for v in row])
-
-
 def _finish(args, out: Path, payload: dict, t0: float, status: dict) -> int:
     """Write run_config.json and result.json; `status` goes into the
     envelope only, beside the payload."""
@@ -150,12 +134,12 @@ def _finish(args, out: Path, payload: dict, t0: float, status: dict) -> int:
               "params": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
                          for k, v in vars(args).items()
                          if not k.startswith("_") and k not in ("out", "func")}}
-    _write_json(out / "run_config.json", config)
+    write_json(out / "run_config.json", config)
     envelope = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
                 "command": args.command, "config": config,
                 "wall_time_s": time.perf_counter() - t0, **status,
                 "payload": payload}
-    _write_json(out / "result.json", envelope)
+    write_json(out / "result.json", envelope)
     print(json.dumps({"command": args.command, "out": str(out), **_summary(payload)}))
     return 0
 
@@ -205,7 +189,7 @@ def _cmd_estimate(args, out: Path) -> dict:
         pattern = extract_ball(pattern, args.ball_radius)
     result = estimate_scattering(pattern, args.r)
     payload = {**result.to_json_dict(), "estimator": {"r": args.r}}
-    _write_json(out / "estimate.json", payload)
+    write_json(out / "estimate.json", payload)
     return payload
 
 
@@ -243,23 +227,6 @@ def _source_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def _store_atomically(path: Path, obj) -> None:
-    """Write through a temporary file and a rename, so a reader sees a
-    whole file whatever other writers do; failures are ignored."""
-    tmp = None
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile("w", dir=path.parent, suffix=".tmp",
-                                         delete=False) as fh:
-            tmp = fh.name
-            json.dump(obj, fh)
-        os.replace(tmp, path)
-    except OSError:
-        if tmp is not None:
-            with suppress(OSError):
-                os.unlink(tmp)
-
-
 def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed: int,
                       r: float | None) -> tuple[NullCalibration, str]:
     """Null calibration through the on-disk cache (see the module
@@ -270,22 +237,22 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
     name = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
     path = _cache_dir() / f"{name}.json"
     try:
-        with open(path) as fh:
-            stored = json.load(fh)
+        stored = read_json(path)
         stats = stored["statistics"]
         if (stored["key"] == key and isinstance(stats, list) and len(stats) == n_replicates
                 and all(type(v) is float and math.isfinite(v) for v in stats)):
             return NullCalibration.from_statistics(stats, delta), "hit"
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError):
         pass  # missing or unreadable: recompute and overwrite
     cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, r)
-    _store_atomically(path, {"key": key, "statistics": cal.statistics.tolist()})
+    with suppress(OSError):  # an unwritable cache only costs the next run
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_json(path, {"key": key, "statistics": cal.statistics.tolist()})
     return cal, "miss"
 
 
 def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
-    with open(args.estimate) as fh:
-        est = json.load(fh)
+    est = read_json(args.estimate)
     d = _field(est, "dim", args.estimate)
     if type(d) is not int or d < 1:
         raise ValueError(f"{args.estimate}: 'dim' must be a positive integer, got {d!r}")
@@ -303,7 +270,7 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
             d, side, args.delta, args.null_replicates, args.seed,
             _estimator_cutoff(est, args.estimate))
         result = detection_test_calibrated(sigma_hat, cal.threshold)
-        _write_json(out / "calibration.json", cal.to_json_dict())
+        write_json(out / "calibration.json", cal.to_json_dict())
         payload = {**result.to_json_dict(), "mode": "calibrated",
                    "delta": args.delta, "null_replicates": args.null_replicates}
     else:
@@ -312,7 +279,7 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
         payload = {**result.to_json_dict(), "mode": "analytic"}
     spike = estimate_spike(sigma_hat)
     payload["spike"] = spike.to_json_dict()
-    _write_json(out / "detect.json", payload)
+    write_json(out / "detect.json", payload)
     return payload, status
 
 
@@ -325,12 +292,12 @@ def _cmd_reduce(args, out: Path) -> dict:
     labels = dataset.labels if dataset.labels is not None else [""] * dataset.n_rows
     rows = [[i, *map(float, proj.coords[i]), labels[i]]
             for i in range(dataset.n_rows)]
-    _write_csv(out / "embedding.csv",
-               ["row", *(f"coord{j + 1}" for j in range(args.k)), "label"], rows)
-    _write_csv(out / "scree.csv", ["rank", "eigenvalue"], scree(proj.eigvals))
+    write_csv(out / "embedding.csv",
+              ["row", *(f"coord{j + 1}" for j in range(args.k)), "label"], rows)
+    write_csv(out / "scree.csv", ["rank", "eigenvalue"], scree(proj.eigvals))
     payload = {"method": proj.method, "k": args.k, "count": dataset.n_rows,
                "eigvals": proj.eigvals.tolist(), "r_used": proj.r_used}
-    _write_json(out / "reduce.json", payload)
+    write_json(out / "reduce.json", payload)
     return payload
 
 
@@ -349,10 +316,10 @@ def _cmd_roc(args, out: Path) -> dict:
     curve = roc_auc(scores, labels)
     rows = [[float(th), float(p[0]), float(p[1])]
             for th, p in zip(curve.thresholds, curve.points)]
-    _write_csv(out / "roc.csv", ["threshold", "fpr", "tpr"], rows)
+    write_csv(out / "roc.csv", ["threshold", "fpr", "tpr"], rows)
     payload = {"auc": curve.auc, "n_points": len(rows), "flip": args.flip,
                "component": args.component}
-    _write_json(out / "roc.json", payload)
+    write_json(out / "roc.json", payload)
     return payload
 
 
@@ -377,8 +344,8 @@ def _cmd_validate(args, out: Path) -> dict:
     # Binned by rho = sqrt(u'(2 pi S)^-1 u), where g = 1 - exp(-2 pi rho^2) for any S.
     est = empirical_pair_correlation(patterns, _bin_edges(args), args._sigma)
     theory = [1.0 - math.exp(-TWO_PI * c * c) for c, _ in est]
-    _write_csv(out / "paircorr.csv", ["center", "empirical", "theoretical"],
-               [[c, g, th] for (c, g), th in zip(est, theory)])
+    write_csv(out / "paircorr.csv", ["center", "empirical", "theoretical"],
+              [[c, g, th] for (c, g), th in zip(est, theory)])
     payload = {
         "replicates": args.replicates,
         "mean_count": float(counts.mean()),
@@ -390,17 +357,25 @@ def _cmd_validate(args, out: Path) -> dict:
         "intensity": float(counts.mean() / n_exp),
         "paircorr_max_abs_err": max(abs(g - th) for (_, g), th in zip(est, theory)),
     }
-    _write_json(out / "validate.json", payload)
+    write_json(out / "validate.json", payload)
     return payload
 
 
 def _cmd_bounds(args, out: Path) -> dict:
-    payload = {"bernstein": bernstein_tail(args.eps, args.R, args.d),
-               "bias_bound": bias_bound(args._sigma, args.r),
-               "variance_bound": variance_bound(args.r, args.d, args.n),
-               "risk_rate": risk_rate(args.n, args.d),
-               "count_expectation": count_expectation(args.R, args.d)}
-    _write_json(out / "bounds.json", payload)
+    bounds = {"bernstein": partial(bernstein_tail, args.eps, args.R, args.d),
+              "bias_bound": partial(bias_bound, args._sigma, args.r),
+              "variance_bound": partial(variance_bound, args.r, args.d, args.n),
+              "risk_rate": partial(risk_rate, args.n, args.d),
+              "count_expectation": partial(count_expectation, args.R, args.d)}
+    payload = {}
+    for key, bound in bounds.items():
+        try:
+            payload[key] = bound()
+        except OverflowError:
+            payload[key] = math.inf
+        if payload[key] is not None and not math.isfinite(payload[key]):
+            raise OverflowError(f"{key} is out of range of a float")
+    write_json(out / "bounds.json", payload)
     return payload
 
 
@@ -452,10 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="spike detection test on an estimate")
     p.add_argument("--estimate", required=True, help="estimate.json from `estimate`")
-    threshold = p.add_mutually_exclusive_group()
-    threshold.add_argument("--t", type=_positive_finite, default=20.0,
-                           help="analytic threshold multiplier")
-    threshold.add_argument(
+    p.add_argument("--t", type=_positive_finite, default=20.0,
+                   help="without --calibrate: analytic threshold multiplier")
+    p.add_argument(
         "--calibrate", action="store_true",
         help="Monte-Carlo null calibration instead of the analytic threshold. The null "
              "estimates use the cutoff r recorded in the estimate. The null statistics "
@@ -530,10 +504,7 @@ def _replay_argv(argv: list[str]) -> list[str]:
         return argv
     if len(argv) < 2 or argv[1].startswith("-"):
         raise ValueError("--config requires a file path")
-    with open(argv[1]) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"{argv[1]}: expected a JSON object")
+    config = read_json(argv[1])
     command, stored = config["command"], config["argv"]
     if not (isinstance(command, str) and isinstance(stored, list)
             and all(isinstance(a, str) for a in stored)):

@@ -1,22 +1,68 @@
-"""CSV dataset ingestion.
+"""The package's file formats: every file gaussdpp reads or writes.
 
-Expected layout: a header row naming the columns, numeric feature cells,
-and optionally one label column (any text).  The two public benchmarks
-used in the demos follow this shape: Fisher's Iris as 150 rows x 4
-feature columns plus a species column, and the Wisconsin (diagnostic)
-Breast Cancer set as 569 rows x 30 feature columns plus a diagnosis
-column.
+`read_json` returns the JSON object a file holds, and raises a ValueError
+naming the file if the text is not UTF-8, does not parse or holds another
+value.  `write_json` writes strict JSON (NaN and Infinity raise before any
+file exists), keys sorted and indented, with a final newline.  `write_csv`
+writes a header row, then each float as its repr(), which parses back to
+the same double.  Both writers write a temporary file next to the target
+and rename it onto the target, so a failed or killed run never leaves half
+a file.  `load_dataset` reads a feature CSV (Fisher's Iris, say): a header
+row, numeric feature cells, and optionally one label column of any text.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 
 from .dimred import Dataset
+
+
+def read_json(path) -> dict:
+    """The JSON object a file holds (see the module docstring)."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return obj
+
+
+def _write_atomically(path, write) -> None:
+    """Call write(fh) on `.<name>.<pid>.tmp` next to path, then rename that
+    onto path; the temporary file is removed on any failure.  open() makes
+    it, so its permissions follow the umask like any other output."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path, obj) -> None:
+    """Write obj as strict, sorted, indented JSON (see the module docstring)."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_atomically(path, lambda fh: fh.write(text))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then the rows with each float as its repr()."""
+    table = [header, *([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                        for v in row] for row in rows)]
+    _write_atomically(path, lambda fh: csv.writer(fh).writerows(table))
 
 
 def load_dataset(path, label_column: str | None = None,

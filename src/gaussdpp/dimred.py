@@ -52,10 +52,6 @@ class Dataset:
     def n_rows(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class ProjectionResult:

@@ -172,8 +172,6 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
         if lo > hi:
             raise ValueError(
                 f"auto cutoff failed: lower clamp {lo:.3g} exceeds R/2 = {hi:.3g}")
-        if n_expected <= 1:
-            raise ValueError("auto cutoff needs an expected count above 1")
         r = min(max(default_cutoff(n_expected, d), lo), hi)
     if not 0 < r < R:
         raise ValueError(f"need 0 < r < R, got r={r}, R={R}")

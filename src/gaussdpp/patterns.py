@@ -1,22 +1,19 @@
-"""Observation windows, point patterns, and their on-disk format.
+"""Observation windows, point patterns, and what the pattern files hold.
 
-Patterns serialize to a CSV of coordinates (one row per point, columns
-x1..xd) plus a JSON sidecar recording the window, the seed, the scattering
-matrix, and the truncation tolerance used to generate them.  Floats are
-written with shortest round-trip formatting so a load-save cycle is
-lossless.
+A pattern is stored as `<stem>.csv`, its coordinates (one row per point,
+columns x1..xd), and `<stem>.json`, a sidecar recording the window, the
+point count and, when known, the seed, the scattering matrix and the
+truncation tolerance used to generate it.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import load_dataset
+from .datasets import load_dataset, read_json, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -198,17 +195,12 @@ def save_pattern(pattern: PointPattern, path, *, seed=None, sigma_entries=None,
     """Write `<path>.csv` with coordinates and `<path>.json` with metadata.
 
     `path` is used as a stem; the two suffixed files are created next to
-    each other.  repr() of each float is the shortest string that parses
-    back to the same double, which is what makes round-trips exact.
+    each other.  Coordinates round-trip exactly (see `datasets.write_csv`).
     """
     stem = Path(path)
     stem.parent.mkdir(parents=True, exist_ok=True)
-    d = pattern.dim
-    with open(stem.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(d)])
-        for row in pattern.points:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(stem.with_suffix(".csv"), [f"x{i + 1}" for i in range(pattern.dim)],
+              pattern.points.tolist())
     meta = {"window": _window_to_json(pattern.window), "count": len(pattern)}
     if seed is not None:
         meta["seed"] = seed
@@ -218,19 +210,14 @@ def save_pattern(pattern: PointPattern, path, *, seed=None, sigma_entries=None,
         meta["tol"] = tol
     if extra:
         meta.update(extra)
-    with open(stem.with_suffix(".json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(stem.with_suffix(".json"), meta)
 
 
 def load_pattern(path) -> tuple[PointPattern, dict]:
     """Inverse of save_pattern; returns the pattern and the sidecar metadata."""
     stem = Path(path)
     sidecar = stem.with_suffix(".json")
-    with open(sidecar) as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar}: expected a JSON object")
+    meta = read_json(sidecar)
     try:
         window = _window_from_json(meta["window"])
     except KeyError as exc:

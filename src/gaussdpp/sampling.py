@@ -98,7 +98,7 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
                          + d * math.log(math.sqrt(bound) - rho))
         if log_min_count > math.log(_MODE_CAP):
             raise ValueError(
-                f"mode count (at least {math.exp(log_min_count):.3g}) exceeds "
+                f"mode count (at least 10^{log_min_count / math.log(10):.1f}) exceeds "
                 f"the cap of {_MODE_CAP}; reduce the window side")
     # Bounding box of the ellipsoid k' S k < bound.
     half = np.floor(np.sqrt(bound * np.diag(sigma.inverse))).astype(np.int64)

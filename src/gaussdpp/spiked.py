@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimator import estimate_scattering, risk_rate
 from .kernel import TWO_PI, isotropic_scattering
-from .patterns import BoxWindow, extract_ball
+from .patterns import BoxWindow
 from .sampling import sample_gdp
 
 SYMMETRY_RTOL = 1e-8
@@ -181,6 +181,6 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
     stats = np.empty(n_replicates)
     for i in range(n_replicates):
         pat = sample_gdp(sigma0, window, (seed, i))
-        est = estimate_scattering(extract_ball(pat, side / 2.0), r)
+        est = estimate_scattering(pat, r)  # on the box's inscribed ball
         stats[i] = TWO_PI * operator_norm(est.sigma_hat)
     return NullCalibration.from_statistics(stats, delta)

@@ -73,7 +73,7 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["bounds", "--d", "2", "--sigma-entries", "1,0;0"],
      "--sigma-entries: must be a square matrix"),
     (SAMPLE + ["--L", "5", "--sigma-entries", "1,0;0,inf"], "--sigma-entries: must be finite"),
-    (DETECT + ["--t", "5"], "argument --t: not allowed with argument --calibrate"),
+    (DETECT + ["--t", "5"], "detect: --t not used with --calibrate"),
     (["reduce", "--data", "data.csv", "--method", "pca", "--no-center"],
      "unrecognized arguments: --no-center"),
     (["reduce", "--data", "data.csv", "--method", "pca", "--no-scale"],
@@ -222,11 +222,14 @@ def _json_bytes(obj) -> bytes:
 
 
 # A bad --config is a usage error (2), a bad input file a runtime error
-# (1) that names the file.
+# (1) that names the file, and so is a value out of range of a float
+# (1), named by its key.
 @pytest.mark.parametrize("files, argv, code, message", [
     ({}, ["--config"], 2, "--config requires a file path"),
     ({"config.json": b"[]"}, ["--config", "config.json"], 2,
      "config.json: expected a JSON object"),
+    ({"config.json": b"not json"}, ["--config", "config.json"], 2,
+     "config.json: Expecting value"),
     ({"config.json": b'{"command": "sample", "argv": ["--d", "\xff"]}'},
      ["--config", "config.json"], 2, "codec can't decode"),
     ({"config.json": _json_bytes({"command": "sample", "argv": ["--d", 2]})},
@@ -242,6 +245,14 @@ def _json_bytes(obj) -> bytes:
       "pattern.json": _json_bytes({"window": {"type": "box", "side": 6.0, "dim": 2}})},
      ["estimate", "--pattern", "pattern"], 1,
      "pattern.csv:2: non-finite value 'nan' in column 'x2'"),
+    ({"pattern.csv": b"x1,x2\n0.5,0.5\n", "pattern.json": b"not json"},
+     ["estimate", "--pattern", "pattern"], 1, "pattern.json: Expecting value"),
+    ({"estimate.json": b"not json"}, ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: Expecting value"),
+    ({"estimate.json": b"[]"}, ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: expected a JSON object"),
+    ({"estimate.json": b"[" * 100000}, ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: maximum recursion depth exceeded"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": "2"})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'dim' must be a positive integer, got '2'"),
@@ -263,11 +274,22 @@ def _json_bytes(obj) -> bytes:
                                     "estimator": {"r": None, "R": None, "C0": 2.0}})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
      "estimate.json: 'C0' 2.0 is no longer supported"),
-], ids=["config-no-path", "config-list", "config-not-utf8", "config-argv-not-strings",
+    ({}, ["bounds", "--d", "400"], 1, "bernstein is out of range of a float"),
+    ({}, ["bounds", "--r", "1e100", "--d", "3"], 1,
+     "variance_bound is out of range of a float"),
+    ({}, ["bounds", "--d", "1000", "--R", "0.5"], 1, "risk_rate is out of range of a float"),
+    ({}, ["bounds", "--R", "1e154"], 1, "count_expectation is out of range of a float"),
+    ({}, ["sample", "--d", "200", "--L", "100", "--seed", "0"], 1,
+     "mode count (at least 10^"),
+], ids=["config-no-path", "config-list", "config-not-json", "config-not-utf8",
+        "config-argv-not-strings",
         "pattern-csv-empty", "pattern-csv-non-numeric", "pattern-csv-non-finite",
+        "pattern-json-not-json", "estimate-not-json", "estimate-list",
+        "estimate-nested-too-deep",
         "estimate-dim-string",
         "estimate-sigma_hat-object", "estimate-R_used-string", "estimate-r-string",
-        "estimate-r-negative", "estimate-C0-not-one"])
+        "estimate-r-negative", "estimate-C0-not-one", "bounds-d-400", "bounds-r-1e100",
+        "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)

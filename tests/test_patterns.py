@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gaussdpp import (BallWindow, BoxWindow, PointPattern, extract_ball,
                       load_pattern, save_pattern)
+from gaussdpp.datasets import write_csv, write_json
 
 
 def test_window_validation():
@@ -82,6 +83,26 @@ def test_save_load_ball_window(tmp_path):
     loaded, _ = load_pattern(tmp_path / "ball")
     assert loaded.window == BallWindow(2.0, 2)
     assert np.array_equal(loaded.points, pat.points)
+
+
+def test_failed_writes_leave_no_file(tmp_path):
+    # Each writer writes `.<name>.<pid>.tmp` next to its target and renames
+    # it onto the target.
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"x": float("nan")})
+    assert list(tmp_path.iterdir()) == []
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(OSError) as exc:
+        write_json(target, {"x": 1.0})
+    assert str(target) in str(exc.value)
+    assert list(tmp_path.iterdir()) == [target]
+    # Permissions follow the umask, as for any file open() makes.
+    open(tmp_path / "plain", "w").close()
+    write_json(tmp_path / "written.json", {})
+    write_csv(tmp_path / "written.csv", ["x1"], [[0.5]])
+    modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir() if p.is_file()}
+    assert modes["written.json"] == modes["written.csv"] == modes["plain"]
 
 
 @st.composite
