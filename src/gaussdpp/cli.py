@@ -41,8 +41,8 @@ import numpy as np
 from . import __version__
 from .datasets import load_dataset, read_json, write_csv, write_json
 from .dimred import dpp_embed, pca_embed, risk_scores, roc_auc, scree
-from .estimator import (bernstein_tail, bias_bound, count_expectation,
-                        estimate_scattering, risk_rate, variance_bound)
+from .estimator import (bernstein_tail, bias_bound, count_expectation, estimate_scattering,
+                        read_estimate, risk_rate, variance_bound)
 from .kernel import (TWO_PI, ScatteringMatrix, isotropic_scattering,
                      normalize_scattering, spiked_scattering)
 from .patterns import BoxWindow, extract_ball, load_pattern, save_pattern
@@ -168,47 +168,13 @@ def _cmd_sample(args, out: Path) -> dict:
             "counts": [len(p) for p in patterns]}
 
 
-def _field(obj: dict, key: str, source):
-    try:
-        return obj[key]
-    except (KeyError, TypeError):
-        raise ValueError(f"{source}: missing key {key!r}") from None
-
-
-def _positive_number(obj: dict, key: str, source):
-    """A positive finite JSON number from obj[key]."""
-    value = _field(obj, key, source)
-    if type(value) not in (int, float) or not 0 < value < math.inf:
-        raise ValueError(f"{source}: {key!r} must be a positive number, got {value!r}")
-    return value
-
-
 def _cmd_estimate(args, out: Path) -> dict:
     pattern, _meta = load_pattern(args.pattern)
     if args.ball_radius is not None:
         pattern = extract_ball(pattern, args.ball_radius)
-    result = estimate_scattering(pattern, args.r)
-    payload = {**result.to_json_dict(), "estimator": {"r": args.r}}
+    payload = estimate_scattering(pattern, args.r).to_json_dict()
     write_json(out / "estimate.json", payload)
     return payload
-
-
-def _estimator_cutoff(est: dict, source) -> float | None:
-    """The cutoff r recorded in an estimate.json: null (automatic) or a
-    positive number; files that record no estimator block used the
-    automatic one.  Older files also hold R, always equal to R_used and
-    so ignored, and C0, a removed scale of the automatic rule: a C0 other
-    than 1 would replay a different null, so it is refused."""
-    block = est.get("estimator")
-    if block is None:
-        return None
-    r = _field(block, "r", source)
-    if r is not None:
-        r = _positive_number(block, "r", source)
-    if block.get("C0", 1.0) != 1.0:
-        raise ValueError(f"{source}: 'C0' {block['C0']!r} is no longer supported "
-                         "(the automatic cutoff has no scale); re-run estimate")
-    return r
 
 
 def _cache_dir() -> Path:
@@ -252,32 +218,24 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
 
 
 def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
-    est = read_json(args.estimate)
-    d = _field(est, "dim", args.estimate)
-    if type(d) is not int or d < 1:
-        raise ValueError(f"{args.estimate}: 'dim' must be a positive integer, got {d!r}")
-    entries = _field(est, "sigma_hat", args.estimate)
-    try:
-        sigma_hat = np.asarray(entries, dtype=float).reshape(d, d)
-    except (TypeError, ValueError):
-        raise ValueError(f"{args.estimate}: 'sigma_hat' must hold {d * d} numbers") from None
-    payload: dict
+    sigma_hat, n, R_used, r = read_estimate(args.estimate)
+    try:  # an asymmetric Sigma_hat, or n <= 1 for the rate, fails before any null is drawn
+        spike = estimate_spike(sigma_hat)
+        if not args.calibrate:
+            result = detection_test(sigma_hat, n, len(sigma_hat), args.t)
+    except ValueError as exc:
+        raise ValueError(f"{args.estimate}: {exc}") from None
     status = {}
     if args.calibrate:
-        side = (args.L if args.L is not None
-                else 2.0 * _positive_number(est, "R_used", args.estimate))
+        side = args.L if args.L is not None else 2.0 * R_used
         cal, status["calibration_cache"] = _calibrate_cached(
-            d, side, args.delta, args.null_replicates, args.seed,
-            _estimator_cutoff(est, args.estimate))
+            len(sigma_hat), side, args.delta, args.null_replicates, args.seed, r)
         result = detection_test_calibrated(sigma_hat, cal.threshold)
         write_json(out / "calibration.json", cal.to_json_dict())
         payload = {**result.to_json_dict(), "mode": "calibrated",
                    "delta": args.delta, "null_replicates": args.null_replicates}
     else:
-        result = detection_test(sigma_hat, _positive_number(est, "n", args.estimate), d,
-                                args.t)
         payload = {**result.to_json_dict(), "mode": "analytic"}
-    spike = estimate_spike(sigma_hat)
     payload["spike"] = spike.to_json_dict()
     write_json(out / "detect.json", payload)
     return payload, status
@@ -305,6 +263,8 @@ def _cmd_roc(args, out: Path) -> dict:
     embedding = load_dataset(args.embedding, "label", args.positive_label)
     coords = embedding.features[:, [i for i, name in enumerate(embedding.feature_names)
                                     if name.startswith("coord")]]
+    if not coords.shape[1]:
+        raise ValueError(f"{args.embedding}: no coord columns")
     if args.component > coords.shape[1]:
         raise ValueError(f"--component must be in 1..{coords.shape[1]}")
     try:

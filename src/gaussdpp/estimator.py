@@ -14,10 +14,14 @@ cell list `patterns.close_pairs`.  The leading constant makes the
 estimator consistent: without it the expectation of the bracket is the
 second moment of a Gaussian with covariance S/2 carrying a 2^(-d/2)
 volume factor, i.e. 2^(-(d+2)/2) v'Sv along any unit v, a fact easily
-checked by Monte Carlo.  The module also provides the
-theoretical bias, variance, rate, and count-concentration reference
-bounds, each returning None outside its validity range rather than
-extrapolating.
+checked by Monte Carlo.  The module also provides the theoretical bias,
+variance, rate, and count-concentration reference bounds, each returning
+None outside its validity range rather than extrapolating.
+
+The module owns estimate.json: `EstimateResult.to_json_dict` is the whole
+record `estimate` writes (Sigma_hat, counts, radii, bounds, and the cutoff
+asked for as "estimator": {"r": ...}), and `read_estimate` reads back and
+checks what `detect` uses of it: Sigma_hat, n, R_used and that cutoff.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import read_json
 from .kernel import ScatteringMatrix
 from .patterns import BallWindow, BoxWindow, PointPattern, close_pairs
 
@@ -102,11 +107,12 @@ class EstimateResult:
     r_used: float
     R_used: float
     pair_count: int
+    r_requested: float | None  # the cutoff asked for; None: automatic
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        """JSON payload: matrix (row-major), counts, cutoff, and the
-        theoretical bounds where applicable (plug-in scattering matrix)."""
+        """The estimate.json record: matrix (row-major), counts, cutoffs, and
+        the theoretical bounds where applicable (plug-in scattering matrix)."""
         d = self.sigma_hat.shape[0]
         bias = None
         w = np.linalg.eigvalsh(self.sigma_hat)
@@ -125,7 +131,43 @@ class EstimateResult:
             "bias_bound": bias,
             "variance_bound": var,
             "risk_rate": rate,
+            "estimator": {"r": self.r_requested},
         }
+
+
+def read_estimate(path) -> tuple[np.ndarray, float, float, float | None]:
+    """Sigma_hat (finite), n and R_used (positive) and the cutoff asked for
+    (None: automatic, also when the estimator block is missing) from an
+    estimate.json; every message names the file.  Older records also hold R,
+    equal to R_used and ignored, and C0, a removed scale of the automatic
+    rule: a C0 other than 1 would replay another null, so it is refused."""
+    est = read_json(path)
+
+    def value(obj, key, positive=False):
+        try:
+            v = obj[key]
+        except (KeyError, TypeError):
+            raise ValueError(f"{path}: missing key {key!r}") from None
+        if positive and (type(v) not in (int, float) or not 0 < v < math.inf):
+            raise ValueError(f"{path}: {key!r} must be a positive number, got {v!r}")
+        return v
+
+    d, entries = value(est, "dim"), value(est, "sigma_hat")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"{path}: 'dim' must be a positive integer, got {d!r}")
+    try:
+        sigma_hat = np.asarray(entries, dtype=float).reshape(d, d)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: 'sigma_hat' must hold {d * d} numbers") from None
+    if not np.isfinite(sigma_hat).all():
+        raise ValueError(f"{path}: 'sigma_hat' has non-finite entries")
+    n, R_used = value(est, "n", True), value(est, "R_used", True)
+    block = {"r": None} if est.get("estimator") is None else est["estimator"]
+    r = value(block, "r", positive=value(block, "r") is not None)
+    if block.get("C0", 1.0) != 1.0:
+        raise ValueError(f"{path}: 'C0' {block['C0']!r} is no longer supported "
+                         "(the automatic cutoff has no scale); re-run estimate")
+    return sigma_hat, n, R_used, r
 
 
 def _window_radius(pattern: PointPattern) -> float:
@@ -159,6 +201,7 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
     d = pattern.dim
     n_expected = count_expectation(R, d)
 
+    r_requested = r
     if r is not None:
         r = float(r)
     else:
@@ -182,8 +225,7 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
     sigma_hat = identity_term * np.eye(d)
 
     pts = pattern.points
-    order = _canonical_order(pts) if pts.size else np.empty(0, dtype=np.intp)
-    pts = pts[order]
+    pts = pts[_canonical_order(pts)]
     inner = np.einsum("ij,ij->i", pts, pts) < (R - r) ** 2
     # Ordered pairs (a, b) with a in N0 and b in N_a, summed in the order
     # of a, then b.
@@ -200,5 +242,5 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
 
     return EstimateResult(sigma_hat=sigma_hat, n_observed=pts.shape[0],
                           n_expected=n_expected, r_used=r, R_used=R,
-                          pair_count=int(a.size),
+                          pair_count=int(a.size), r_requested=r_requested,
                           diagnostics={"inner_count": int(np.count_nonzero(inner))})

@@ -96,10 +96,7 @@ def extract_ball(pattern: PointPattern, radius: float) -> PointPattern:
         raise ValueError(
             f"ball of radius {radius} does not fit in box of side {pattern.window.side}")
     ball = BallWindow(radius, pattern.dim)
-    if len(pattern) == 0:
-        return PointPattern(np.empty((0, pattern.dim)), ball)
-    keep = ball.contains(pattern.points)
-    return PointPattern(pattern.points[keep], ball)
+    return PointPattern(pattern.points[ball.contains(pattern.points)], ball)
 
 
 def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray, np.ndarray]:

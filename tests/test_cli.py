@@ -206,6 +206,7 @@ def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
      ":3: non-finite value 'inf' in column 'b'"),
     (["roc", "--embedding"], "row,coord1,label\n0,nan,1\n",
      ":2: non-finite value 'nan' in column 'coord1'"),
+    (["roc", "--embedding"], "row,label\n0,1\n", ": no coord columns"),
 ])
 def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
     path = tmp_path / "input.csv"
@@ -215,6 +216,8 @@ def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
 
 
 ESTIMATE_JSON = {"dim": 2, "sigma_hat": [0.16, 0.0, 0.0, 0.16], "n": 50.0, "R_used": 4.0}
+NAN_SIGMA_HAT = [float("nan"), 0.0, 0.0, 0.16]
+ASYMMETRIC_SIGMA_HAT = [0.16, 0.05, 0.0, 0.16]
 
 
 def _json_bytes(obj) -> bytes:
@@ -274,6 +277,13 @@ def _json_bytes(obj) -> bytes:
                                     "estimator": {"r": None, "R": None, "C0": 2.0}})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
      "estimate.json: 'C0' 2.0 is no longer supported"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": NAN_SIGMA_HAT})}, DETECT, 1,
+     "estimate.json: 'sigma_hat' has non-finite entries"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": ASYMMETRIC_SIGMA_HAT})},
+     DETECT, 1, "estimate.json: matrix is asymmetric beyond tolerance"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "n": 0.5})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: expected count n must exceed 1"),
     ({}, ["bounds", "--d", "400"], 1, "bernstein is out of range of a float"),
     ({}, ["bounds", "--r", "1e100", "--d", "3"], 1,
      "variance_bound is out of range of a float"),
@@ -288,8 +298,9 @@ def _json_bytes(obj) -> bytes:
         "estimate-nested-too-deep",
         "estimate-dim-string",
         "estimate-sigma_hat-object", "estimate-R_used-string", "estimate-r-string",
-        "estimate-r-negative", "estimate-C0-not-one", "bounds-d-400", "bounds-r-1e100",
-        "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
+        "estimate-r-negative", "estimate-C0-not-one", "estimate-sigma_hat-nan",
+        "estimate-sigma_hat-asymmetric", "estimate-analytic-n-below-1", "bounds-d-400",
+        "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -352,6 +363,20 @@ def test_core_imports_only_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_only_datasets_opens_files():
+    # datasets.py owns every file format.  json.dumps and Path.read_bytes
+    # (the source fingerprint) stay allowed elsewhere.
+    calls = []
+    for path in sorted((SRC / "gaussdpp").glob("*.py")):
+        if path.name != "datasets.py":
+            calls += [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call) and (
+                          ast.unparse(node.func) in ("open", "json.load", "json.dump")
+                          or getattr(node.func, "attr", None) == "open")]
+    assert calls == []
+
+
 def test_every_imported_name_is_used():
     # No linter runs on the sources; an import the module never reads is
     # dead weight on the import path.
@@ -412,6 +437,32 @@ def test_calibrated_null_uses_the_estimate_settings(estimate_json, tmp_path):
     cal = calibrate_null_threshold(2, float(NULL_L), float(NULL_DELTA), int(NULL_K),
                                    int(NULL_SEED), r=NULL_R)
     assert stats == cal.statistics.tolist()
+
+
+@pytest.mark.parametrize("sigma_hat", [NAN_SIGMA_HAT, ASYMMETRIC_SIGMA_HAT],
+                         ids=["nan", "asymmetric"])
+def test_bad_sigma_hat_fails_before_any_null_is_simulated(sigma_hat, tmp_path, monkeypatch,
+                                                          capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("null simulated before the estimate was checked")
+    monkeypatch.setattr(cli, "calibrate_null_threshold", fail)
+    path = tmp_path / "estimate.json"
+    path.write_text(json.dumps({**ESTIMATE_JSON, "sigma_hat": sigma_hat}))
+    argv = ["detect", "--estimate", str(path), "--calibrate", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"gaussdpp: error: {path}: ")
+
+
+def test_calibrated_detect_takes_an_expected_count_below_one(tmp_path):
+    # A ball of radius 0.5 expects n = pi/4 points; only the analytic rate needs n > 1.
+    assert cli.main(["sample", "--d", "2", "--L", "6", "--seed", "0",
+                     "--out", str(tmp_path / "sample")]) == 0
+    assert cli.main(["estimate", "--pattern", str(tmp_path / "sample" / "pattern"),
+                     "--ball-radius", "0.5", "--r", "0.2", "--out", str(tmp_path / "est")]) == 0
+    assert json.loads((tmp_path / "est" / "estimate.json").read_text())["n"] < 1
+    assert cli.main(["detect", "--estimate", str(tmp_path / "est" / "estimate.json"),
+                     "--calibrate", "--null-replicates", "2",
+                     "--out", str(tmp_path / "detect")]) == 0
 
 
 def test_older_estimate_record_replays_the_same_null(estimate_json, tmp_path, monkeypatch):

@@ -305,3 +305,9 @@ class TestEstimateScattering:
         assert len(blob["sigma_hat"]) == 4
         assert blob["variance_bound"] is not None
         assert blob["risk_rate"] is not None
+
+    @pytest.mark.parametrize("r", [None, 0.8], ids=["auto", "fixed"])
+    def test_json_records_the_cutoff_asked_for(self, r):
+        pts = np.random.default_rng(6).uniform(-10, 10, size=(400, 2))
+        pat = _ball_pattern(pts[np.linalg.norm(pts, axis=1) <= 12.0], 12.0)
+        assert estimate_scattering(pat, r).to_json_dict()["estimator"] == {"r": r}
