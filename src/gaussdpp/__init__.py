@@ -5,9 +5,8 @@ realization, spiked-model detection and spike-direction recovery, and
 DPP-based dimension reduction with a PCA baseline and ROC evaluation.
 """
 
-from .kernel import (ScatteringMatrix, isotropic_scattering, kernel_value,
-                     normalize_scattering, rho_k, spectral_density,
-                     spiked_scattering, truncated_pair_correlation)
+from .kernel import (ScatteringMatrix, isotropic_scattering, normalize_scattering,
+                     spectral_density, spiked_scattering)
 from .patterns import (BallWindow, BoxWindow, PointPattern, extract_ball,
                        load_pattern, save_pattern)
 from .sampling import (SpectralBasis, build_spectral_basis,
@@ -27,9 +26,8 @@ from .datasets import load_dataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "ScatteringMatrix", "isotropic_scattering", "kernel_value",
-    "normalize_scattering", "rho_k", "spectral_density", "spiked_scattering",
-    "truncated_pair_correlation",
+    "ScatteringMatrix", "isotropic_scattering", "normalize_scattering",
+    "spectral_density", "spiked_scattering",
     "BallWindow", "BoxWindow", "PointPattern", "extract_ball", "load_pattern",
     "save_pattern",
     "SpectralBasis", "build_spectral_basis", "count_dispersion_test",

@@ -155,10 +155,11 @@ def read_estimate(path) -> tuple[np.ndarray, float, float, float | None]:
     d, entries = value(est, "dim"), value(est, "sigma_hat")
     if type(d) is not int or d < 1:
         raise ValueError(f"{path}: 'dim' must be a positive integer, got {d!r}")
-    try:
-        sigma_hat = np.asarray(entries, dtype=float).reshape(d, d)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'sigma_hat' must hold {d * d} numbers") from None
+    # A JSON string or boolean is not a number, though numpy converts both.
+    flat = np.asarray(entries, dtype=object).reshape(-1)
+    if flat.size != d * d or any(type(v) not in (int, float) for v in flat):
+        raise ValueError(f"{path}: 'sigma_hat' must hold {d * d} numbers")
+    sigma_hat = flat.astype(float).reshape(d, d)
     if not np.isfinite(sigma_hat).all():
         raise ValueError(f"{path}: 'sigma_hat' has non-finite entries")
     n, R_used = value(est, "n", True), value(est, "R_used", True)

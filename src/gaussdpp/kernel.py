@@ -1,4 +1,4 @@
-"""Gaussian DPP kernel: scattering matrix, correlation functions, spiked model.
+"""Gaussian DPP kernel: scattering matrix, spectral density, spiked model.
 
 The process is parameterized by a symmetric positive-definite d x d
 "scattering" matrix S.  Its kernel is the centered Gaussian density with
@@ -102,34 +102,23 @@ def isotropic_scattering(d: int) -> ScatteringMatrix:
     return ScatteringMatrix(np.eye(d) / TWO_PI)
 
 
-def _check_point(sigma: ScatteringMatrix, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sigma.dim,):
-        raise ValueError(f"point has shape {x.shape}, expected ({sigma.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point has non-finite coordinates")
-    return x
-
-
-def kernel_value(sigma: ScatteringMatrix, x, y) -> float:
-    """Kernel K(x, y): the Gaussian density of covariance `sigma` at x - y.
-
-    Equals 1 at x = y when `sigma` is normalized.
-    """
-    u = _check_point(sigma, x) - _check_point(sigma, y)
-    quad = float(u @ sigma.inverse @ u)
-    log_k = -0.5 * (sigma.dim * math.log(TWO_PI) + sigma.log_det + quad)
-    return math.exp(log_k)
-
-
-def spectral_density(sigma: ScatteringMatrix, omega) -> float:
-    """Fourier transform of the kernel profile: exp(-2 pi^2 w' S w).
+def spectral_density(sigma: ScatteringMatrix, omega) -> np.ndarray:
+    """Fourier transform of the kernel profile, exp(-2 pi^2 w' S w), at
+    frequencies omega of shape (..., d); the result has shape (...).
 
     Takes values in (0, 1]; its range is the spectrum of the kernel as an
-    integral operator, which is what makes the process well defined.
+    integral operator, which is what makes the process well defined.  The
+    quadratic form is summed term by term in a fixed order, so a
+    frequency's value does not depend on the array it comes in.
     """
-    w = _check_point(sigma, omega)
-    return math.exp(-2.0 * math.pi ** 2 * float(w @ sigma.entries @ w))
+    w = np.asarray(omega, dtype=float)
+    if w.ndim < 1 or w.shape[-1] != sigma.dim:
+        raise ValueError(f"frequencies have shape {w.shape}, expected (..., {sigma.dim})")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("frequencies have non-finite coordinates")
+    quad = sum(sigma.entries[i, j] * w[..., i] * w[..., j]
+               for i in range(sigma.dim) for j in range(sigma.dim))
+    return np.exp(-2.0 * math.pi ** 2 * quad)
 
 
 def normalize_scattering(sigma: ScatteringMatrix) -> ScatteringMatrix:
@@ -142,36 +131,6 @@ def normalize_scattering(sigma: ScatteringMatrix) -> ScatteringMatrix:
     if abs(log_c) <= NORMALIZED_RTOL:
         return sigma
     return ScatteringMatrix(math.exp(log_c) * sigma.entries)
-
-
-def rho_k(sigma: ScatteringMatrix, points) -> float:
-    """k-point correlation: det[K(x_i, x_j)] over the given points.
-
-    For normalized `sigma` the value lies in [0, 1]; it vanishes whenever
-    two points coincide (repulsion).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1 or pts.shape[1] != sigma.dim:
-        raise ValueError(f"expected a nonempty list of {sigma.dim}-dimensional points")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points have non-finite coordinates")
-    diff = pts[:, None, :] - pts[None, :, :]
-    quad = np.einsum("ijk,kl,ijl->ij", diff, sigma.inverse, diff)
-    log_k0 = -0.5 * (sigma.dim * math.log(TWO_PI) + sigma.log_det)
-    gram = np.exp(log_k0 - 0.5 * quad)
-    return float(np.linalg.det(gram))
-
-
-def truncated_pair_correlation(sigma: ScatteringMatrix, x, y) -> float:
-    """Pair correlation minus its independent part: -exp(-(x-y)' S^{-1} (x-y)).
-
-    Requires a normalized scattering matrix (the closed form assumes unit
-    density).  Always in [-1, 0): the process is repulsive at all ranges.
-    """
-    if not sigma.normalized:
-        raise ValueError("truncated pair correlation requires a normalized scattering matrix")
-    u = _check_point(sigma, x) - _check_point(sigma, y)
-    return -math.exp(-float(u @ sigma.inverse @ u))
 
 
 def spiked_scattering(lam: float, u, d: int | None = None) -> ScatteringMatrix:

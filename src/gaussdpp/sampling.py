@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import unit_ball_volume
-from .kernel import TWO_PI, ScatteringMatrix
+from .kernel import TWO_PI, ScatteringMatrix, spectral_density
 from .patterns import BoxWindow, PointPattern, close_pairs
 
 DEFAULT_TOL = 1e-6
@@ -106,7 +106,6 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
     n_candidates = math.prod(shape)
 
     kept: list[np.ndarray] = []
-    kept_quad: list[np.ndarray] = []
     n_kept = 0
     # Flat-index ranges of the box in lexicographic order, at most
     # _ENUM_SLAB candidates each, keep peak memory flat in any dimension.
@@ -118,16 +117,13 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
         mask = quad < bound
         if mask.any():
             kept.append(k[mask])
-            kept_quad.append(quad[mask])
             n_kept += int(mask.sum())
             if n_kept > _MODE_CAP:
                 raise ValueError(
                     f"mode count exceeds the cap of {_MODE_CAP}; "
                     "reduce the window side")
     modes = np.concatenate(kept, axis=0)
-    quad = np.concatenate(kept_quad)
-    eigenvalues = np.exp(-2.0 * math.pi ** 2 * quad / side ** 2)
-    return SpectralBasis(modes=modes, eigenvalues=eigenvalues)
+    return SpectralBasis(modes=modes, eigenvalues=spectral_density(sigma, modes / side))
 
 
 def _realified_selection(rng, basis: SpectralBasis):
@@ -173,16 +169,16 @@ def _cos2_inverse_cdf(u: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _features(k_float, shift, amp, x, side):
+def _features(k_float, shift, x, side):
     """Real Fourier features of the points x: (points, modes) float32.
 
-    Entry (b, i) is amp[i] * cos(2 pi (<k_i, x_b> / L - shift[i])); a shift
-    of a quarter turn makes it the sine of the same frequency.  The phase
-    is formed in float64 turns, the shift entering the product as one more
+    Entry (b, i) is cos(2 pi (<k_i, x_b> / L - shift[i])); a shift of a
+    quarter turn makes it the sine of the same frequency.  The phase is
+    formed in float64 turns, the shift entering the product as one more
     coordinate, and reduced to [-1/2, 1/2] before the cosine is taken in
-    float32, so the absolute error stays ~3e-7 * amp at any |k| (far below
-    the spectral truncation DEFAULT_TOL).  Rows go in chunks small enough
-    for the float64 phase to stay in cache.
+    float32, so the absolute error stays ~3e-7 at any |k| (far below the
+    spectral truncation DEFAULT_TOL).  Rows go in chunks small enough for
+    the float64 phase to stay in cache.
     """
     psi = np.empty((x.shape[0], k_float.shape[0]), dtype=np.float32)
     step = max(1, _FEATURE_CHUNK // k_float.shape[0])
@@ -194,7 +190,6 @@ def _features(k_float, shift, amp, x, side):
         out = psi[lo:lo + step]
         np.multiply(phase, 2.0 * math.pi, out=out, casting="same_kind")
         np.cos(out, out=out)
-        out *= amp
     return psi
 
 
@@ -337,10 +332,11 @@ def _sample_projection(rng, k_sel, sin_sel, side):
     """
     m, d = k_sel.shape  # m >= 1: the zero mode is always selected
     out = np.empty((m, d))
-    ld = side ** float(d)
-    is_const = ~sin_sel & np.all(k_sel == 0, axis=1)
-    amp = np.where(is_const, math.sqrt(1.0 / ld), math.sqrt(2.0 / ld)).astype(np.float32)
-    shift = np.where(sin_sel, 0.25, 0.0)
+    # Features carry no common factor: the acceptance test compares two
+    # squared norms of the same features.  A quarter turn makes a feature
+    # the sine of its frequency, and an eighth gives the constant mode
+    # cos(-pi/4) = 1/sqrt(2), its norm against the others.
+    shift = np.where(sin_sel, 0.25, np.where(np.all(k_sel == 0, axis=1), 0.125, 0.0))
     k_float = k_sel.astype(float)
     omega = 2.0 * math.pi / side
 
@@ -392,7 +388,7 @@ def _sample_projection(rng, k_sel, sin_sel, side):
         pieces = []
         for lo in range(0, nbatch, _SCREEN_ROWS):
             hi = lo + _SCREEN_ROWS
-            psi = _features(k_float, shift, amp, x[lo:hi], side)
+            psi = _features(k_float, shift, x[lo:hi], side)
             nrm2 = np.einsum("bi,bi->b", psi, psi)
             feats = psi if proj is None else psi @ proj
             kv = np.einsum("ij,ij->i", feats, feats)

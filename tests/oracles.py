@@ -1,0 +1,62 @@
+"""Scalar reference formulas of the Gaussian DPP kernel, for tests.
+
+Each evaluates one point, pair or point set per call, straight from the
+definitions in `gaussdpp.kernel`'s docstring; the package computes the
+same quantities in array form where it needs them.
+"""
+
+import math
+
+import numpy as np
+
+from gaussdpp.kernel import TWO_PI, ScatteringMatrix
+
+
+def _check_point(sigma: ScatteringMatrix, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sigma.dim,):
+        raise ValueError(f"point has shape {x.shape}, expected ({sigma.dim},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point has non-finite coordinates")
+    return x
+
+
+def kernel_value(sigma: ScatteringMatrix, x, y) -> float:
+    """Kernel K(x, y): the Gaussian density of covariance `sigma` at x - y.
+
+    Equals 1 at x = y when `sigma` is normalized.
+    """
+    u = _check_point(sigma, x) - _check_point(sigma, y)
+    quad = float(u @ sigma.inverse @ u)
+    log_k = -0.5 * (sigma.dim * math.log(TWO_PI) + sigma.log_det + quad)
+    return math.exp(log_k)
+
+
+def rho_k(sigma: ScatteringMatrix, points) -> float:
+    """k-point correlation: det[K(x_i, x_j)] over the given points.
+
+    For normalized `sigma` the value lies in [0, 1]; it vanishes whenever
+    two points coincide (repulsion).
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[0] < 1 or pts.shape[1] != sigma.dim:
+        raise ValueError(f"expected a nonempty list of {sigma.dim}-dimensional points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points have non-finite coordinates")
+    diff = pts[:, None, :] - pts[None, :, :]
+    quad = np.einsum("ijk,kl,ijl->ij", diff, sigma.inverse, diff)
+    log_k0 = -0.5 * (sigma.dim * math.log(TWO_PI) + sigma.log_det)
+    gram = np.exp(log_k0 - 0.5 * quad)
+    return float(np.linalg.det(gram))
+
+
+def truncated_pair_correlation(sigma: ScatteringMatrix, x, y) -> float:
+    """Pair correlation minus its independent part: -exp(-(x-y)' S^{-1} (x-y)).
+
+    Requires a normalized scattering matrix (the closed form assumes unit
+    density).  Always in [-1, 0): the process is repulsive at all ranges.
+    """
+    if not sigma.normalized:
+        raise ValueError("truncated pair correlation requires a normalized scattering matrix")
+    u = _check_point(sigma, x) - _check_point(sigma, y)
+    return -math.exp(-float(u @ sigma.inverse @ u))

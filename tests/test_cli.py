@@ -262,6 +262,12 @@ def _json_bytes(obj) -> bytes:
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": {"a": 1}})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'sigma_hat' must hold 4 numbers"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": ["0.16", 0, 0, "0.16"]})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'sigma_hat' must hold 4 numbers"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": [0.16, False, False, 0.16]})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'sigma_hat' must hold 4 numbers"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": "x"})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
      "estimate.json: 'R_used' must be a positive number, got 'x'"),
@@ -297,7 +303,8 @@ def _json_bytes(obj) -> bytes:
         "pattern-json-not-json", "estimate-not-json", "estimate-list",
         "estimate-nested-too-deep",
         "estimate-dim-string",
-        "estimate-sigma_hat-object", "estimate-R_used-string", "estimate-r-string",
+        "estimate-sigma_hat-object", "estimate-sigma_hat-strings", "estimate-sigma_hat-bool",
+        "estimate-R_used-string", "estimate-r-string",
         "estimate-r-negative", "estimate-C0-not-one", "estimate-sigma_hat-nan",
         "estimate-sigma_hat-asymmetric", "estimate-analytic-n-below-1", "bounds-d-400",
         "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
@@ -396,6 +403,21 @@ def test_every_imported_name_is_used():
         if imported - loaded:
             unused[path.name] = sorted(imported - loaded)
     assert unused == {}
+
+
+def test_every_kernel_function_has_a_caller_in_src():
+    # kernel.py holds the model's formulas that the package computes with;
+    # a reference formula only tests call belongs in tests/oracles.py.
+    tree = ast.parse((SRC / "gaussdpp" / "kernel.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in sorted((SRC / "gaussdpp").glob("*.py")):
+        if path.name != "kernel.py":
+            called.update(ast.unparse(node.func).split(".")[-1]
+                          for node in ast.walk(ast.parse(path.read_text()))
+                          if isinstance(node, ast.Call))
+    assert public and sorted(public - called) == []
 
 
 # Null calibration cache.  The estimate fixes r = 0.8, so the null

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gaussdpp import (ScatteringMatrix, isotropic_scattering, kernel_value,
-                      normalize_scattering, rho_k, spectral_density,
-                      spiked_scattering, truncated_pair_correlation)
+from gaussdpp import (ScatteringMatrix, isotropic_scattering, normalize_scattering,
+                      spectral_density, spiked_scattering)
+from oracles import kernel_value, rho_k, truncated_pair_correlation
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,6 +125,26 @@ class TestSpectralDensity:
         for _ in range(50):
             v = spectral_density(sigma, rng.standard_normal(2) * 3)
             assert 0.0 < v <= 1.0
+
+    def test_array_of_frequencies(self):
+        rng = np.random.default_rng(5)
+        sigma = spiked_scattering(2.0, [0.0, 0.6, 0.8])
+        w = rng.standard_normal((4, 5, 3))
+        got = spectral_density(sigma, w)
+        assert got.shape == (4, 5)
+        assert np.all((0.0 < got) & (got <= 1.0))
+        for idx in np.ndindex(4, 5):
+            expected = math.exp(-2.0 * math.pi ** 2 * float(w[idx] @ sigma.entries @ w[idx]))
+            assert got[idx] == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_wrong_dimension_and_non_finite(self):
+        sigma = isotropic_scattering(2)
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 2\)"):
+            spectral_density(sigma, np.zeros((5, 3)))
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 2\)"):
+            spectral_density(sigma, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_density(sigma, [[0.0, 1.0], [np.nan, 0.0]])
 
 
 class TestNormalize:

@@ -13,7 +13,7 @@ from gaussdpp import sampling
 from gaussdpp import (BoxWindow, PointPattern, ScatteringMatrix, build_spectral_basis,
                       count_dispersion_test, empirical_pair_correlation,
                       isotropic_scattering, sample_gdp, sample_poisson,
-                      spiked_scattering, unit_ball_volume)
+                      spectral_density, spiked_scattering, unit_ball_volume)
 
 
 def dense_pair_correlation(patterns, bin_edges):
@@ -71,6 +71,23 @@ class TestSpectralBasis:
         basis = build_spectral_basis(iso2, 9.0)
         assert np.all(basis.eigenvalues > sampling.DEFAULT_TOL)
         assert np.all(basis.eigenvalues <= 1.0)
+
+    @pytest.mark.parametrize("sigma, side", [
+        (isotropic_scattering(1), 30.0), (isotropic_scattering(2), 20.0),
+        (spiked_scattering(3.0, [1.0, 0.0]), 28.0), (isotropic_scattering(3), 8.0),
+        (spiked_scattering(2.0, [0.0, 0.6, 0.8]), 9.0), (isotropic_scattering(4), 5.0),
+        (spiked_scattering(1.0, [0.5, 0.5, 0.5, 0.5]), 5.0)],
+        ids=["iso1", "iso2", "spiked2", "iso3", "spiked3", "iso4", "spiked4"])
+    def test_eigenvalues_are_the_spectral_density(self, sigma, side):
+        # Mode k is kept with probability f(k/L), f the kernel's Fourier
+        # transform, bit for bit; a frequency gets the same value alone as
+        # in an array.
+        basis = build_spectral_basis(sigma, side)
+        omega = basis.modes / side
+        assert np.array_equal(basis.eigenvalues, spectral_density(sigma, omega))
+        rows = np.arange(0, omega.shape[0], max(1, omega.shape[0] // 300))
+        assert np.array_equal(basis.eigenvalues[rows],
+                              [spectral_density(sigma, omega[i]) for i in rows])
 
     def test_anisotropic_box_is_elongated(self):
         sigma = ScatteringMatrix(np.diag([4.0, 0.25]) / (2 * math.pi))
@@ -357,16 +374,18 @@ class TestSamplerStream:
         sin = np.zeros(k.shape[0], dtype=bool)
         sin[2] = True
         sin[3::2] = True
-        amp = np.where(np.all(k == 0, axis=1) & ~sin, math.sqrt(1.0 / side ** 2),
-                       math.sqrt(2.0 / side ** 2))
+        # The sampler's shifts: a quarter turn for a sine, an eighth for
+        # the constant mode, whose feature is then the constant 1/sqrt(2).
+        const = np.all(k == 0, axis=1) & ~sin
+        amp = np.where(const, math.sqrt(0.5), 1.0)
         x = np.random.default_rng(4).uniform(-side / 2, side / 2, size=(300, 2))
         x[:2] = [[-side / 2, side / 2], [side / 2, -side / 2]]
-        psi = sampling._features(k.astype(float), np.where(sin, 0.25, 0.0),
-                                 amp.astype(np.float32), x, side)
+        shift = np.where(sin, 0.25, np.where(const, 0.125, 0.0))
+        psi = sampling._features(k.astype(float), shift, x, side)
         assert psi.dtype == np.float32 and psi.shape == (300, k.shape[0])
         assert 300 > sampling._FEATURE_CHUNK // k.shape[0]
         angle = 2.0 * math.pi * (x @ k.T) / side
-        ref = amp * np.where(sin, np.sin(angle), np.cos(angle))
+        ref = np.where(const, amp, np.where(sin, np.sin(angle), np.cos(angle)))
         assert np.all(np.abs(psi - ref) <= 1e-6 * amp)
 
     @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 5e-6)])
