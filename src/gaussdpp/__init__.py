@@ -19,8 +19,7 @@ from .spiked import (DetectionResult, NullCalibration, SpikeEstimate,
                      calibrate_null_threshold, detection_test,
                      detection_test_calibrated, estimate_spike, operator_norm,
                      sin_angle)
-from .dimred import (Dataset, ProjectionResult, RocCurve, dpp_embed,
-                     pca_embed, risk_scores, roc_auc, scree)
+from .dimred import Dataset, ProjectionResult, RocCurve, dpp_embed, pca_embed, roc_auc
 from .datasets import load_dataset
 
 __version__ = "0.1.0"
@@ -38,8 +37,7 @@ __all__ = [
     "DetectionResult", "NullCalibration", "SpikeEstimate",
     "calibrate_null_threshold", "detection_test", "detection_test_calibrated",
     "estimate_spike", "operator_norm", "sin_angle",
-    "Dataset", "ProjectionResult", "RocCurve", "dpp_embed", "pca_embed",
-    "risk_scores", "roc_auc", "scree",
+    "Dataset", "ProjectionResult", "RocCurve", "dpp_embed", "pca_embed", "roc_auc",
     "load_dataset",
     "__version__",
 ]

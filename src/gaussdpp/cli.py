@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import load_dataset, read_json, write_csv, write_json
-from .dimred import dpp_embed, pca_embed, risk_scores, roc_auc, scree
+from .dimred import dpp_embed, pca_embed, roc_auc
 from .estimator import (bernstein_tail, bias_bound, count_expectation, estimate_scattering,
                         read_estimate, risk_rate, variance_bound)
 from .kernel import (TWO_PI, ScatteringMatrix, isotropic_scattering,
@@ -252,7 +252,7 @@ def _cmd_reduce(args, out: Path) -> dict:
             for i in range(dataset.n_rows)]
     write_csv(out / "embedding.csv",
               ["row", *(f"coord{j + 1}" for j in range(args.k)), "label"], rows)
-    write_csv(out / "scree.csv", ["rank", "eigenvalue"], scree(proj.eigvals))
+    write_csv(out / "scree.csv", ["rank", "eigenvalue"], enumerate(proj.eigvals.tolist(), 1))
     payload = {"method": proj.method, "k": args.k, "count": dataset.n_rows,
                "eigvals": proj.eigvals.tolist(), "r_used": proj.r_used}
     write_json(out / "reduce.json", payload)
@@ -272,8 +272,8 @@ def _cmd_roc(args, out: Path) -> dict:
     except ValueError:
         raise ValueError(f"{args.embedding}: labels must be integers "
                          "unless --positive-label is given") from None
-    scores = risk_scores(coords, args.component - 1, flip=args.flip)
-    curve = roc_auc(scores, labels)
+    column = coords[:, args.component - 1]  # its sign does not say which end is high risk
+    curve = roc_auc(column if args.flip else -column, labels)
     rows = [[float(th), float(p[0]), float(p[1])]
             for th, p in zip(curve.thresholds, curve.points)]
     write_csv(out / "roc.csv", ["threshold", "fpr", "tpr"], rows)

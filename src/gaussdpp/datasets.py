@@ -7,8 +7,9 @@ file exists), keys sorted and indented, with a final newline.  `write_csv`
 writes a header row, then each float as its repr(), which parses back to
 the same double.  Both writers write a temporary file next to the target
 and rename it onto the target, so a failed or killed run never leaves half
-a file.  `load_dataset` reads a feature CSV (Fisher's Iris, say): a header
-row, numeric feature cells, and optionally one label column of any text.
+a file.  `load_dataset` reads a UTF-8 feature CSV (Fisher's Iris, say): a
+header row, numeric feature cells, and optionally one label column of any
+text.  A leading byte-order mark, as Excel writes, is skipped.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ def read_json(path) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return obj
+
+
+def finite_number(value) -> bool:
+    """An int or float, not a bool, that is a finite double (a huge int is not)."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _write_atomically(path, write) -> None:
@@ -78,7 +87,7 @@ def load_dataset(path, label_column: str | None = None,
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -9,6 +9,10 @@ embedding is covariance PCA, and "DPP vs PCA" at the defaults compares it
 with the correlation PCA of `pca_embed`.  Only a finite r gives a local,
 repulsion-based embedding: S(r) is then the graph-Laplacian form
 2 X'(D - A)X of the 0/1 matrix A of pairs closer than r and its row sums D.
+
+`roc_auc` scores any per-row ranking against binary labels; `gaussdpp roc`
+ranks rows by one embedding coordinate, negated unless --flip, and
+`reduce`'s scree.csv is the embedding's descending spectrum.
 """
 
 from __future__ import annotations
@@ -208,23 +212,6 @@ def pca_embed(dataset: Dataset, k: int) -> ProjectionResult:
     return _project(np.corrcoef(x, rowvar=False), xs, k, "pca")
 
 
-def risk_scores(coords: np.ndarray, component: int = 0,
-                flip: bool = False) -> np.ndarray:
-    """Per-row risk score: the negated coordinate along one component.
-
-    The eigenvector sign convention is arbitrary relative to which end of
-    the axis means "high risk"; `flip` negates the scores to resolve the
-    orientation.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2:
-        raise ValueError("coords must be 2-D")
-    if not 0 <= component < coords.shape[1]:
-        raise ValueError(f"component {component} out of range for k={coords.shape[1]}")
-    scores = -coords[:, component]
-    return -scores if flip else scores
-
-
 @dataclass(frozen=True)
 class RocCurve:
     """Operating points from thresholding scores in descending order.
@@ -277,13 +264,3 @@ def roc_auc(scores, labels) -> RocCurve:
     points = np.column_stack([fp / n_neg, tp / n_pos]).astype(float)
     thresholds = np.concatenate([[math.inf], s[ends]])
     return RocCurve(points=points, thresholds=thresholds, auc=float(auc))
-
-
-def scree(eigvals) -> list[tuple[int, float]]:
-    """Rank/value pairs (1-based) of a descending spectrum, for plotting."""
-    w = np.asarray(eigvals, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("expected a nonempty vector of eigenvalues")
-    if np.any(np.diff(w) > 0):
-        raise ValueError("eigenvalues must be in descending order")
-    return [(i + 1, float(v)) for i, v in enumerate(w)]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import read_json
+from .datasets import finite_number, read_json
 from .kernel import ScatteringMatrix
 from .patterns import BallWindow, BoxWindow, PointPattern, close_pairs
 
@@ -148,7 +148,7 @@ def read_estimate(path) -> tuple[np.ndarray, float, float, float | None]:
             v = obj[key]
         except (KeyError, TypeError):
             raise ValueError(f"{path}: missing key {key!r}") from None
-        if positive and (type(v) not in (int, float) or not 0 < v < math.inf):
+        if positive and not (finite_number(v) and v > 0):
             raise ValueError(f"{path}: {key!r} must be a positive number, got {v!r}")
         return v
 
@@ -159,9 +159,9 @@ def read_estimate(path) -> tuple[np.ndarray, float, float, float | None]:
     flat = np.asarray(entries, dtype=object).reshape(-1)
     if flat.size != d * d or any(type(v) not in (int, float) for v in flat):
         raise ValueError(f"{path}: 'sigma_hat' must hold {d * d} numbers")
-    sigma_hat = flat.astype(float).reshape(d, d)
-    if not np.isfinite(sigma_hat).all():
+    if not all(map(finite_number, flat)):
         raise ValueError(f"{path}: 'sigma_hat' has non-finite entries")
+    sigma_hat = flat.astype(float).reshape(d, d)
     n, R_used = value(est, "n", True), value(est, "R_used", True)
     block = {"r": None} if est.get("estimator") is None else est["estimator"]
     r = value(block, "r", positive=value(block, "r") is not None)

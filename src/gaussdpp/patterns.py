@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import load_dataset, read_json, write_csv, write_json
+from .datasets import finite_number, load_dataset, read_json, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def _window_from_json(obj) -> BoxWindow | BallWindow:
     else:
         raise ValueError(f"unknown window type {obj['type']!r}")
     extent, dim = obj[size], obj["dim"]
-    if type(extent) not in (int, float) or type(dim) is not int:
+    if not finite_number(extent) or type(dim) is not int:
         raise ValueError(f"window {size} must be a number and dim an integer, "
                          f"got {extent!r} and {dim!r}")
     return cls(extent, dim)

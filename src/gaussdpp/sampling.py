@@ -54,17 +54,6 @@ class SpectralBasis:
         self.modes.setflags(write=False)
         self.eigenvalues.setflags(write=False)
 
-    @property
-    def mean_count(self) -> float:
-        """Expected number of points of the thinned process: sum of eigenvalues."""
-        return float(self.eigenvalues.sum())
-
-    @property
-    def count_variance(self) -> float:
-        """Variance of the point count: sum of lam*(1-lam) over modes."""
-        lam = self.eigenvalues
-        return float((lam * (1.0 - lam)).sum())
-
 
 def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
     """Enumerate all Fourier modes with eigenvalue above DEFAULT_TOL.

@@ -1,8 +1,10 @@
-"""Scalar reference formulas of the Gaussian DPP kernel, for tests.
+"""Reference formulas of the Gaussian DPP, for tests.
 
-Each evaluates one point, pair or point set per call, straight from the
-definitions in `gaussdpp.kernel`'s docstring; the package computes the
-same quantities in array form where it needs them.
+The kernel formulas evaluate one point, pair or point set per call,
+straight from the definitions in `gaussdpp.kernel`'s docstring; the package
+computes the same quantities in array form where it needs them.  The
+count moments of a torus draw follow from its spectral basis: the
+sampler keeps each mode independently with probability its eigenvalue.
 """
 
 import math
@@ -60,3 +62,15 @@ def truncated_pair_correlation(sigma: ScatteringMatrix, x, y) -> float:
         raise ValueError("truncated pair correlation requires a normalized scattering matrix")
     u = _check_point(sigma, x) - _check_point(sigma, y)
     return -math.exp(-float(u @ sigma.inverse @ u))
+
+
+def mean_count(basis) -> float:
+    """Expected point count of a draw from a `SpectralBasis`: the sum of
+    its eigenvalues."""
+    return float(basis.eigenvalues.sum())
+
+
+def count_variance(basis) -> float:
+    """Variance of that count: the sum of lam (1 - lam) over the modes."""
+    lam = basis.eigenvalues
+    return float((lam * (1.0 - lam)).sum())

@@ -215,6 +215,20 @@ def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
     _assert_clean_runtime_error(proc, str(path), message)
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF.
+    text = "label,f1,f2\n1,0.5,1.5\n0,2.0,-1.0\n1,-0.25,0.75\n0,1.0,2.5\n"
+    outputs = []
+    for name, data in (("plain.csv", text.encode()), ("bom.csv", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / name.replace(".", "-")
+        assert cli.main(["reduce", "--data", str(tmp_path / name), "--label-column", "label",
+                         "--method", "pca", "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes()
+                        for f in ("embedding.csv", "scree.csv", "reduce.json")])
+    assert outputs[0] == outputs[1]
+
+
 ESTIMATE_JSON = {"dim": 2, "sigma_hat": [0.16, 0.0, 0.0, 0.16], "n": 50.0, "R_used": 4.0}
 NAN_SIGMA_HAT = [float("nan"), 0.0, 0.0, 0.16]
 ASYMMETRIC_SIGMA_HAT = [0.16, 0.05, 0.0, 0.16]
@@ -290,6 +304,22 @@ def _json_bytes(obj) -> bytes:
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "n": 0.5})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: expected count n must exceed 1"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "n": 10**400})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'n' must be a positive number, got 1000"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 10**400})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'R_used' must be a positive number, got 1000"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": [10**400, 0, 0, 0.16]})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'sigma_hat' has non-finite entries"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "estimator": {"r": 10**400}})},
+     ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
+     "estimate.json: 'r' must be a positive number, got 1000"),
+    ({"pattern.csv": b"x1,x2\n0.5,0.5\n",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 10**400, "dim": 2}})},
+     ["estimate", "--pattern", "pattern"], 1,
+     "pattern.json: window side must be a number and dim an integer, got 1000"),
     ({}, ["bounds", "--d", "400"], 1, "bernstein is out of range of a float"),
     ({}, ["bounds", "--r", "1e100", "--d", "3"], 1,
      "variance_bound is out of range of a float"),
@@ -306,7 +336,10 @@ def _json_bytes(obj) -> bytes:
         "estimate-sigma_hat-object", "estimate-sigma_hat-strings", "estimate-sigma_hat-bool",
         "estimate-R_used-string", "estimate-r-string",
         "estimate-r-negative", "estimate-C0-not-one", "estimate-sigma_hat-nan",
-        "estimate-sigma_hat-asymmetric", "estimate-analytic-n-below-1", "bounds-d-400",
+        "estimate-sigma_hat-asymmetric", "estimate-analytic-n-below-1",
+        "estimate-n-beyond-float", "estimate-R_used-beyond-float",
+        "estimate-sigma_hat-beyond-float", "estimate-r-beyond-float",
+        "pattern-json-side-beyond-float", "bounds-d-400",
         "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
@@ -680,6 +713,43 @@ def test_config_replay_reproduces_roc(labelled_csv, tmp_path):
                      "--method", "pca", "--out", str(tmp_path / "reduce")]) == 0
     _replays_byte_identically(["roc", "--embedding", str(tmp_path / "reduce" / "embedding.csv"),
                                "--positive-label", "1"], tmp_path)
+
+
+@pytest.fixture
+def pca_embedding(labelled_csv, tmp_path):
+    out = tmp_path / "reduce"
+    assert cli.main(["reduce", "--data", str(labelled_csv), "--label-column", "label",
+                     "--method", "pca", "--out", str(out)]) == 0
+    return out / "embedding.csv"
+
+
+@pytest.mark.parametrize("component", [1, 2])
+def test_roc_scores_the_negated_component_unless_flipped(component, pca_embedding, tmp_path):
+    table = np.loadtxt(pca_embedding, delimiter=",", skiprows=1)
+    coord, labels = table[:, component], table[:, -1].astype(int)
+    assert np.unique(coord).size == coord.size  # no ties: --flip mirrors the AUC
+    auc = []
+    for flip in ([], ["--flip"]):
+        out = tmp_path / ("roc-flip" if flip else "roc")
+        assert cli.main(["roc", "--embedding", str(pca_embedding), "--component",
+                         str(component), *flip, "--out", str(out)]) == 0
+        auc.append(_strict_json(out / "roc.json")["auc"])
+    pos, neg = -coord[labels == 1], -coord[labels == 0]
+    assert auc[0] == sum((p > neg).sum() for p in pos) / (pos.size * neg.size)
+    assert auc[1] == pytest.approx(1.0 - auc[0], abs=1e-12)
+
+
+def test_roc_refuses_a_component_beyond_the_embedding(pca_embedding, tmp_path):
+    proc = _run_cli("roc", "--embedding", str(pca_embedding), "--component", "3",
+                    "--out", str(tmp_path / "out"))
+    _assert_clean_runtime_error(proc, "--component must be in 1..2")
+
+
+def test_scree_lists_every_eigenvalue_by_rank(pca_embedding):
+    eigvals = _strict_json(pca_embedding.parent / "reduce.json")["eigvals"]
+    assert len(eigvals) == 4 and eigvals == sorted(eigvals, reverse=True)
+    lines = (pca_embedding.parent / "scree.csv").read_text().splitlines()
+    assert lines == ["rank,eigenvalue", *(f"{i},{v!r}" for i, v in enumerate(eigvals, 1))]
 
 
 def test_config_replay_reproduces_validate(tmp_path):

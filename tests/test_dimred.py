@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gaussdpp import (BallWindow, Dataset, PointPattern, dpp_embed,
-                      estimate_scattering, pca_embed, risk_scores, roc_auc,
-                      scree)
+                      estimate_scattering, pca_embed, roc_auc)
 from gaussdpp import dimred
 from gaussdpp.dimred import pair_difference_sum
 
@@ -261,17 +260,6 @@ class TestPcaEmbed:
             pca_embed(ds, 1)
 
 
-class TestRiskScores:
-    def test_negation_and_flip(self):
-        coords = np.array([[1.0], [-2.0], [0.0]])
-        assert np.allclose(risk_scores(coords, 0), [-1.0, 2.0, 0.0])
-        assert np.allclose(risk_scores(coords, 0, flip=True), [1.0, -2.0, 0.0])
-
-    def test_component_range(self):
-        with pytest.raises(ValueError):
-            risk_scores(np.zeros((3, 2)), 2)
-
-
 class TestRocAuc:
     def test_perfect_separation(self):
         curve = roc_auc([3.0, 2.0, 1.0, 0.0], [1, 1, 0, 0])
@@ -331,22 +319,3 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             roc_auc([1.0, 2.0], [1, 1])
-
-
-class TestScree:
-    def test_flat_spectrum(self):
-        out = scree([1.0, 1.0, 1.0])
-        assert out == [(1, 1.0), (2, 1.0), (3, 1.0)]
-
-    def test_spiked_ratio(self):
-        from gaussdpp import spiked_scattering
-        sigma = spiked_scattering(1.0, [1.0, 0.0])
-        vals = np.sort(2 * math.pi * sigma.eigenvalues)[::-1]
-        out = scree(vals)
-        assert out[0][1] / out[1][1] == pytest.approx(4.0, rel=1e-12)
-
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError, match="descending"):
-            scree([1.0, 2.0])
-        with pytest.raises(ValueError):
-            scree([])
