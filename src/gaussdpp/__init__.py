@@ -15,10 +15,8 @@ from .sampling import (SpectralBasis, build_spectral_basis,
 from .estimator import (EstimateResult, bernstein_tail, bias_bound,
                         count_expectation, default_cutoff, estimate_scattering,
                         risk_rate, unit_ball_volume, variance_bound)
-from .spiked import (DetectionResult, NullCalibration, SpikeEstimate,
-                     calibrate_null_threshold, detection_test,
-                     detection_test_calibrated, estimate_spike, operator_norm,
-                     sin_angle)
+from .spiked import (NullCalibration, SpikeEstimate, calibrate_null_threshold,
+                     detection_statistic, estimate_spike)
 from .dimred import Dataset, ProjectionResult, RocCurve, dpp_embed, pca_embed, roc_auc
 from .datasets import load_dataset
 
@@ -34,9 +32,8 @@ __all__ = [
     "EstimateResult", "bernstein_tail", "bias_bound",
     "count_expectation", "default_cutoff",
     "estimate_scattering", "risk_rate", "unit_ball_volume", "variance_bound",
-    "DetectionResult", "NullCalibration", "SpikeEstimate",
-    "calibrate_null_threshold", "detection_test", "detection_test_calibrated",
-    "estimate_spike", "operator_norm", "sin_angle",
+    "NullCalibration", "SpikeEstimate", "calibrate_null_threshold",
+    "detection_statistic", "estimate_spike",
     "Dataset", "ProjectionResult", "RocCurve", "dpp_embed", "pca_embed", "roc_auc",
     "load_dataset",
     "__version__",

@@ -48,8 +48,8 @@ from .kernel import (TWO_PI, ScatteringMatrix, isotropic_scattering,
 from .patterns import BoxWindow, extract_ball, load_pattern, save_pattern
 from .sampling import (DEFAULT_TOL, count_dispersion_test, empirical_pair_correlation,
                        pair_metric, sample_gdp, sample_poisson)
-from .spiked import (NullCalibration, calibrate_null_threshold, detection_test,
-                     detection_test_calibrated, estimate_spike)
+from .spiked import (NullCalibration, calibrate_null_threshold, detection_statistic,
+                     estimate_spike)
 
 SCHEMA_VERSION = 1
 
@@ -219,24 +219,23 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
 
 def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
     sigma_hat, n, R_used, r = read_estimate(args.estimate)
+    d, status = len(sigma_hat), {}
     try:  # an asymmetric Sigma_hat, or n <= 1 for the rate, fails before any null is drawn
-        spike = estimate_spike(sigma_hat)
-        if not args.calibrate:
-            result = detection_test(sigma_hat, n, len(sigma_hat), args.t)
+        statistic, spike = detection_statistic(sigma_hat), estimate_spike(sigma_hat)
+        rate = None if args.calibrate else risk_rate(n, d)
     except ValueError as exc:
         raise ValueError(f"{args.estimate}: {exc}") from None
-    status = {}
     if args.calibrate:
         side = args.L if args.L is not None else 2.0 * R_used
         cal, status["calibration_cache"] = _calibrate_cached(
-            len(sigma_hat), side, args.delta, args.null_replicates, args.seed, r)
-        result = detection_test_calibrated(sigma_hat, cal.threshold)
+            d, side, args.delta, args.null_replicates, args.seed, r)
         write_json(out / "calibration.json", cal.to_json_dict())
-        payload = {**result.to_json_dict(), "mode": "calibrated",
-                   "delta": args.delta, "null_replicates": args.null_replicates}
+        rule = {"mode": "calibrated", "threshold": cal.threshold, "t": None, "rate": None,
+                "delta": args.delta, "null_replicates": args.null_replicates}
     else:
-        payload = {**result.to_json_dict(), "mode": "analytic"}
-    payload["spike"] = spike.to_json_dict()
+        rule = {"mode": "analytic", "threshold": 1.0 + args.t * rate, "t": args.t, "rate": rate}
+    payload = {"statistic": statistic, **rule, "reject": statistic > rule["threshold"],
+               "spike": spike.to_json_dict()}
     write_json(out / "detect.json", payload)
     return payload, status
 
@@ -401,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=0.05, help="with --calibrate: test level")
     p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),
                    default=200, help="with --calibrate: null replicates K")
-    p.add_argument("--seed", type=int, default=0, help="with --calibrate: null seed")
+    p.add_argument("--seed", type=int, default=0, help="with --calibrate: null seed; replicate "
+                   "i draws from (seed, i, 0, 1), a stream no sample or validate run uses")
     p.add_argument("--L", type=_positive_finite, default=None,
                    help="with --calibrate: null box side (default 2 * R_used)")
     p.add_argument("--out", required=True)

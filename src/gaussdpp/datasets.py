@@ -45,6 +45,11 @@ def finite_number(value) -> bool:
         return False
 
 
+def count_text(n: int) -> str:
+    """A count read from a file, for a message; one too long to print is "more than 10^15"."""
+    return str(n) if n <= 10**15 else "more than 10^15"
+
+
 def _write_atomically(path, write) -> None:
     """Call write(fh) on `.<name>.<pid>.tmp` next to path, then rename that
     onto path; the temporary file is removed on any failure.  open() makes

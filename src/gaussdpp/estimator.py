@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import finite_number, read_json
+from .datasets import count_text, finite_number, read_json
 from .kernel import ScatteringMatrix
 from .patterns import BallWindow, BoxWindow, PointPattern, close_pairs
 
@@ -158,7 +158,7 @@ def read_estimate(path) -> tuple[np.ndarray, float, float, float | None]:
     # A JSON string or boolean is not a number, though numpy converts both.
     flat = np.asarray(entries, dtype=object).reshape(-1)
     if flat.size != d * d or any(type(v) not in (int, float) for v in flat):
-        raise ValueError(f"{path}: 'sigma_hat' must hold {d * d} numbers")
+        raise ValueError(f"{path}: 'sigma_hat' must hold {count_text(d * d)} numbers")
     if not all(map(finite_number, flat)):
         raise ValueError(f"{path}: 'sigma_hat' has non-finite entries")
     sigma_hat = flat.astype(float).reshape(d, d)

@@ -1,39 +1,26 @@
 """Detection and estimation of a rank-one spike in the scattering matrix.
 
-The test statistic is 2*pi times the operator norm of the estimated
-scattering matrix: it concentrates near 1 under the isotropic null and
-near 1 + lambda under a spike of strength lambda.  Two thresholds are
-supported: the analytic 1 + t * rate(n, d) form, and an empirical one
-calibrated by simulating the null at the observed window.  Theory does
-not pin the rate's universal constant c; the rate is taken with c = 1,
-since a threshold with (t, c) equals one with (t c^(d+1), 1).
+The test's one statistic, `detection_statistic` = 2*pi ||Sigma_hat||op, is near 1
+under the isotropic null and 1 + lambda under a spike lambda.  `cli._cmd_detect`
+compares it with the analytic 1 + t * `estimator.risk_rate`(n, d) (with t = 1/delta
+both error rates are at most delta once the spike exceeds twice the rate; the
+rate's constant c, which theory leaves open, is 1, as (t, c) equals
+(t c^(d+1), 1)), or with the null quantile of `calibrate_null_threshold`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import estimate_scattering, risk_rate
+from .estimator import estimate_scattering
 from .kernel import TWO_PI, isotropic_scattering
 from .patterns import BoxWindow
 from .sampling import sample_gdp
 
 SYMMETRY_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    statistic: float
-    threshold: float
-    reject: bool
-    t: float | None  # None for a calibrated threshold, which has no t or rate
-    rate: float | None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -59,33 +46,11 @@ def _check_symmetric(sigma_hat) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def operator_norm(sigma_hat) -> float:
-    """Largest eigenvalue magnitude of the symmetrized input."""
-    a = _check_symmetric(sigma_hat)
-    w = np.linalg.eigvalsh(a)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
-def detection_test(sigma_hat, n: float, d: int, t: float) -> DetectionResult:
-    """Analytic spike test: reject iff 2*pi ||Sigma_hat||op > 1 + t * rate.
-
-    With t = 1/delta the two error probabilities are at most delta once
-    the spike strength exceeds twice the rate.
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    stat = TWO_PI * operator_norm(sigma_hat)
-    rate = risk_rate(n, d)
-    threshold = 1.0 + t * rate
-    return DetectionResult(statistic=stat, threshold=threshold,
-                           reject=bool(stat > threshold), t=t, rate=rate)
-
-
-def detection_test_calibrated(sigma_hat, threshold: float) -> DetectionResult:
-    """Apply an empirically calibrated threshold (see calibrate_null_threshold)."""
-    stat = TWO_PI * operator_norm(sigma_hat)
-    return DetectionResult(statistic=stat, threshold=threshold,
-                           reject=bool(stat > threshold), t=None, rate=None)
+def detection_statistic(sigma_hat) -> float:
+    """2*pi times the largest eigenvalue magnitude of the symmetrized input:
+    the spike statistic, of the data and of every null replicate alike."""
+    w = np.linalg.eigvalsh(_check_symmetric(sigma_hat))
+    return float(TWO_PI * max(abs(w[0]), abs(w[-1])))
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
@@ -110,22 +75,6 @@ def estimate_spike(sigma_hat) -> SpikeEstimate:
     u_hat.setflags(write=False)
     return SpikeEstimate(u_hat=u_hat, lambda_hat=float(TWO_PI * w[-1] - 1.0),
                          gap=gap)
-
-
-def sin_angle(u, v) -> float:
-    """|sin| of the angle between two unit vectors: sqrt(1 - <u, v>^2).
-
-    Invariant under sign flips of either argument.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("expected two vectors of identical shape")
-    for name, vec in (("u", u), ("v", v)):
-        if abs(float(vec @ vec) - 1.0) > 1e-9 * 2:
-            raise ValueError(f"{name} is not unit-norm")
-    dot = min(1.0, max(-1.0, float(u @ v)))
-    return math.sqrt(max(0.0, 1.0 - dot * dot))
 
 
 @dataclass(frozen=True)
@@ -161,13 +110,15 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
 
     Simulates the isotropic model on the given box window, estimates the
     scattering matrix of each replicate on the inscribed ball, and returns
-    the ceil((K+1)(1-delta))-th order statistic of 2*pi ||Sigma_hat||op
-    (see NullCalibration.from_statistics), which keeps the false-alarm
-    rate of a fresh replicate at or below delta up to Monte-Carlo error.
-    Replicate i is drawn by sample_gdp with seed (seed, i), so the first
-    statistics do not depend on n_replicates.  Replicate statistics are
-    kept for audit.  r is the estimator's cutoff (None: automatic); a
-    fixed r must be below side/2, which is checked before any draw.
+    the ceil((K+1)(1-delta))-th order statistic of their detection_statistic
+    (see NullCalibration.from_statistics), which keeps the false-alarm rate
+    of a fresh replicate at or below delta up to Monte-Carlo error.
+    Replicate i is drawn by sample_gdp with seed (seed, i, 0, 1), so the
+    first statistics do not depend on n_replicates, and no seed (s, i') of
+    a `sample` or `validate` replicate i' < 2**32 gives numpy's SeedSequence
+    the same 32-bit words.  Replicate statistics are kept for audit.  r is
+    the estimator's cutoff (None: automatic); a fixed r must be below
+    side/2, which is checked before any draw.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -180,7 +131,7 @@ def calibrate_null_threshold(d: int, side: float, delta: float,
     window = BoxWindow(side, d)
     stats = np.empty(n_replicates)
     for i in range(n_replicates):
-        pat = sample_gdp(sigma0, window, (seed, i))
+        pat = sample_gdp(sigma0, window, (seed, i, 0, 1))
         est = estimate_scattering(pat, r)  # on the box's inscribed ball
-        stats[i] = TWO_PI * operator_norm(est.sigma_hat)
+        stats[i] = detection_statistic(est.sigma_hat)
     return NullCalibration.from_statistics(stats, delta)

@@ -5,6 +5,8 @@ straight from the definitions in `gaussdpp.kernel`'s docstring; the package
 computes the same quantities in array form where it needs them.  The
 count moments of a torus draw follow from its spectral basis: the
 sampler keeps each mode independently with probability its eigenvalue.
+`sin_angle` measures how far a recovered spike direction is from the true
+one.
 """
 
 import math
@@ -74,3 +76,19 @@ def count_variance(basis) -> float:
     """Variance of that count: the sum of lam (1 - lam) over the modes."""
     lam = basis.eigenvalues
     return float((lam * (1.0 - lam)).sum())
+
+
+def sin_angle(u, v) -> float:
+    """|sin| of the angle between two unit vectors: sqrt(1 - <u, v>^2).
+
+    Invariant under sign flips of either argument.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError("expected two vectors of identical shape")
+    for name, vec in (("u", u), ("v", v)):
+        if abs(float(vec @ vec) - 1.0) > 1e-9 * 2:
+            raise ValueError(f"{name} is not unit-norm")
+    dot = min(1.0, max(-1.0, float(u @ v)))
+    return math.sqrt(max(0.0, 1.0 - dot * dot))

@@ -320,6 +320,14 @@ def _json_bytes(obj) -> bytes:
       "pattern.json": _json_bytes({"window": {"type": "box", "side": 10**400, "dim": 2}})},
      ["estimate", "--pattern", "pattern"], 1,
      "pattern.json: window side must be a number and dim an integer, got 1000"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": 10**2500})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'sigma_hat' must hold more than 10^15 numbers\n"),
+    ({"pattern.csv": b"x1,x2\n0.5,0.5\n",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 6.0, "dim": 10**3999}})},
+     ["estimate", "--pattern", "pattern"], 1,
+     "pattern.csv: pattern CSV has 2 columns, window 'dim' in pattern.json is more than "
+     "10^15\n"),
     ({}, ["bounds", "--d", "400"], 1, "bernstein is out of range of a float"),
     ({}, ["bounds", "--r", "1e100", "--d", "3"], 1,
      "variance_bound is out of range of a float"),
@@ -339,7 +347,8 @@ def _json_bytes(obj) -> bytes:
         "estimate-sigma_hat-asymmetric", "estimate-analytic-n-below-1",
         "estimate-n-beyond-float", "estimate-R_used-beyond-float",
         "estimate-sigma_hat-beyond-float", "estimate-r-beyond-float",
-        "pattern-json-side-beyond-float", "bounds-d-400",
+        "pattern-json-side-beyond-float", "estimate-dim-2501-digits",
+        "pattern-json-dim-4000-digits", "bounds-d-400",
         "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
@@ -494,6 +503,53 @@ def test_calibrated_null_uses_the_estimate_settings(estimate_json, tmp_path):
     assert stats == cal.statistics.tolist()
 
 
+def test_null_never_redraws_the_observed_pattern(tmp_path):
+    # At the default seeds sample's pattern must not be a null replicate: the
+    # observed statistic would then sit in its own null.
+    assert cli.main(SAMPLE + ["--L", "8", "--out", str(tmp_path / "sample")]) == 0
+    assert cli.main(["estimate", "--pattern", str(tmp_path / "sample" / "pattern"),
+                     "--r", "0.8", "--out", str(tmp_path / "est")]) == 0
+    assert cli.main(["detect", "--estimate", str(tmp_path / "est" / "estimate.json"),
+                     "--calibrate", "--null-replicates", "3",
+                     "--out", str(tmp_path / "detect")]) == 0
+    det = json.loads((tmp_path / "detect" / "detect.json").read_text())
+    cal = json.loads((tmp_path / "detect" / "calibration.json").read_text())
+    assert det["statistic"] not in cal["statistics"]
+
+
+# 2 pi Sigma_hat has eigenvalues 3 and 1/3, so the statistic is 3.
+SPIKED_ESTIMATE_JSON = {**ESTIMATE_JSON,
+                        "sigma_hat": spiked_scattering(2.0, [0.6, 0.8]).entries.ravel().tolist()}
+
+
+@pytest.mark.parametrize("t, reject", [(0.1, True), (20.0, False)])
+def test_analytic_detect_compares_the_statistic_with_one_plus_t_rate(t, reject, tmp_path):
+    path = tmp_path / "estimate.json"
+    path.write_text(json.dumps(SPIKED_ESTIMATE_JSON))
+    assert cli.main(["detect", "--estimate", str(path), "--t", str(t),
+                     "--out", str(tmp_path / "out")]) == 0
+    det = json.loads((tmp_path / "out" / "detect.json").read_text())
+    assert set(det) == {"statistic", "threshold", "reject", "mode", "t", "rate", "spike"}
+    sigma_hat = np.reshape(SPIKED_ESTIMATE_JSON["sigma_hat"], (2, 2))
+    assert det["statistic"] == spiked.detection_statistic(sigma_hat)
+    rate = risk_rate(ESTIMATE_JSON["n"], 2)
+    assert (det["mode"], det["t"], det["rate"]) == ("analytic", t, rate)
+    assert det["threshold"] == 1.0 + t * rate
+    assert det["reject"] is reject is (det["statistic"] > det["threshold"])
+
+
+def test_calibrated_detect_takes_the_calibration_threshold(estimate_json, tmp_path):
+    _calibrate(estimate_json, tmp_path / "out")
+    det = json.loads((tmp_path / "out" / "detect.json").read_text())
+    cal = json.loads((tmp_path / "out" / "calibration.json").read_text())
+    assert set(det) == {"statistic", "threshold", "reject", "mode", "t", "rate", "delta",
+                        "null_replicates", "spike"}
+    assert det["threshold"] == cal["threshold"]
+    assert (det["mode"], det["t"], det["rate"]) == ("calibrated", None, None)
+    assert (det["delta"], det["null_replicates"]) == (float(NULL_DELTA), int(NULL_K))
+    assert det["reject"] is (det["statistic"] > det["threshold"])
+
+
 @pytest.mark.parametrize("sigma_hat", [NAN_SIGMA_HAT, ASYMMETRIC_SIGMA_HAT],
                          ids=["nan", "asymmetric"])
 def test_bad_sigma_hat_fails_before_any_null_is_simulated(sigma_hat, tmp_path, monkeypatch,
@@ -645,7 +701,8 @@ def test_every_replicate_is_one_sample_gdp_call(command, calls, estimate_json, t
                        NULL_L, "--null-replicates", "3", "--seed", NULL_SEED]}[command]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
     seed = int(argv[argv.index("--seed") + 1])
-    assert seeds == [(seed, i) for i in range(calls)]
+    stream = (0, 1) if command == "detect" else ()  # the null's own streams
+    assert seeds == [(seed, i, *stream) for i in range(calls)]
 
 
 def _replayed_payload_matches(first: Path, second: Path) -> None:

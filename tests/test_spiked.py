@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gaussdpp import (NullCalibration, calibrate_null_threshold, detection_test,
-                      detection_test_calibrated, estimate_spike,
-                      isotropic_scattering, operator_norm, risk_rate,
-                      sin_angle, spiked_scattering)
+from gaussdpp import (BoxWindow, NullCalibration, calibrate_null_threshold,
+                      detection_statistic, estimate_scattering, estimate_spike,
+                      isotropic_scattering, sample_gdp, spiked_scattering)
+from oracles import sin_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -17,44 +17,29 @@ def random_orthogonal(rng, d):
 
 
 class TestDetectionTest:
-    def test_isotropic_never_rejects(self):
-        sigma_hat = np.eye(2) / TWO_PI
-        for t in (0.01, 1.0, 100.0):
-            res = detection_test(sigma_hat, n=1000.0, d=2, t=t)
-            assert res.statistic == pytest.approx(1.0, abs=1e-12)
-            assert not res.reject
+    """The test's one statistic; its thresholds are tested through the CLI."""
 
-    def test_strong_spike_rejects(self):
-        n, d, t = 1.0e8, 2, 0.1
-        rate = risk_rate(n, d)
-        lam = 2.0 * t * rate + 1.0
+    def test_isotropic_statistic_is_one(self):
+        assert detection_statistic(np.eye(2) / TWO_PI) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_spike_statistic_is_one_plus_lambda(self):
+        lam = 7.5
         sigma = spiked_scattering(lam, [1.0, 0.0])
-        res = detection_test(sigma.entries, n=n, d=d, t=t)
-        assert res.statistic == pytest.approx(1.0 + lam, rel=1e-10)
-        assert res.reject
-
-    def test_threshold_monotone_in_t(self):
-        sigma = spiked_scattering(0.5, [0.0, 1.0])
-        decisions = [detection_test(sigma.entries, 1e6, 2, t).reject
-                     for t in (0.1, 1.0, 10.0, 1000.0)]
-        # once the threshold passes the statistic, larger t stays accepted
-        assert decisions == sorted(decisions, reverse=True)
+        assert detection_statistic(sigma.entries) == pytest.approx(1.0 + lam, rel=1e-10)
 
     def test_statistic_rotation_invariant(self):
         rng = np.random.default_rng(0)
         sigma = spiked_scattering(1.3, [0.6, 0.8])
         q = random_orthogonal(rng, 2)
-        a = detection_test(sigma.entries, 1e4, 2, 5.0)
-        b = detection_test(q @ sigma.entries @ q.T, 1e4, 2, 5.0)
-        assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
-        assert a.reject == b.reject
+        assert detection_statistic(q @ sigma.entries @ q.T) == pytest.approx(
+            detection_statistic(sigma.entries), rel=1e-12)
 
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError, match="asymmetric"):
-            detection_test(np.array([[1.0, 0.3], [0.0, 1.0]]), 100.0, 2, 1.0)
+            detection_statistic(np.array([[1.0, 0.3], [0.0, 1.0]]))
 
     def test_operator_norm_uses_magnitude(self):
-        assert operator_norm(np.diag([0.5, -2.0])) == 2.0
+        assert detection_statistic(np.diag([0.5, -2.0])) == TWO_PI * 2.0
 
 
 class TestEstimateSpike:
@@ -95,9 +80,9 @@ class TestEstimateSpike:
         for _ in range(25):
             e = rng.standard_normal((3, 3))
             e = e + e.T
-            e *= (0.4 * gap) / operator_norm(e)
+            e *= (0.4 * gap) / np.linalg.norm(e, 2)
             est = estimate_spike(sigma.entries + e)
-            bound = 2.0 * operator_norm(e) / gap
+            bound = 2.0 * np.linalg.norm(e, 2) / gap
             assert sin_angle(est.u_hat, [0.0, 1.0, 0.0]) <= bound + 1e-12
 
 
@@ -133,9 +118,16 @@ class TestCalibration:
         stats = np.sort(cal.statistics)
         # ceil(31 * 0.9) = 28th order statistic
         assert cal.threshold == stats[27]
-        res = detection_test_calibrated(np.eye(2) * 100.0, cal.threshold)
-        assert res.reject
-        assert res.t is None and res.rate is None
+
+    def test_each_replicate_takes_the_detection_statistic(self):
+        # Replicate i is drawn from the stream (seed, i, 0, 1), estimated on the
+        # inscribed ball at the given r, and scored like the data.
+        side, seed, r = 8.0, 5, 0.8
+        cal = calibrate_null_threshold(d=2, side=side, delta=0.5, n_replicates=3, seed=seed,
+                                       r=r)
+        for i, stat in enumerate(cal.statistics):
+            pattern = sample_gdp(isotropic_scattering(2), BoxWindow(side, 2), (seed, i, 0, 1))
+            assert stat == detection_statistic(estimate_scattering(pattern, r).sigma_hat)
 
     def test_validation(self):
         with pytest.raises(ValueError):
