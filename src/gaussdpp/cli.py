@@ -9,7 +9,7 @@ and wall-clock time (the one field that varies between reruns).
 `detect --calibrate` caches the K null statistics it simulates, one JSON
 file per key under ${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/.  The key
 is the SHA-256 of the package's *.py sources, the numpy version, d, the
-null box side, the cutoff r recorded in estimate.json (null: automatic),
+null box side, the cutoff r_used recorded in estimate.json,
 K (--null-replicates) and the null --seed; the file is named by the
 SHA-256 of that key.  --delta is not part of it: a later call with the
 same key reads the statistics instead of simulating them and takes its
@@ -81,6 +81,7 @@ def _checked(convert, ok, requirement: str):
 
 _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_seed = _checked(int, lambda v: v >= 0, ">= 0")  # numpy's SeedSequence takes no negative
 _strength = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 
@@ -194,7 +195,7 @@ def _source_fingerprint() -> str:
 
 
 def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed: int,
-                      r: float | None) -> tuple[NullCalibration, str]:
+                      r: float) -> tuple[NullCalibration, str]:
     """Null calibration through the on-disk cache (see the module
     docstring); returns it with "hit" or "miss"."""
     import hashlib
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", default="gdp", choices=["gdp", "poisson"],
                    help="poisson: unit intensity, takes no scattering option")
     p.add_argument("--L", type=_positive_finite, required=True, help="box side")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--replicates", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True,
                    help="pattern file stem (reads <stem>.csv and <stem>.json)")
     p.add_argument("--r", type=_positive_finite, default=None,
-                   help="cutoff radius (default: auto)")
+                   help="cutoff radius (default: min(sqrt(d log n), R/2), n = |B(R)|)")
     p.add_argument("--ball-radius", type=_positive_finite, default=None,
                    help="restrict a box pattern to this ball before estimating; the "
                         "window fixes the observation ball radius R, which is this "
@@ -390,17 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="without --calibrate: analytic threshold multiplier")
     p.add_argument(
         "--calibrate", action="store_true",
-        help="Monte-Carlo null calibration instead of the analytic threshold. The null "
-             "estimates use the cutoff r recorded in the estimate. The null statistics "
+        help="Monte-Carlo null calibration instead of the analytic threshold. Every null "
+             "estimate uses the cutoff r_used recorded in the estimate. The null statistics "
              "are cached under ${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/, keyed by the "
-             "package sources, numpy version, d, box side, r, --null-replicates and "
+             "package sources, numpy version, d, box side, r_used, --null-replicates and "
              "--seed (not --delta); delete that directory to clear it. result.json "
              "reports calibration_cache: hit or miss.")
     p.add_argument("--delta", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
                    default=0.05, help="with --calibrate: test level")
     p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),
                    default=200, help="with --calibrate: null replicates K")
-    p.add_argument("--seed", type=int, default=0, help="with --calibrate: null seed; replicate "
+    p.add_argument("--seed", type=_seed, default=0, help="with --calibrate: null seed; replicate "
                    "i draws from (seed, i, 0, 1), a stream no sample or validate run uses")
     p.add_argument("--L", type=_positive_finite, default=None,
                    help="with --calibrate: null box side (default 2 * R_used)")
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sigma_flags(p)
     p.add_argument("--L", type=_positive_finite, required=True)
     p.add_argument("--replicates", type=_checked(int, lambda v: v >= 2, ">= 2"), default=200)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--bin-width", type=_positive_finite, default=0.1)
     p.add_argument("--r-max", type=_positive_finite, default=2.0)
     p.add_argument("--out", required=True)

@@ -45,9 +45,12 @@ def finite_number(value) -> bool:
         return False
 
 
-def count_text(n: int) -> str:
-    """A count read from a file, for a message; one too long to print is "more than 10^15"."""
-    return str(n) if n <= 10**15 else "more than 10^15"
+def value_text(value) -> str:
+    """A value read from a file, for a message: its repr, but an integer too
+    long to print is "more than 10^15" or "less than -10^15"."""
+    if type(value) is not int or abs(value) <= 10**15:
+        return repr(value)
+    return "more than 10^15" if value > 0 else "less than -10^15"
 
 
 def _write_atomically(path, write) -> None:

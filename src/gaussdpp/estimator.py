@@ -18,10 +18,12 @@ checked by Monte Carlo.  The module also provides the theoretical bias,
 variance, rate, and count-concentration reference bounds, each returning
 None outside its validity range rather than extrapolating.
 
-The module owns estimate.json: `EstimateResult.to_json_dict` is the whole
-record `estimate` writes (Sigma_hat, counts, radii, bounds, and the cutoff
-asked for as "estimator": {"r": ...}), and `read_estimate` reads back and
-checks what `detect` uses of it: Sigma_hat, n, R_used and that cutoff.
+The automatic cutoff is the paper's sqrt(d log n), capped at R/2; at the
+sizes this package runs it is variance-dominated.  The module owns
+estimate.json: `EstimateResult.to_json_dict` is the whole record `estimate`
+writes (Sigma_hat, counts, radii, bounds, and the cutoff asked for as
+"estimator": {"r": ...}), and `read_estimate` reads back what `detect`
+uses of it: Sigma_hat, n, R_used and r_used, the cutoff actually used.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import count_text, finite_number, read_json
+from .datasets import finite_number, read_json, value_text
 from .kernel import ScatteringMatrix
 from .patterns import BallWindow, BoxWindow, PointPattern, close_pairs
 
@@ -135,40 +137,32 @@ class EstimateResult:
         }
 
 
-def read_estimate(path) -> tuple[np.ndarray, float, float, float | None]:
-    """Sigma_hat (finite), n and R_used (positive) and the cutoff asked for
-    (None: automatic, also when the estimator block is missing) from an
-    estimate.json; every message names the file.  Older records also hold R,
-    equal to R_used and ignored, and C0, a removed scale of the automatic
-    rule: a C0 other than 1 would replay another null, so it is refused."""
+def read_estimate(path) -> tuple[np.ndarray, float, float, float]:
+    """Sigma_hat (finite), n, R_used and r_used (positive) from an
+    estimate.json; every message names the file.  A null replays r_used,
+    whatever the "estimator" block (older records also hold R, C0) asks."""
     est = read_json(path)
 
-    def value(obj, key, positive=False):
+    def value(key, positive=False):
         try:
-            v = obj[key]
-        except (KeyError, TypeError):
+            v = est[key]
+        except KeyError:
             raise ValueError(f"{path}: missing key {key!r}") from None
         if positive and not (finite_number(v) and v > 0):
-            raise ValueError(f"{path}: {key!r} must be a positive number, got {v!r}")
+            raise ValueError(f"{path}: {key!r} must be a positive number, got {value_text(v)}")
         return v
 
-    d, entries = value(est, "dim"), value(est, "sigma_hat")
+    d, entries = value("dim"), value("sigma_hat")
     if type(d) is not int or d < 1:
-        raise ValueError(f"{path}: 'dim' must be a positive integer, got {d!r}")
+        raise ValueError(f"{path}: 'dim' must be a positive integer, got {value_text(d)}")
     # A JSON string or boolean is not a number, though numpy converts both.
     flat = np.asarray(entries, dtype=object).reshape(-1)
     if flat.size != d * d or any(type(v) not in (int, float) for v in flat):
-        raise ValueError(f"{path}: 'sigma_hat' must hold {count_text(d * d)} numbers")
+        raise ValueError(f"{path}: 'sigma_hat' must hold {value_text(d * d)} numbers")
     if not all(map(finite_number, flat)):
         raise ValueError(f"{path}: 'sigma_hat' has non-finite entries")
     sigma_hat = flat.astype(float).reshape(d, d)
-    n, R_used = value(est, "n", True), value(est, "R_used", True)
-    block = {"r": None} if est.get("estimator") is None else est["estimator"]
-    r = value(block, "r", positive=value(block, "r") is not None)
-    if block.get("C0", 1.0) != 1.0:
-        raise ValueError(f"{path}: 'C0' {block['C0']!r} is no longer supported "
-                         "(the automatic cutoff has no scale); re-run estimate")
-    return sigma_hat, n, R_used, r
+    return sigma_hat, value("n", True), value("R_used", True), value("r_used", True)
 
 
 def _window_radius(pattern: PointPattern) -> float:
@@ -191,32 +185,18 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
 
     R is the radius of the pattern's window: the ball's radius, or the
     inscribed ball of a box.  A fixed cutoff needs 0 < r < R.  With r None
-    the cutoff is automatic: sqrt(d log n) clamped to
-    [sqrt(d) * max(1, sqrt(5 Tr(pilot)/2)), R/2], where the pilot estimate
-    uses r = min(sqrt(d), R/2); it fails if that interval is empty.  An
-    empty pattern returns the pure identity term.  The output is exactly
-    symmetric, and the summation order is canonicalized so permuting the
-    input points reproduces the result bitwise.
+    the cutoff is the paper's sqrt(d log n), n = |B(R)|, capped at R/2, so
+    it depends on the window alone.  An empty pattern returns the pure
+    identity term.  The output is exactly symmetric, and the summation
+    order is canonicalized so permuting the input points reproduces the
+    result bitwise.
     """
     R = _window_radius(pattern)
     d = pattern.dim
     n_expected = count_expectation(R, d)
 
     r_requested = r
-    if r is not None:
-        r = float(r)
-    else:
-        # Pilot estimate for the bias-validity clamp.  The pilot cutoff is
-        # kept at sqrt(d) (the variance-validity floor): larger pilot radii
-        # make the pilot trace variance-dominated and the clamp erratic.
-        pilot = estimate_scattering(pattern, min(math.sqrt(d), R / 2.0))
-        tr0 = float(np.trace(pilot.sigma_hat))
-        lo = math.sqrt(d) * max(1.0, math.sqrt(max(tr0, 0.0) * 2.5))
-        hi = R / 2.0
-        if lo > hi:
-            raise ValueError(
-                f"auto cutoff failed: lower clamp {lo:.3g} exceeds R/2 = {hi:.3g}")
-        r = min(max(default_cutoff(n_expected, d), lo), hi)
+    r = min(default_cutoff(n_expected, d), R / 2.0) if r is None else float(r)
     if not 0 < r < R:
         raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
 

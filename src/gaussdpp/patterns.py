@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import count_text, finite_number, load_dataset, read_json, write_csv, write_json
+from .datasets import finite_number, load_dataset, read_json, value_text, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -225,5 +225,5 @@ def load_pattern(path) -> tuple[PointPattern, dict]:
     coords = load_dataset(table)
     if len(coords.feature_names) != window.dim:
         raise ValueError(f"{table}: pattern CSV has {len(coords.feature_names)} columns, "
-                         f"window 'dim' in {sidecar} is {count_text(window.dim)}")
+                         f"window 'dim' in {sidecar} is {value_text(window.dim)}")
     return PointPattern(coords.features, window), meta

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussdpp import (bernstein_tail, bias_bound, calibrate_null_threshold, cli,
-                      count_expectation, isotropic_scattering, risk_rate, sample_gdp, spiked,
-                      spiked_scattering, variance_bound)
+from gaussdpp import (BoxWindow, bernstein_tail, bias_bound, calibrate_null_threshold, cli,
+                      count_expectation, estimate_scattering, isotropic_scattering, risk_rate,
+                      sample_gdp, spiked, spiked_scattering, variance_bound)
 
 SAMPLE = ["sample", "--d", "2", "--seed", "0"]
 VALIDATE = ["validate", "--d", "2", "--seed", "0"]
@@ -113,6 +113,10 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (SAMPLE + ["--L", "5", "--u=1,0"], "sample: --u not used without --sigma spiked"),
     (VALIDATE + ["--L", "8", "--sigma", "spiked", "--lam", "3", "--sigma-entries", "1,0;0,1"],
      "validate: --sigma, --lam not used with --sigma-entries"),
+    # numpy's SeedSequence takes no negative seed.
+    (["sample", "--d", "2", "--L", "5", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["validate", "--d", "2", "--L", "5", "--seed", "-3"], "--seed: must be >= 0, got -3"),
+    (DETECT + ["--seed=-1"], "--seed: must be >= 0, got -1"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -229,7 +233,8 @@ def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-ESTIMATE_JSON = {"dim": 2, "sigma_hat": [0.16, 0.0, 0.0, 0.16], "n": 50.0, "R_used": 4.0}
+ESTIMATE_JSON = {"dim": 2, "sigma_hat": [0.16, 0.0, 0.0, 0.16], "n": 50.0, "R_used": 4.0,
+                 "r_used": 0.8}
 NAN_SIGMA_HAT = [float("nan"), 0.0, 0.0, 0.16]
 ASYMMETRIC_SIGMA_HAT = [0.16, 0.05, 0.0, 0.16]
 
@@ -285,18 +290,12 @@ def _json_bytes(obj) -> bytes:
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": "x"})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
      "estimate.json: 'R_used' must be a positive number, got 'x'"),
-    ({"estimate.json": _json_bytes({**ESTIMATE_JSON,
-                                    "estimator": {"r": "x", "R": None, "C0": 1.0}})},
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "r_used": "x"})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
-     "estimate.json: 'r' must be a positive number, got 'x'"),
-    ({"estimate.json": _json_bytes({**ESTIMATE_JSON,
-                                    "estimator": {"r": -1, "R": None, "C0": 1.0}})},
+     "estimate.json: 'r_used' must be a positive number, got 'x'"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "r_used": -1})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
-     "estimate.json: 'r' must be a positive number, got -1"),
-    ({"estimate.json": _json_bytes({**ESTIMATE_JSON,
-                                    "estimator": {"r": None, "R": None, "C0": 2.0}})},
-     ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
-     "estimate.json: 'C0' 2.0 is no longer supported"),
+     "estimate.json: 'r_used' must be a positive number, got -1"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": NAN_SIGMA_HAT})}, DETECT, 1,
      "estimate.json: 'sigma_hat' has non-finite entries"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": ASYMMETRIC_SIGMA_HAT})},
@@ -306,16 +305,16 @@ def _json_bytes(obj) -> bytes:
      "estimate.json: expected count n must exceed 1"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "n": 10**400})},
      ["detect", "--estimate", "estimate.json"], 1,
-     "estimate.json: 'n' must be a positive number, got 1000"),
+     "estimate.json: 'n' must be a positive number, got more than 10^15\n"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 10**400})},
      ["detect", "--estimate", "estimate.json"], 1,
-     "estimate.json: 'R_used' must be a positive number, got 1000"),
+     "estimate.json: 'R_used' must be a positive number, got more than 10^15\n"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": [10**400, 0, 0, 0.16]})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'sigma_hat' has non-finite entries"),
-    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "estimator": {"r": 10**400}})},
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "r_used": 10**400})},
      ["detect", "--estimate", "estimate.json", "--calibrate"], 1,
-     "estimate.json: 'r' must be a positive number, got 1000"),
+     "estimate.json: 'r_used' must be a positive number, got more than 10^15\n"),
     ({"pattern.csv": b"x1,x2\n0.5,0.5\n",
       "pattern.json": _json_bytes({"window": {"type": "box", "side": 10**400, "dim": 2}})},
      ["estimate", "--pattern", "pattern"], 1,
@@ -323,6 +322,9 @@ def _json_bytes(obj) -> bytes:
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": 10**2500})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'sigma_hat' must hold more than 10^15 numbers\n"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": -10**4000})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'dim' must be a positive integer, got less than -10^15\n"),
     ({"pattern.csv": b"x1,x2\n0.5,0.5\n",
       "pattern.json": _json_bytes({"window": {"type": "box", "side": 6.0, "dim": 10**3999}})},
      ["estimate", "--pattern", "pattern"], 1,
@@ -342,12 +344,13 @@ def _json_bytes(obj) -> bytes:
         "estimate-nested-too-deep",
         "estimate-dim-string",
         "estimate-sigma_hat-object", "estimate-sigma_hat-strings", "estimate-sigma_hat-bool",
-        "estimate-R_used-string", "estimate-r-string",
-        "estimate-r-negative", "estimate-C0-not-one", "estimate-sigma_hat-nan",
+        "estimate-R_used-string", "estimate-r_used-string",
+        "estimate-r_used-negative", "estimate-sigma_hat-nan",
         "estimate-sigma_hat-asymmetric", "estimate-analytic-n-below-1",
         "estimate-n-beyond-float", "estimate-R_used-beyond-float",
-        "estimate-sigma_hat-beyond-float", "estimate-r-beyond-float",
+        "estimate-sigma_hat-beyond-float", "estimate-r_used-beyond-float",
         "pattern-json-side-beyond-float", "estimate-dim-2501-digits",
+        "estimate-dim-negative-4001-digits",
         "pattern-json-dim-4000-digits", "bounds-d-400",
         "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
@@ -588,6 +591,42 @@ def test_older_estimate_record_replays_the_same_null(estimate_json, tmp_path, mo
     for name in ("calibration.json", "detect.json"):
         assert ((tmp_path / "current" / name).read_bytes()
                 == (tmp_path / "older" / name).read_bytes())
+
+
+@pytest.fixture(scope="module")
+def auto_estimate_json(tmp_path_factory):
+    # On the side-10 box the automatic cutoff is capped at R/2 = 2.5; on a
+    # side-12 null box the automatic rule would give sqrt(2 log(36 pi)) = 3.08.
+    work = tmp_path_factory.mktemp("auto-estimate")
+    assert cli.main(["sample", "--d", "2", "--L", "10", "--seed", "3",
+                     "--out", str(work / "sample")]) == 0
+    assert cli.main(["estimate", "--pattern", str(work / "sample" / "pattern"),
+                     "--out", str(work / "estimate")]) == 0
+    return work / "estimate" / "estimate.json"
+
+
+def test_automatic_estimate_null_runs_at_its_r_used(auto_estimate_json, tmp_path):
+    est = json.loads(auto_estimate_json.read_text())
+    assert (est["estimator"], est["r_used"]) == ({"r": None}, 2.5)
+    _calibrate(auto_estimate_json, tmp_path / "out", L="12")
+    stats = json.loads((tmp_path / "out" / "calibration.json").read_text())["statistics"]
+    draws = [sample_gdp(isotropic_scattering(2), BoxWindow(12.0, 2), (int(NULL_SEED), i, 0, 1))
+             for i in range(int(NULL_K))]
+    assert stats == [spiked.detection_statistic(estimate_scattering(pat, 2.5).sigma_hat)
+                     for pat in draws]
+
+
+def test_older_automatic_record_replays_its_own_r_used(auto_estimate_json, tmp_path):
+    # An older automatic record, with the removed scale C0 = 2, replays the
+    # null at its r_used, the cutoff its statistic was computed at.
+    older = tmp_path / "older.json"
+    est = json.loads(auto_estimate_json.read_text())
+    older.write_text(json.dumps({**est, "estimator": {"r": None, "R": None, "C0": 2.0}}))
+    _calibrate(older, tmp_path / "out")
+    cal = calibrate_null_threshold(2, float(NULL_L), float(NULL_DELTA), int(NULL_K),
+                                   int(NULL_SEED), r=est["r_used"])
+    assert (json.loads((tmp_path / "out" / "calibration.json").read_text())
+            == cal.to_json_dict())
 
 
 def test_null_box_too_small_for_the_cutoff_fails_before_sampling(estimate_json, tmp_path,

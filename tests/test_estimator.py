@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussdpp import (BallWindow, BoxWindow, PointPattern, bernstein_tail,
-                      bias_bound, count_expectation, default_cutoff,
-                      estimate_scattering, extract_ball, isotropic_scattering,
-                      risk_rate, sample_gdp, spiked_scattering,
-                      unit_ball_volume, variance_bound)
+                      bias_bound, count_expectation, default_cutoff, estimate_scattering,
+                      estimator, extract_ball, isotropic_scattering, risk_rate, sample_gdp,
+                      spiked_scattering, unit_ball_volume, variance_bound)
 from gaussdpp.patterns import close_pairs
 
 
@@ -268,15 +267,30 @@ class TestEstimateScattering:
             assert on_box.pair_count == on_ball.pair_count
             assert (on_box.r_used, on_box.R_used) == (on_ball.r_used, on_ball.R_used)
 
-    def test_auto_cutoff_within_clamp(self):
+    def test_auto_cutoff_within_clamp(self, monkeypatch):
+        # The paper's sqrt(d log n), n = |B(R)|, capped at R/2: a function of
+        # the window alone, found with one pair search.  A pilot-estimate
+        # clamp once raised r on the BoxWindow(20, 2) draw and failed on the
+        # BoxWindow(12, 3) one.
+        patterns = [sample_gdp(isotropic_scattering(2), BoxWindow(20.0, 2), 10),
+                    sample_gdp(isotropic_scattering(3), BoxWindow(12.0, 3), (0, 0))]
         rng = np.random.default_rng(6)
-        pts = rng.uniform(-10, 10, size=(400, 2))
-        pts = pts[np.linalg.norm(pts, axis=1) <= 12.0]
-        res = estimate_scattering(_ball_pattern(pts, 12.0))
-        n = count_expectation(12.0, 2)
-        assert math.sqrt(2) <= res.r_used <= 6.0
-        assert res.r_used == pytest.approx(
-            min(max(default_cutoff(n, 2), math.sqrt(2)), 6.0))
+        for d, radius in ((1, 30.0), (2, 12.0), (3, 5.0)):  # R/2 binds in d=3
+            pts = rng.uniform(-radius, radius, size=(400, d))
+            patterns.append(_ball_pattern(pts[np.linalg.norm(pts, axis=1) <= radius], radius))
+        searches = []
+
+        def counting(*args, **kwargs):
+            searches.append(args)
+            return close_pairs(*args, **kwargs)
+        monkeypatch.setattr(estimator, "close_pairs", counting)
+        for pat in patterns:
+            res = estimate_scattering(pat)
+            R = pat.window.side / 2 if isinstance(pat.window, BoxWindow) else pat.window.radius
+            assert res.R_used == R
+            assert res.r_used == min(default_cutoff(count_expectation(R, pat.dim), pat.dim),
+                                     R / 2)
+        assert len(searches) == len(patterns)
 
     # SHA-256 of sigma_hat.tobytes() and the pair count at the auto cutoff,
     # recorded from the estimator before its neighbour search became the
