@@ -47,10 +47,12 @@ def finite_number(value) -> bool:
 
 def value_text(value) -> str:
     """A value read from a file, for a message: its repr, but an integer too
-    long to print is "more than 10^15" or "less than -10^15"."""
-    if type(value) is not int or abs(value) <= 10**15:
-        return repr(value)
-    return "more than 10^15" if value > 0 else "less than -10^15"
+    long to print is "more than 10^15" or "less than -10^15", and any other
+    repr longer than 40 characters is cut to its first 36 and "..."."""
+    if type(value) is int and abs(value) > 10**15:
+        return "more than 10^15" if value > 0 else "less than -10^15"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:36] + "..."
 
 
 def _write_atomically(path, write) -> None:

@@ -9,8 +9,10 @@ that is exactly their expectation under complete independence,
                 - 1/|B(R-r)| * sum_{i in N0} sum_{j in Ni} (Xi-Xj)(Xi-Xj)' ],
 
 with Ni the points strictly within r of Xi and N0 the points strictly
-inside the shrunk ball B(R-r) (boundary guard); the pairs come from the
-cell list `patterns.close_pairs`.  The leading constant makes the
+inside the shrunk ball B(R-r) (boundary guard).  The cell list
+`patterns.close_pairs` lists each close pair once with its difference,
+and the sum adds it once, weighted by how many of its ends lie in N0
+(1 or 2).  The leading constant makes the
 estimator consistent: without it the expectation of the bracket is the
 second moment of a Gaussian with covariance S/2 carrying a 2^(-d/2)
 volume factor, i.e. 2^(-(d+2)/2) v'Sv along any unit v, a fact easily
@@ -75,11 +77,13 @@ def bias_bound(sigma: ScatteringMatrix, r: float) -> float | None:
 
     Asserted only for r >= sqrt(5 Tr(Sigma) / 2); returns None below that.
     """
-    tr = sigma.trace
+    return _bias_bound(sigma.trace, sigma.operator_norm, sigma.dim, r)
+
+
+def _bias_bound(tr: float, s: float, d: int, r: float) -> float | None:
     if r < math.sqrt(2.5 * tr):
         return None
-    s = sigma.operator_norm
-    return 9.0 * sigma.dim * s ** 2 * math.exp((4.0 * tr - 2.0 * r ** 2) / (3.0 * s))
+    return 9.0 * d * s ** 2 * math.exp((4.0 * tr - 2.0 * r ** 2) / (3.0 * s))
 
 
 def variance_bound(r: float, d: int, n: float) -> float | None:
@@ -116,10 +120,10 @@ class EstimateResult:
         """The estimate.json record: matrix (row-major), counts, cutoffs, and
         the theoretical bounds where applicable (plug-in scattering matrix)."""
         d = self.sigma_hat.shape[0]
-        bias = None
-        w = np.linalg.eigvalsh(self.sigma_hat)
-        if w[0] > 0:
-            bias = bias_bound(ScatteringMatrix(self.sigma_hat), self.r_used)
+        # Not through ScatteringMatrix, which refuses a valid but ill-conditioned Sigma_hat.
+        w = np.linalg.eigh(self.sigma_hat)[0]
+        bias = (_bias_bound(float(np.trace(self.sigma_hat)), float(w[-1]), d, self.r_used)
+                if w[0] > 0 else None)
         var = variance_bound(self.r_used, d, self.n_expected)
         rate = risk_rate(self.n_expected, d) if self.n_expected > 1 else None
         return {
@@ -174,12 +178,6 @@ def _window_radius(pattern: PointPattern) -> float:
     raise ValueError(f"unsupported window {pattern.window!r}")
 
 
-def _canonical_order(pts: np.ndarray) -> np.ndarray:
-    """Lexicographic point order; makes the pair summation order, and hence
-    the floating-point result, independent of input permutation."""
-    return np.lexsort(pts.T[::-1])
-
-
 def estimate_scattering(pattern: PointPattern, r: float | None = None) -> EstimateResult:
     """Evaluate the scattering-matrix estimator on one observed pattern.
 
@@ -187,9 +185,11 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
     inscribed ball of a box.  A fixed cutoff needs 0 < r < R.  With r None
     the cutoff is the paper's sqrt(d log n), n = |B(R)|, capped at R/2, so
     it depends on the window alone.  An empty pattern returns the pure
-    identity term.  The output is exactly symmetric, and the summation
-    order is canonicalized so permuting the input points reproduces the
-    result bitwise.
+    identity term.  Each close pair is added once with weight 1 or 2, its
+    ends in N0, and pair_count, the sum of the weights, is the number of
+    ordered pairs in the double sum.  The output is exactly symmetric, and
+    the summation order is canonicalized so permuting the input points
+    reproduces the result bitwise.
     """
     R = _window_radius(pattern)
     d = pattern.dim
@@ -205,23 +205,19 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
     identity_term = scale * unit_ball_volume(d) * r ** (d + 2) / (d + 2)
     sigma_hat = identity_term * np.eye(d)
 
-    pts = pattern.points
-    pts = pts[_canonical_order(pts)]
+    # Points in lexicographic order and pairs summed in the order of i, then
+    # j: the sum depends, to the bit, on the pair set alone.
+    pts = pattern.points[np.lexsort(pattern.points.T[::-1])]
     inner = np.einsum("ij,ij->i", pts, pts) < (R - r) ** 2
-    # Ordered pairs (a, b) with a in N0 and b in N_a, summed in the order
-    # of a, then b.
-    i, j = close_pairs(pts, r)
-    a, b = np.concatenate([i, j]), np.concatenate([j, i])
-    keep = inner[a]
-    a, b = a[keep], b[keep]
-    ranked = np.lexsort((b, a))
-    a, b = a[ranked], b[ranked]
-    if a.size:
-        diffs = pts[a] - pts[b]
-        pair_sum = np.einsum("ki,kj->ij", diffs, diffs)
-        sigma_hat -= (scale / (unit_ball_volume(d) * (R - r) ** d)) * pair_sum
+    i, j, diff = close_pairs(pts, r)
+    weight = inner[i].astype(np.intp) + inner[j]
+    kept = np.flatnonzero(weight)
+    kept = kept[np.lexsort((j[kept], i[kept]))]
+    diff = diff[kept]
+    pair_sum = np.einsum("ki,kj->ij", diff * weight[kept, None], diff)
+    sigma_hat -= (scale / (unit_ball_volume(d) * (R - r) ** d)) * pair_sum
 
     return EstimateResult(sigma_hat=sigma_hat, n_observed=pts.shape[0],
                           n_expected=n_expected, r_used=r, R_used=R,
-                          pair_count=int(a.size), r_requested=r_requested,
+                          pair_count=int(weight.sum()), r_requested=r_requested,
                           diagnostics={"inner_count": int(np.count_nonzero(inner))})

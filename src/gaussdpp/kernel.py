@@ -60,8 +60,7 @@ class ScatteringMatrix:
             raise ValueError(f"scattering matrix must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("scattering matrix has non-finite entries")
-        scale = np.abs(a).max()
-        if scale == 0.0 or np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
+        if np.abs(a - a.T).max() > SYMMETRY_RTOL * np.abs(a).max():
             raise ValueError("scattering matrix is not symmetric to 1e-12 relative tolerance")
         a = 0.5 * (a + a.T)
 

@@ -99,28 +99,30 @@ def extract_ball(pattern: PointPattern, radius: float) -> PointPattern:
     return PointPattern(pattern.points[ball.contains(pattern.points)], ball)
 
 
-def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of points strictly closer than r.
+def close_pairs(points, r: float,
+                side: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j, of points strictly closer than r, and x_i - x_j.
 
     The metric is Euclidean, or that of the torus [-side/2, side/2]^d when
-    `side` is given (each coordinate difference taken the shorter way
-    round).  A cell list: points are binned into cells a hair wider than
-    r, so a point's partners lie in the 3^d cells around its own (distinct
-    offsets modulo the cell count on the torus).  The offsets are visited
-    one at a time: for each, every point's candidates in the cell at that
-    offset are listed by sorting and searching, with no Python loop over
-    points or cells, and kept when their exact squared distance is below
-    r^2.  Only the survivors outlive their offset, so the working memory
-    is that of one offset's candidates, about 3^-d of all of them.  Meant
-    for low dimension.  Returns two intp arrays that list each pair once,
-    in no order.
+    `side` is given: there each coordinate d of x_i - x_j is taken the
+    shorter way round, signed, as d - side * round(d / side).  A cell
+    list: points are binned into cells a hair wider than r, so a point's
+    partners lie in the 3^d cells around its own (distinct offsets modulo
+    the cell count on the torus).  The offsets are visited one at a time:
+    for each, every point's candidates in the cell at that offset are
+    listed by sorting and searching, with no Python loop over points or
+    cells, and kept when their exact squared distance is below r^2.  Only
+    the survivors outlive their offset, so the working memory is that of
+    one offset's candidates, about 3^-d of all of them.  Meant for low
+    dimension.  Returns i and j (intp) and the (P, d) differences, each
+    pair once, in no order.
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     if not r > 0:
         raise ValueError("r must be positive")
     if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty((0, d))
     # The margin keeps rounding in the binning from putting two points
     # closer than r two cells apart; at most `bins` cells per axis keep the
     # cell keys below 2^60 however small r is.
@@ -142,7 +144,7 @@ def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray
     key = np.ravel_multi_index(tuple(cells.T), radix)
     order = np.argsort(key, kind="stable")
     cell_keys, first, count = np.unique(key[order], return_index=True, return_counts=True)
-    found_i, found_j = [], []
+    found_i, found_j, found_diff = [], [], []
     for offset in offsets:
         near = np.ravel_multi_index(tuple((cells + offset).T), radix, mode="wrap")
         slot = np.minimum(np.searchsorted(cell_keys, near), cell_keys.size - 1)
@@ -156,12 +158,12 @@ def close_pairs(points, r: float, side: float | None = None) -> tuple[np.ndarray
         i, j = i[keep], j[keep]
         diff = pts[i] - pts[j]
         if side is not None:
-            diff = np.abs(diff)
-            diff = np.minimum(diff, side - diff)
+            diff -= side * np.round(diff / side)
         keep = np.einsum("ij,ij->i", diff, diff) < r * r
         found_i.append(i[keep])
         found_j.append(j[keep])
-    return np.concatenate(found_i), np.concatenate(found_j)
+        found_diff.append(diff[keep])
+    return np.concatenate(found_i), np.concatenate(found_j), np.concatenate(found_diff)
 
 
 def _window_to_json(window) -> dict:
@@ -173,17 +175,17 @@ def _window_to_json(window) -> dict:
 def _window_from_json(obj) -> BoxWindow | BallWindow:
     """Inverse of _window_to_json; a missing key raises KeyError."""
     if not isinstance(obj, dict):
-        raise ValueError(f"window must be a JSON object, got {obj!r}")
+        raise ValueError(f"window must be a JSON object, got {value_text(obj)}")
     if obj["type"] == "box":
         cls, size = BoxWindow, "side"
     elif obj["type"] == "ball":
         cls, size = BallWindow, "radius"
     else:
-        raise ValueError(f"unknown window type {obj['type']!r}")
+        raise ValueError(f"unknown window type {value_text(obj['type'])}")
     extent, dim = obj[size], obj["dim"]
     if not finite_number(extent) or type(dim) is not int:
         raise ValueError(f"window {size} must be a number and dim an integer, "
-                         f"got {extent!r} and {dim!r}")
+                         f"got {value_text(extent)} and {value_text(dim)}")
     return cls(extent, dim)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import unit_ball_volume
-from .kernel import TWO_PI, ScatteringMatrix, spectral_density
+from .kernel import TWO_PI, ScatteringMatrix, isotropic_scattering, spectral_density
 from .patterns import BoxWindow, PointPattern, close_pairs
 
 DEFAULT_TOL = 1e-6
@@ -472,14 +472,12 @@ def sample_poisson(intensity: float, window: BoxWindow, seed) -> PointPattern:
     return PointPattern(pts, window)
 
 
-def pair_metric(sigma: ScatteringMatrix | None) -> tuple[np.ndarray | None, float]:
+def pair_metric(sigma: ScatteringMatrix) -> tuple[np.ndarray, float]:
     """Separation rho(u) = sqrt(u'(2 pi S)^-1 u) for a normalized S, as (W, s)
-    with rho(u) = |u W| and |u| <= s rho(u); (None, 1) when rho(u) = |u|,
-    for S None or isotropic."""
-    if sigma is not None and not sigma.normalized:
+    with rho(u) = |u W| and |u| <= s rho(u).  For `isotropic_scattering(d)`
+    W is exactly the identity and s is 1, so rho(u) is |u| to the bit."""
+    if not sigma.normalized:
         raise ValueError("pair separation requires a normalized scattering matrix")
-    if sigma is None or np.array_equal(sigma.entries, sigma.entries[0, 0] * np.eye(sigma.dim)):
-        return None, 1.0
     scaled = TWO_PI * sigma.eigenvalues
     return sigma.eigenvectors / np.sqrt(scaled), math.sqrt(scaled[-1])
 
@@ -488,7 +486,9 @@ def empirical_pair_correlation(patterns, bin_edges,
                                sigma: ScatteringMatrix | None = None) -> list[tuple[float, float]]:
     """Pair-correlation estimate on torus windows, binned by the separation
     rho of `pair_metric(sigma)`, at which the model's pair correlation is
-    1 - exp(-2 pi rho^2) for every sigma.
+    1 - exp(-2 pi rho^2) for every sigma; None means
+    `isotropic_scattering(d)`, so rho is the torus distance.  The pairs
+    and their signed torus differences come from `patterns.close_pairs`.
 
     For each bin the ordered-pair count at that separation (torus metric)
     is divided by the count an intensity-1 Poisson process would produce,
@@ -508,7 +508,7 @@ def empirical_pair_correlation(patterns, bin_edges,
     if not isinstance(window, BoxWindow):
         raise ValueError("pair-correlation estimate expects box (torus) windows")
     side, d = window.side, window.dim
-    whiten, stretch = pair_metric(sigma)
+    whiten, stretch = pair_metric(isotropic_scattering(d) if sigma is None else sigma)
     reach = edges[-1] * stretch  # Euclidean length of the largest separation
     if reach > side / 2:
         raise ValueError("pairs up to the largest bin edge reach beyond half the torus side")
@@ -520,12 +520,7 @@ def empirical_pair_correlation(patterns, bin_edges,
     for pat in patterns:
         if pat.window != window:
             raise ValueError("all patterns must share the same window")
-        pts = pat.points
-        i, j = close_pairs(pts, reach * (1.0 + 1e-9), side)
-        diff = pts[i] - pts[j]
-        diff -= side * np.round(diff / side)  # the shorter way round, signed
-        if whiten is not None:
-            diff = diff @ whiten
+        diff = close_pairs(pat.points, reach * (1.0 + 1e-9), side)[2] @ whiten
         counts, _ = np.histogram(np.sqrt(np.einsum("ij,ij->i", diff, diff)), bins=edges)
         totals += 2.0 * counts  # ordered pairs
     est = totals / (len(patterns) * shell)

@@ -6,7 +6,8 @@ computes the same quantities in array form where it needs them.  The
 count moments of a torus draw follow from its spectral basis: the
 sampler keeps each mode independently with probability its eigenvalue.
 `sin_angle` measures how far a recovered spike direction is from the true
-one.
+one.  `ordered_pair_estimate` is the paper's scattering-matrix estimator as
+its ordered double sum, with no cell list.
 """
 
 import math
@@ -92,3 +93,28 @@ def sin_angle(u, v) -> float:
             raise ValueError(f"{name} is not unit-norm")
     dot = min(1.0, max(-1.0, float(u @ v)))
     return math.sqrt(max(0.0, 1.0 - dot * dot))
+
+
+def ordered_pair_estimate(points, r: float, R: float) -> tuple[np.ndarray, int]:
+    """The estimator of `gaussdpp.estimator` as the paper writes it,
+
+        2^((d+2)/2) [|B(1)| r^(d+2)/(d+2) I
+                     - 1/|B(R-r)| sum_{i in N0} sum_{j in Ni} (Xi-Xj)(Xi-Xj)'],
+
+    N0 the points with |Xi| < R - r and Ni the others within r of Xi,
+    every ordered pair tested directly (O(N^2)).  Returns the matrix and
+    the number of ordered pairs summed.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    total, count = np.zeros((d, d)), 0
+    for i in range(n):
+        if pts[i] @ pts[i] >= (R - r) ** 2:
+            continue
+        diff = pts[i] - np.delete(pts, i, axis=0)
+        near = diff[np.einsum("jk,jk->j", diff, diff) < r * r]
+        total += near.T @ near
+        count += near.shape[0]
+    identity = ball * r ** (d + 2) / (d + 2) * np.eye(d)
+    return 2.0 ** ((d + 2) / 2) * (identity - total / (ball * (R - r) ** d)), count

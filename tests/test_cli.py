@@ -117,6 +117,10 @@ SRC = Path(cli.__file__).resolve().parents[1]
     (["sample", "--d", "2", "--L", "5", "--seed", "-1"], "--seed: must be >= 0, got -1"),
     (["validate", "--d", "2", "--L", "5", "--seed", "-3"], "--seed: must be >= 0, got -3"),
     (DETECT + ["--seed=-1"], "--seed: must be >= 0, got -1"),
+    (SAMPLE + ["--L", "5", "--sigma-entries", "0,0;0,0"],
+     "sample: scattering matrix is not positive-definite"),
+    (VALIDATE + ["--L", "5", "--sigma-entries", "0,0;0,0"],
+     "validate: scattering matrix is not positive-definite"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -318,7 +322,8 @@ def _json_bytes(obj) -> bytes:
     ({"pattern.csv": b"x1,x2\n0.5,0.5\n",
       "pattern.json": _json_bytes({"window": {"type": "box", "side": 10**400, "dim": 2}})},
      ["estimate", "--pattern", "pattern"], 1,
-     "pattern.json: window side must be a number and dim an integer, got 1000"),
+     "pattern.json: window side must be a number and dim an integer, got more than 10^15 "
+     "and 2\n"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": 10**2500})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'sigma_hat' must hold more than 10^15 numbers\n"),
@@ -330,6 +335,9 @@ def _json_bytes(obj) -> bytes:
      ["estimate", "--pattern", "pattern"], 1,
      "pattern.csv: pattern CSV has 2 columns, window 'dim' in pattern.json is more than "
      "10^15\n"),
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": "x" * 100_000})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: 'dim' must be a positive integer, got '" + "x" * 35 + "...\n"),
     ({}, ["bounds", "--d", "400"], 1, "bernstein is out of range of a float"),
     ({}, ["bounds", "--r", "1e100", "--d", "3"], 1,
      "variance_bound is out of range of a float"),
@@ -351,7 +359,7 @@ def _json_bytes(obj) -> bytes:
         "estimate-sigma_hat-beyond-float", "estimate-r_used-beyond-float",
         "pattern-json-side-beyond-float", "estimate-dim-2501-digits",
         "estimate-dim-negative-4001-digits",
-        "pattern-json-dim-4000-digits", "bounds-d-400",
+        "pattern-json-dim-4000-digits", "estimate-dim-100000-char-string", "bounds-d-400",
         "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
@@ -712,6 +720,19 @@ def test_poisson_sidecar_records_no_scattering_matrix(tmp_path):
     assert meta["process"] == "poisson"
     assert "sigma" not in meta and "tol" not in meta
     assert meta["count"] == len((tmp_path / "pattern.csv").read_text().splitlines()) - 1
+
+
+def test_sigma_entries_are_normalized_and_drive_sample_and_validate(tmp_path):
+    # --sigma-entries is rescaled to det (2 pi)^-d, keeping its eigenvectors,
+    # and validate bins by that matrix's own separation.
+    argv = ["--d", "2", "--L", "8", "--seed", "0", "--sigma-entries", "1,0.2;0.2,1"]
+    assert cli.main(["sample", *argv, "--out", str(tmp_path / "sample")]) == 0
+    sigma = np.asarray(json.loads((tmp_path / "sample" / "pattern.json").read_text())["sigma"])
+    assert np.linalg.det(sigma) == pytest.approx((2 * np.pi) ** -2, rel=1e-12)
+    assert np.allclose(sigma / sigma[0, 0], [[1.0, 0.2], [0.2, 1.0]], rtol=1e-14, atol=0)
+    assert cli.main(["validate", *argv, "--replicates", "2", "--r-max", "1",
+                     "--out", str(tmp_path / "validate")]) == 0
+    assert json.loads((tmp_path / "validate" / "validate.json").read_text())["replicates"] == 2
 
 
 def test_sample_replicate_prefix_is_stable(tmp_path):

@@ -8,29 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdpp import (BallWindow, BoxWindow, PointPattern, bernstein_tail,
-                      bias_bound, count_expectation, default_cutoff, estimate_scattering,
-                      estimator, extract_ball, isotropic_scattering, risk_rate, sample_gdp,
-                      spiked_scattering, unit_ball_volume, variance_bound)
+from gaussdpp import (BallWindow, BoxWindow, EstimateResult, PointPattern, ScatteringMatrix,
+                      bernstein_tail, bias_bound, count_expectation, default_cutoff,
+                      estimate_scattering, estimator, extract_ball, isotropic_scattering,
+                      risk_rate, sample_gdp, spiked_scattering, unit_ball_volume,
+                      variance_bound)
 from gaussdpp.patterns import close_pairs
+from oracles import ordered_pair_estimate
 
 
 def close_pairs_bruteforce(points, r, side=None):
-    """Reference for close_pairs: every pair at once, O(N^2 d)."""
+    """Reference for close_pairs: every pair at once, O(N^2 d).  On the
+    torus a coordinate difference beyond side/2 either way is moved by
+    side, the shorter way round."""
     pts = np.asarray(points, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
     if side is not None:
-        diff = np.abs(diff)
-        diff = np.minimum(diff, side - diff)
+        diff = np.where(diff > side / 2, diff - side,
+                        np.where(diff < -side / 2, diff + side, diff))
     close = np.einsum("ijk,ijk->ij", diff, diff) < r * r
-    return np.nonzero(np.triu(close, k=1))
+    i, j = np.nonzero(np.triu(close, k=1))
+    return i, j, diff[i, j]
 
 
 def by_i_then_j(pairs):
     """close_pairs lists each pair once, in no order; sort them by i, then j."""
-    i, j = pairs
+    i, j, diff = pairs
     ranked = np.lexsort((j, i))
-    return i[ranked], j[ranked]
+    return i[ranked], j[ranked], diff[ranked]
 
 
 class TestGeometryHelpers:
@@ -104,11 +109,11 @@ class TestNeighborhoods:
     interior set."""
 
     def test_strict_inequality_at_exact_distance(self):
-        i, j = close_pairs([[0.0, 0.0], [1.0, 0.0]], 1.0)
-        assert i.size == 0 and j.size == 0
+        i, j, diff = close_pairs([[0.0, 0.0], [1.0, 0.0]], 1.0)
+        assert i.size == 0 and j.size == 0 and diff.shape == (0, 2)
         # Across the torus faces -1.25 and 1.25 are exactly 0.5 apart.
-        i, j = close_pairs([[-1.25], [1.25], [1.0]], 0.5, side=3.0)
-        assert (i.tolist(), j.tolist()) == ([1], [2])
+        i, j, diff = close_pairs([[-1.25], [1.25], [1.0]], 0.5, side=3.0)
+        assert (i.tolist(), j.tolist(), diff.tolist()) == ([1], [2], [[0.25]])
 
     def test_interior_set_strict(self):
         # ||x|| = R - r exactly is excluded from the interior set.
@@ -120,10 +125,11 @@ class TestNeighborhoods:
     def test_symmetry_and_self_exclusion(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-5, 5, size=(300, 2))
-        i, j = close_pairs(pts, 0.8)
+        i, j, diff = close_pairs(pts, 0.8)
         assert i.size > 0
         assert np.all(i < j)  # no self pairs
         assert np.unique(i * len(pts) + j).size == i.size  # each pair once
+        assert np.array_equal(diff, pts[i] - pts[j])
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(1)
@@ -142,10 +148,12 @@ class TestNeighborhoods:
         rng = np.random.default_rng([d, int(side or 0), int(r * 10)])
         pts = rng.uniform(-3.0, 3.0, size=(120, d))
         pts[1] = pts[0]  # a coincident pair, distance 0 < any r
-        for got, want in zip(by_i_then_j(close_pairs(pts, r, side)),
-                             close_pairs_bruteforce(pts, r, side)):
-            assert got.dtype == np.intp
-            assert np.array_equal(got, want)
+        got, want = by_i_then_j(close_pairs(pts, r, side)), close_pairs_bruteforce(pts, r, side)
+        assert [a.dtype for a in got] == [np.intp, np.intp, np.float64]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        if side is not None:
+            assert np.all(np.abs(got[2]) <= side / 2)
 
     def test_working_memory_is_one_offset_of_candidates(self):
         # The validate-d3 case: 5 cells per axis, about 14 points per cell.
@@ -155,7 +163,7 @@ class TestNeighborhoods:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            i, j = close_pairs(pts, 2.0, 12.0)
+            i, j, diff = close_pairs(pts, 2.0, 12.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -165,8 +173,8 @@ class TestNeighborhoods:
     def test_fewer_than_two_points(self):
         for pts in (np.empty((0, 2)), [[0.5, 0.5]]):
             for side in (None, 4.0):
-                i, j = close_pairs(pts, 1.0, side)
-                assert i.size == 0 and j.size == 0
+                i, j, diff = close_pairs(pts, 1.0, side)
+                assert i.size == 0 and j.size == 0 and diff.shape == (0, np.shape(pts)[1])
 
     def test_rejects_bad_radii(self):
         pat = _ball_pattern([[0.0, 0.0]], 5.0)
@@ -292,17 +300,34 @@ class TestEstimateScattering:
                                      R / 2)
         assert len(searches) == len(patterns)
 
+    @pytest.mark.parametrize("sigma, side", [
+        (isotropic_scattering(2), 20.0), (spiked_scattering(3.0, [1.0, 0.0]), 28.0),
+        (isotropic_scattering(3), 8.0),
+    ], ids=["iso2-L20", "spiked2-L28", "iso3-L8"])
+    @pytest.mark.parametrize("r", [None, 0.8], ids=["auto", "fixed"])
+    def test_matches_the_ordered_double_sum(self, sigma, side, r):
+        # The golden patterns: each pair added once with weight 1 or 2 is
+        # the paper's sum over ordered pairs, up to the summation order.
+        pattern = sample_gdp(sigma, BoxWindow(side, sigma.dim), 0)
+        res = estimate_scattering(pattern, r)
+        want, pairs = ordered_pair_estimate(pattern.points, res.r_used, res.R_used)
+        d = sigma.dim
+        identity = 2.0 ** ((d + 2) / 2) * unit_ball_volume(d) * res.r_used ** (d + 2) / (d + 2)
+        assert res.pair_count == pairs > 0
+        assert np.abs(res.sigma_hat - want).max() <= 1e-12 * identity
+
     # SHA-256 of sigma_hat.tobytes() and the pair count at the auto cutoff,
-    # recorded from the estimator before its neighbour search became the
-    # cell list close_pairs; any change to the pair set or to the
-    # summation order shows here.
+    # recorded once the estimator added each pair once, weighted, after
+    # test_matches_the_ordered_double_sum had checked it on these
+    # patterns; any change to the pair set or to the summation order
+    # shows here.
     @pytest.mark.parametrize("sigma, side, pair_count, digest", [
         (isotropic_scattering(2), 20.0, 5495,
-         "cb22f2457d91e79240666855e90f74c93cd5307e5da09ffd93c3bc53b30dda2f"),
+         "99614e2e6ae02278a6c6cb778f07ba597382dfc19d4135b3bc5f2bd09f2a879d"),
         (spiked_scattering(3.0, [1.0, 0.0]), 28.0, 12897,
-         "1d9e3355dff638b4d0e70fd24869f2a408f7e415ccff873b0605e04a6588e0ff"),
+         "2f0b75c0a46c9c7504d0ccd2285d89ce86093acdf88b8d065d63dd67f1353652"),
         (isotropic_scattering(3), 8.0, 1294,
-         "da6e1cfb2a2d9eed30582d6d187be6402def0d0545de75fc9536a16af382aab7"),
+         "0a39c744ad8a38226c45a6e2c67ffb14e3497c08db2d87ebafd61c354bd5cda3"),
     ], ids=["iso2-L20", "spiked2-L28", "iso3-L8"])
     def test_golden_estimate(self, sigma, side, pair_count, digest):
         res = estimate_scattering(sample_gdp(sigma, BoxWindow(side, sigma.dim), 0))
@@ -319,6 +344,19 @@ class TestEstimateScattering:
         assert len(blob["sigma_hat"]) == 4
         assert blob["variance_bound"] is not None
         assert blob["risk_rate"] is not None
+
+    def test_json_bias_bound_of_an_ill_conditioned_estimate(self):
+        # ScatteringMatrix refuses an eigenvalue ratio above 1e12, which a
+        # valid estimate can have; the record's plug-in bound is read
+        # from the spectrum, as bias_bound reads it from a ScatteringMatrix.
+        def record(sigma_hat):
+            return EstimateResult(sigma_hat=sigma_hat, n_observed=3, n_expected=314.0,
+                                  r_used=2.0, R_used=10.0, pair_count=0,
+                                  r_requested=None).to_json_dict()["bias_bound"]
+        tame = np.diag([1.0, 1e-3])
+        assert record(tame) == bias_bound(ScatteringMatrix(tame), 2.0)
+        assert record(np.diag([1.0, 1e-13])) == pytest.approx(
+            18.0 * math.exp((4.0 * (1.0 + 1e-13) - 8.0) / 3.0), rel=1e-12)
 
     @pytest.mark.parametrize("r", [None, 0.8], ids=["auto", "fixed"])
     def test_json_records_the_cutoff_asked_for(self, r):

@@ -107,6 +107,15 @@ class TestSpectralBasis:
         with pytest.raises(ValueError, match="cap of 100"):
             build_spectral_basis(iso2, 40.0)
 
+    def test_running_count_cap(self, iso2, monkeypatch):
+        # L=40 keeps 22,105 modes; a cap one below passes the volume bound
+        # and only the enumeration's running count refuses it.
+        monkeypatch.setattr(sampling, "_MODE_CAP", 22_104)
+        with pytest.raises(ValueError, match="^mode count exceeds the cap of 22104"):
+            build_spectral_basis(iso2, 40.0)
+        monkeypatch.setattr(sampling, "_MODE_CAP", 22_105)
+        assert build_spectral_basis(iso2, 40.0).modes.shape[0] == 22_105
+
     @pytest.mark.parametrize("sigma, side", [
         (isotropic_scattering(3), 8.0), (spiked_scattering(2.0, [0.6, 0.8, 0.0]), 7.0),
         (isotropic_scattering(4), 4.0)], ids=["iso3", "spiked3", "iso4"])
@@ -511,8 +520,9 @@ class TestEmpiricalPairCorrelation:
         rho2 = np.einsum("ij,jk,ik->i", u, np.linalg.inv(2 * math.pi * sigma.entries), u)
         assert np.allclose(np.sum((u @ whiten) ** 2, axis=1), rho2, rtol=1e-12)
         assert stretch == pytest.approx(2.0, rel=1e-12)  # sqrt of 1 + lambda
-        assert sampling.pair_metric(isotropic_scattering(3)) == (None, 1.0)
-        assert sampling.pair_metric(None) == (None, 1.0)
+        for d in range(1, 6):  # so the isotropic separation is the torus distance, bitwise
+            whiten, stretch = sampling.pair_metric(isotropic_scattering(d))
+            assert np.array_equal(whiten, np.eye(d)) and stretch == 1.0
         with pytest.raises(ValueError, match="normalized"):
             sampling.pair_metric(ScatteringMatrix(np.eye(2)))
 
