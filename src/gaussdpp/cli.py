@@ -9,7 +9,7 @@ and wall-clock time (the one field that varies between reruns).
 `detect --calibrate` caches the K null statistics it simulates, one JSON
 file per key under ${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/.  The key
 is the SHA-256 of the package's *.py sources, the numpy version, d, the
-null box side, the cutoff r_used recorded in estimate.json,
+estimate's design R_used and r_used (the null's only box and cutoff),
 K (--null-replicates) and the null --seed; the file is named by the
 SHA-256 of that key.  --delta is not part of it: a later call with the
 same key reads the statistics instead of simulating them and takes its
@@ -157,13 +157,12 @@ def _cmd_sample(args, out: Path) -> dict:
         draw, model = partial(sample_poisson, 1.0, window), {}
     else:
         draw = partial(sample_gdp, args._sigma, window)
-        model = {"sigma_entries": args._sigma.entries, "tol": DEFAULT_TOL}
+        model = {"sigma": args._sigma.entries.tolist(), "tol": DEFAULT_TOL}
     patterns = [draw((args.seed, i)) for i in range(args.replicates)]
     names = []
     for i, pat in enumerate(patterns):
         stem = out / ("pattern" if args.replicates == 1 else f"pattern_{i:04d}")
-        save_pattern(pat, stem, seed=[args.seed, i], **model,
-                     extra={"process": args.process})
+        save_pattern(pat, stem, {"seed": [args.seed, i], **model, "process": args.process})
         names.append(stem.name)
     return {"patterns": names, "count": len(patterns[0]),
             "counts": [len(p) for p in patterns]}
@@ -194,13 +193,13 @@ def _source_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed: int,
-                      r: float) -> tuple[NullCalibration, str]:
+def _calibrate_cached(d: int, R: float, r: float, delta: float, n_replicates: int,
+                      seed: int) -> tuple[NullCalibration, str]:
     """Null calibration through the on-disk cache (see the module
     docstring); returns it with "hit" or "miss"."""
     import hashlib
     key = {"source_sha256": _source_fingerprint(), "numpy": np.__version__,
-           "d": d, "side": side, "r": r, "null_replicates": n_replicates, "seed": seed}
+           "d": d, "R": R, "r": r, "null_replicates": n_replicates, "seed": seed}
     name = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
     path = _cache_dir() / f"{name}.json"
     try:
@@ -211,7 +210,7 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
             return NullCalibration.from_statistics(stats, delta), "hit"
     except (OSError, ValueError, KeyError):
         pass  # missing or unreadable: recompute and overwrite
-    cal = calibrate_null_threshold(d, side, delta, n_replicates, seed, r)
+    cal = calibrate_null_threshold(d, R, r, delta, n_replicates, seed)
     with suppress(OSError):  # an unwritable cache only costs the next run
         path.parent.mkdir(parents=True, exist_ok=True)
         write_json(path, {"key": key, "statistics": cal.statistics.tolist()})
@@ -219,17 +218,23 @@ def _calibrate_cached(d: int, side: float, delta: float, n_replicates: int, seed
 
 
 def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
-    sigma_hat, n, R_used, r = read_estimate(args.estimate)
+    sigma_hat, R_used, r = read_estimate(args.estimate)
     d, status = len(sigma_hat), {}
     try:  # an asymmetric Sigma_hat, or n <= 1 for the rate, fails before any null is drawn
         statistic, spike = detection_statistic(sigma_hat), estimate_spike(sigma_hat)
+        n = count_expectation(R_used, d)  # bitwise the "n" that `estimate` wrote
+        if not (args.calibrate or n > 1):
+            raise ValueError(f"the analytic threshold needs |B(R_used)| > 1, got "
+                             f"|B({R_used:g})| = {n:.3g}; --calibrate takes any R_used")
         rate = None if args.calibrate else risk_rate(n, d)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{args.estimate}: {exc}") from None
     if args.calibrate:
-        side = args.L if args.L is not None else 2.0 * R_used
+        if args.L is not None and args.L != 2.0 * R_used:
+            raise ValueError(f"--L {args.L} is not the estimate's box side 2 * R_used = "
+                             f"{2.0 * R_used}: the null replays the estimate's own design")
         cal, status["calibration_cache"] = _calibrate_cached(
-            d, side, args.delta, args.null_replicates, args.seed, r)
+            d, R_used, r, args.delta, args.null_replicates, args.seed)
         write_json(out / "calibration.json", cal.to_json_dict())
         rule = {"mode": "calibrated", "threshold": cal.threshold, "t": None, "rate": None,
                 "delta": args.delta, "null_replicates": args.null_replicates}
@@ -392,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--calibrate", action="store_true",
         help="Monte-Carlo null calibration instead of the analytic threshold. Every null "
-             "estimate uses the cutoff r_used recorded in the estimate. The null statistics "
-             "are cached under ${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/, keyed by the "
-             "package sources, numpy version, d, box side, r_used, --null-replicates and "
-             "--seed (not --delta); delete that directory to clear it. result.json "
-             "reports calibration_cache: hit or miss.")
+             "replicate is drawn on the box of side 2 * R_used and estimated at r_used on "
+             "B(R_used), as the estimate was. The null statistics are cached under "
+             "${XDG_CACHE_HOME:-~/.cache}/gaussdpp/null/, keyed by the package sources, "
+             "numpy version, d, R_used, r_used, --null-replicates and --seed (not --delta); "
+             "delete that directory to clear it. result.json reports calibration_cache.")
     p.add_argument("--delta", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
                    default=0.05, help="with --calibrate: test level")
     p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="with --calibrate: null seed; replicate "
                    "i draws from (seed, i, 0, 1), a stream no sample or validate run uses")
     p.add_argument("--L", type=_positive_finite, default=None,
-                   help="with --calibrate: null box side (default 2 * R_used)")
+                   help="with --calibrate: must equal 2 * R_used, the null's box side")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
 

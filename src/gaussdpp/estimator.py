@@ -25,7 +25,7 @@ sizes this package runs it is variance-dominated.  The module owns
 estimate.json: `EstimateResult.to_json_dict` is the whole record `estimate`
 writes (Sigma_hat, counts, radii, bounds, and the cutoff asked for as
 "estimator": {"r": ...}), and `read_estimate` reads back what `detect`
-uses of it: Sigma_hat, n, R_used and r_used, the cutoff actually used.
+uses of it: Sigma_hat, R_used and r_used, the cutoff actually used.
 """
 
 from __future__ import annotations
@@ -141,10 +141,10 @@ class EstimateResult:
         }
 
 
-def read_estimate(path) -> tuple[np.ndarray, float, float, float]:
-    """Sigma_hat (finite), n, R_used and r_used (positive) from an
-    estimate.json; every message names the file.  A null replays r_used,
-    whatever the "estimator" block (older records also hold R, C0) asks."""
+def read_estimate(path) -> tuple[np.ndarray, float, float]:
+    """Sigma_hat (finite), R_used and r_used (positive) from an estimate.json,
+    naming the file in every message; "n" is not read, it is |B(R_used)|.  A
+    null replays R_used and r_used, whatever "estimator" (older: R, C0) asks."""
     est = read_json(path)
 
     def value(key, positive=False):
@@ -166,7 +166,7 @@ def read_estimate(path) -> tuple[np.ndarray, float, float, float]:
     if not all(map(finite_number, flat)):
         raise ValueError(f"{path}: 'sigma_hat' has non-finite entries")
     sigma_hat = flat.astype(float).reshape(d, d)
-    return sigma_hat, value("n", True), value("R_used", True), value("r_used", True)
+    return sigma_hat, value("R_used", True), value("r_used", True)
 
 
 def _window_radius(pattern: PointPattern) -> float:
@@ -183,8 +183,8 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
 
     R is the radius of the pattern's window: the ball's radius, or the
     inscribed ball of a box.  A fixed cutoff needs 0 < r < R.  With r None
-    the cutoff is the paper's sqrt(d log n), n = |B(R)|, capped at R/2, so
-    it depends on the window alone.  An empty pattern returns the pure
+    the cutoff is the paper's sqrt(d log n), n = |B(R)| > 1, capped at R/2,
+    so it depends on the window alone.  An empty pattern returns the pure
     identity term.  Each close pair is added once with weight 1 or 2, its
     ends in N0, and pair_count, the sum of the weights, is the number of
     ordered pairs in the double sum.  The output is exactly symmetric, and
@@ -196,6 +196,9 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
     n_expected = count_expectation(R, d)
 
     r_requested = r
+    if r is None and not n_expected > 1:
+        raise ValueError(f"the automatic cutoff needs |B(R)| > 1, got |B({R:g})| = "
+                         f"{n_expected:.3g}; give the cutoff r")
     r = min(default_cutoff(n_expected, d), R / 2.0) if r is None else float(r)
     if not 0 < r < R:
         raise ValueError(f"need 0 < r < R, got r={r}, R={R}")

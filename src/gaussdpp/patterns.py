@@ -2,8 +2,8 @@
 
 A pattern is stored as `<stem>.csv`, its coordinates (one row per point,
 columns x1..xd), and `<stem>.json`, a sidecar recording the window, the
-point count and, when known, the seed, the scattering matrix and the
-truncation tolerance used to generate it.
+point count and its writer's metadata (`sample`: the seed, the process and
+the scattering matrix and truncation tolerance used to generate it).
 """
 
 from __future__ import annotations
@@ -189,9 +189,9 @@ def _window_from_json(obj) -> BoxWindow | BallWindow:
     return cls(extent, dim)
 
 
-def save_pattern(pattern: PointPattern, path, *, seed=None, sigma_entries=None,
-                 tol=None, extra=None) -> None:
-    """Write `<path>.csv` with coordinates and `<path>.json` with metadata.
+def save_pattern(pattern: PointPattern, path, meta=None) -> None:
+    """Write `<path>.csv` with coordinates and `<path>.json` with the window,
+    the point count and the entries of the `meta` mapping (JSON values).
 
     `path` is used as a stem; the two suffixed files are created next to
     each other.  Coordinates round-trip exactly (see `datasets.write_csv`).
@@ -200,16 +200,8 @@ def save_pattern(pattern: PointPattern, path, *, seed=None, sigma_entries=None,
     stem.parent.mkdir(parents=True, exist_ok=True)
     write_csv(stem.with_suffix(".csv"), [f"x{i + 1}" for i in range(pattern.dim)],
               pattern.points.tolist())
-    meta = {"window": _window_to_json(pattern.window), "count": len(pattern)}
-    if seed is not None:
-        meta["seed"] = seed
-    if sigma_entries is not None:
-        meta["sigma"] = np.asarray(sigma_entries).tolist()
-    if tol is not None:
-        meta["tol"] = tol
-    if extra:
-        meta.update(extra)
-    write_json(stem.with_suffix(".json"), meta)
+    write_json(stem.with_suffix(".json"), {"window": _window_to_json(pattern.window),
+                                           "count": len(pattern), **(meta or {})})
 
 
 def load_pattern(path) -> tuple[PointPattern, dict]:

@@ -5,7 +5,8 @@ under the isotropic null and 1 + lambda under a spike lambda.  `cli._cmd_detect`
 compares it with the analytic 1 + t * `estimator.risk_rate`(n, d) (with t = 1/delta
 both error rates are at most delta once the spike exceeds twice the rate; the
 rate's constant c, which theory leaves open, is 1, as (t, c) equals
-(t c^(d+1), 1)), or with the null quantile of `calibrate_null_threshold`.
+(t c^(d+1), 1)), or with the null quantile of `calibrate_null_threshold`, drawn
+through the estimate's own design: the ball B(R_used) and the cutoff r_used.
 """
 
 from __future__ import annotations
@@ -103,35 +104,29 @@ class NullCalibration:
                 "statistics": self.statistics.tolist()}
 
 
-def calibrate_null_threshold(d: int, side: float, delta: float,
-                             n_replicates: int, seed: int,
-                             r: float | None = None) -> NullCalibration:
-    """Empirical null threshold for the detection test.
+def calibrate_null_threshold(d: int, R: float, r: float, delta: float,
+                             n_replicates: int, seed: int) -> NullCalibration:
+    """Empirical null threshold for the detection test of an estimate made
+    on the ball B(R) at the cutoff r (0 < r < R, checked before any draw).
 
-    Simulates the isotropic model on the given box window, estimates the
-    scattering matrix of each replicate on the inscribed ball, and returns
-    the ceil((K+1)(1-delta))-th order statistic of their detection_statistic
-    (see NullCalibration.from_statistics), which keeps the false-alarm rate
-    of a fresh replicate at or below delta up to Monte-Carlo error.
-    Replicate i is drawn by sample_gdp with seed (seed, i, 0, 1), so the
-    first statistics do not depend on n_replicates, and no seed (s, i') of
-    a `sample` or `validate` replicate i' < 2**32 gives numpy's SeedSequence
-    the same 32-bit words.  Replicate statistics are kept for audit.  r is
-    the estimator's cutoff (None: automatic); a fixed r must be below
-    side/2, which is checked before any draw.
+    Each replicate is the isotropic model drawn on the box of side 2R and
+    estimated at r on its inscribed ball B(R): the estimate's own n and r.
+    Returns the ceil((K+1)(1-delta))-th order statistic of their
+    detection_statistic (see NullCalibration.from_statistics), which keeps
+    the false-alarm rate of a fresh replicate at or below delta up to
+    Monte-Carlo error.  Replicate i is drawn by sample_gdp with seed
+    (seed, i, 0, 1), so the first statistics do not depend on n_replicates,
+    and no seed (s, i') of a `sample` or `validate` replicate i' < 2**32
+    gives numpy's SeedSequence the same 32-bit words.  Replicate statistics
+    are kept for audit.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if n_replicates < 2:
         raise ValueError("need at least two replicates")
-    if r is not None and not r < side / 2.0:
-        raise ValueError(f"null box side {side:g} is too small for the cutoff r = {r:g}: "
-                         f"the null estimates need side > 2r = {2 * r:g}")
-    sigma0 = isotropic_scattering(d)
-    window = BoxWindow(side, d)
-    stats = np.empty(n_replicates)
-    for i in range(n_replicates):
-        pat = sample_gdp(sigma0, window, (seed, i, 0, 1))
-        est = estimate_scattering(pat, r)  # on the box's inscribed ball
-        stats[i] = detection_statistic(est.sigma_hat)
+    if not 0 < r < R:
+        raise ValueError(f"the null estimates need 0 < r < R, got r = {r:g}, R = {R:g}")
+    sigma0, window = isotropic_scattering(d), BoxWindow(2.0 * R, d)
+    draws = (sample_gdp(sigma0, window, (seed, i, 0, 1)) for i in range(n_replicates))
+    stats = [detection_statistic(estimate_scattering(pat, r).sigma_hat) for pat in draws]
     return NullCalibration.from_statistics(stats, delta)

@@ -187,6 +187,7 @@ def test_detect_names_a_missing_estimate_key(missing, tmp_path):
     ({"window": "box"}, "window must be a JSON object, got 'box'"),
     ({"window": {"type": "box", "side": "abc", "dim": 2}},
      "window side must be a number and dim an integer, got 'abc' and 2"),
+    ({"window": {"type": "disk", "radius": 1.0, "dim": 2}}, "unknown window type 'disk'"),
 ])
 def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
     stem = tmp_path / "pattern"
@@ -215,6 +216,9 @@ def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
     (["roc", "--embedding"], "row,coord1,label\n0,nan,1\n",
      ":2: non-finite value 'nan' in column 'coord1'"),
     (["roc", "--embedding"], "row,label\n0,1\n", ": no coord columns"),
+    (["reduce", "--method", "pca", "--label-column", "label", "--positive-label", "yes",
+      "--data"], "a,label\n1.0,no\n2.0,no\n",
+     ": positive label 'yes' does not occur in the label column"),
 ])
 def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
     path = tmp_path / "input.csv"
@@ -304,12 +308,10 @@ def _json_bytes(obj) -> bytes:
      "estimate.json: 'sigma_hat' has non-finite entries"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "sigma_hat": ASYMMETRIC_SIGMA_HAT})},
      DETECT, 1, "estimate.json: matrix is asymmetric beyond tolerance"),
-    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "n": 0.5})},
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 0.5})},
      ["detect", "--estimate", "estimate.json"], 1,
-     "estimate.json: expected count n must exceed 1"),
-    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "n": 10**400})},
-     ["detect", "--estimate", "estimate.json"], 1,
-     "estimate.json: 'n' must be a positive number, got more than 10^15\n"),
+     "estimate.json: the analytic threshold needs |B(R_used)| > 1, got |B(0.5)| = 0.785; "
+     "--calibrate takes any R_used\n"),
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 10**400})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'R_used' must be a positive number, got more than 10^15\n"),
@@ -345,6 +347,21 @@ def _json_bytes(obj) -> bytes:
     ({}, ["bounds", "--R", "1e154"], 1, "count_expectation is out of range of a float"),
     ({}, ["sample", "--d", "200", "--L", "100", "--seed", "0"], 1,
      "mode count (at least 10^"),
+    # |B(0.3)| = 0.6 in d=1: no automatic cutoff and no analytic threshold.
+    ({"pattern.csv": b"x1\n0.1\n-0.25\n2.5\n",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 8.0, "dim": 1}})},
+     ["estimate", "--pattern", "pattern", "--ball-radius", "0.3"], 1,
+     "gaussdpp: error: the automatic cutoff needs |B(R)| > 1, got |B(0.3)| = 0.6; "
+     "give the cutoff r\n"),
+    ({"estimate.json": _json_bytes({"dim": 1, "sigma_hat": [0.2], "n": 0.6, "R_used": 0.3,
+                                    "r_used": 0.1})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: the analytic threshold needs |B(R_used)| > 1, got |B(0.3)| = 0.6; "
+     "--calibrate takes any R_used\n"),
+    # |B(1e200)| = pi 1e400 is not a float.
+    ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 1e200})},
+     ["detect", "--estimate", "estimate.json"], 1,
+     "estimate.json: (34, 'Numerical result out of range')\n"),
 ], ids=["config-no-path", "config-list", "config-not-json", "config-not-utf8",
         "config-argv-not-strings",
         "pattern-csv-empty", "pattern-csv-non-numeric", "pattern-csv-non-finite",
@@ -355,12 +372,14 @@ def _json_bytes(obj) -> bytes:
         "estimate-R_used-string", "estimate-r_used-string",
         "estimate-r_used-negative", "estimate-sigma_hat-nan",
         "estimate-sigma_hat-asymmetric", "estimate-analytic-n-below-1",
-        "estimate-n-beyond-float", "estimate-R_used-beyond-float",
+        "estimate-R_used-beyond-float",
         "estimate-sigma_hat-beyond-float", "estimate-r_used-beyond-float",
         "pattern-json-side-beyond-float", "estimate-dim-2501-digits",
         "estimate-dim-negative-4001-digits",
         "pattern-json-dim-4000-digits", "estimate-dim-100000-char-string", "bounds-d-400",
-        "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count"])
+        "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count",
+        "estimate-automatic-cutoff-ball-below-1", "estimate-analytic-d1-ball-below-1",
+        "estimate-R_used-ball-volume-beyond-float"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -473,19 +492,22 @@ def test_every_kernel_function_has_a_caller_in_src():
     assert public and sorted(public - called) == []
 
 
-# Null calibration cache.  The estimate fixes r = 0.8, so the null
-# estimates never take the auto cutoff and a small box is enough.
+# Null calibration cache.  The estimate is made on a side-10 box at r = 0.8,
+# so its null draws on that box (NULL_L = 2 R_used) and estimates at 0.8.
 NULL_L, NULL_K, NULL_SEED, NULL_DELTA, NULL_R = "10", "3", "7", "0.2", 0.8
+
+
+def _make_estimate(work: Path, L: str, *options: str) -> Path:
+    assert cli.main(["sample", "--d", "2", "--L", L, "--seed", "3",
+                     "--out", str(work / "sample")]) == 0
+    assert cli.main(["estimate", "--pattern", str(work / "sample" / "pattern"), *options,
+                     "--out", str(work / "estimate")]) == 0
+    return work / "estimate" / "estimate.json"
 
 
 @pytest.fixture(scope="module")
 def estimate_json(tmp_path_factory):
-    work = tmp_path_factory.mktemp("estimate")
-    assert cli.main(["sample", "--d", "2", "--L", "10", "--seed", "3",
-                     "--out", str(work / "sample")]) == 0
-    assert cli.main(["estimate", "--pattern", str(work / "sample" / "pattern"),
-                     "--r", str(NULL_R), "--out", str(work / "estimate")]) == 0
-    return work / "estimate" / "estimate.json"
+    return _make_estimate(tmp_path_factory.mktemp("estimate"), NULL_L, "--r", str(NULL_R))
 
 
 def _calibrate(estimate_json, out, *, L=NULL_L, K=NULL_K, seed=NULL_SEED, delta=NULL_DELTA):
@@ -509,8 +531,8 @@ def test_estimate_records_its_estimator_settings(estimate_json):
 def test_calibrated_null_uses_the_estimate_settings(estimate_json, tmp_path):
     _calibrate(estimate_json, tmp_path / "out")
     stats = json.loads((tmp_path / "out" / "calibration.json").read_text())["statistics"]
-    cal = calibrate_null_threshold(2, float(NULL_L), float(NULL_DELTA), int(NULL_K),
-                                   int(NULL_SEED), r=NULL_R)
+    cal = calibrate_null_threshold(2, float(NULL_L) / 2, NULL_R, float(NULL_DELTA),
+                                   int(NULL_K), int(NULL_SEED))
     assert stats == cal.statistics.tolist()
 
 
@@ -543,7 +565,7 @@ def test_analytic_detect_compares_the_statistic_with_one_plus_t_rate(t, reject, 
     assert set(det) == {"statistic", "threshold", "reject", "mode", "t", "rate", "spike"}
     sigma_hat = np.reshape(SPIKED_ESTIMATE_JSON["sigma_hat"], (2, 2))
     assert det["statistic"] == spiked.detection_statistic(sigma_hat)
-    rate = risk_rate(ESTIMATE_JSON["n"], 2)
+    rate = risk_rate(count_expectation(ESTIMATE_JSON["R_used"], 2), 2)
     assert (det["mode"], det["t"], det["rate"]) == ("analytic", t, rate)
     assert det["threshold"] == 1.0 + t * rate
     assert det["reject"] is reject is (det["statistic"] > det["threshold"])
@@ -603,22 +625,16 @@ def test_older_estimate_record_replays_the_same_null(estimate_json, tmp_path, mo
 
 @pytest.fixture(scope="module")
 def auto_estimate_json(tmp_path_factory):
-    # On the side-10 box the automatic cutoff is capped at R/2 = 2.5; on a
-    # side-12 null box the automatic rule would give sqrt(2 log(36 pi)) = 3.08.
-    work = tmp_path_factory.mktemp("auto-estimate")
-    assert cli.main(["sample", "--d", "2", "--L", "10", "--seed", "3",
-                     "--out", str(work / "sample")]) == 0
-    assert cli.main(["estimate", "--pattern", str(work / "sample" / "pattern"),
-                     "--out", str(work / "estimate")]) == 0
-    return work / "estimate" / "estimate.json"
+    # On the side-10 box the automatic cutoff is capped at R/2 = 2.5.
+    return _make_estimate(tmp_path_factory.mktemp("auto-estimate"), NULL_L)
 
 
 def test_automatic_estimate_null_runs_at_its_r_used(auto_estimate_json, tmp_path):
     est = json.loads(auto_estimate_json.read_text())
     assert (est["estimator"], est["r_used"]) == ({"r": None}, 2.5)
-    _calibrate(auto_estimate_json, tmp_path / "out", L="12")
+    _calibrate(auto_estimate_json, tmp_path / "out")
     stats = json.loads((tmp_path / "out" / "calibration.json").read_text())["statistics"]
-    draws = [sample_gdp(isotropic_scattering(2), BoxWindow(12.0, 2), (int(NULL_SEED), i, 0, 1))
+    draws = [sample_gdp(isotropic_scattering(2), BoxWindow(10.0, 2), (int(NULL_SEED), i, 0, 1))
              for i in range(int(NULL_K))]
     assert stats == [spiked.detection_statistic(estimate_scattering(pat, 2.5).sigma_hat)
                      for pat in draws]
@@ -631,24 +647,86 @@ def test_older_automatic_record_replays_its_own_r_used(auto_estimate_json, tmp_p
     est = json.loads(auto_estimate_json.read_text())
     older.write_text(json.dumps({**est, "estimator": {"r": None, "R": None, "C0": 2.0}}))
     _calibrate(older, tmp_path / "out")
-    cal = calibrate_null_threshold(2, float(NULL_L), float(NULL_DELTA), int(NULL_K),
-                                   int(NULL_SEED), r=est["r_used"])
+    cal = calibrate_null_threshold(2, est["R_used"], est["r_used"], float(NULL_DELTA),
+                                   int(NULL_K), int(NULL_SEED))
     assert (json.loads((tmp_path / "out" / "calibration.json").read_text())
             == cal.to_json_dict())
 
 
-def test_null_box_too_small_for_the_cutoff_fails_before_sampling(estimate_json, tmp_path,
-                                                                 monkeypatch, capsys):
+def test_null_box_too_small_for_the_cutoff_fails_before_sampling(monkeypatch):
+    # The null's box is 2R, so a cutoff r >= R cannot be estimated on B(R).
     def fail(*args, **kwargs):
         raise AssertionError("calibration sampled before checking its cutoff")
     monkeypatch.setattr(spiked, "sample_gdp", fail)
-    argv = ["detect", "--estimate", str(estimate_json), "--calibrate", "--L", "1.5",
+    with pytest.raises(ValueError) as exc:
+        calibrate_null_threshold(2, 0.5, 0.8, float(NULL_DELTA), int(NULL_K), int(NULL_SEED))
+    assert str(exc.value) == "the null estimates need 0 < r < R, got r = 0.8, R = 0.5"
+
+
+@pytest.mark.parametrize("options, side, r", [
+    (["--r", "0.8"], 10.0, 0.8),
+    (["--ball-radius", "3.5", "--r", "0.6"], 7.0, 0.6),
+], ids=["box", "ball-radius"])
+def test_every_null_replicate_replays_the_estimate_design(options, side, r, tmp_path,
+                                                          monkeypatch):
+    # Drawn on the box of side 2 R_used, estimated at r_used on B(R_used).
+    path = _make_estimate(tmp_path, "10", *options)
+    est = json.loads(path.read_text())
+    assert (2 * est["R_used"], est["r_used"]) == (side, r)
+    draws, estimates = [], []
+
+    def drawing(sigma, window, seed):
+        draws.append(window)
+        return sample_gdp(sigma, window, seed)
+
+    def estimating(pattern, cutoff):
+        estimates.append((pattern.window, cutoff))
+        return estimate_scattering(pattern, cutoff)
+    monkeypatch.setattr(spiked, "sample_gdp", drawing)
+    monkeypatch.setattr(spiked, "estimate_scattering", estimating)
+    assert cli.main(["detect", "--estimate", str(path), "--calibrate", "--null-replicates",
+                     NULL_K, "--out", str(tmp_path / "out")]) == 0
+    assert draws == [BoxWindow(side, 2)] * int(NULL_K)
+    assert estimates == [(BoxWindow(side, 2), r)] * int(NULL_K)
+
+
+def test_null_box_other_than_the_estimate_is_refused(estimate_json, tmp_path, monkeypatch,
+                                                     capsys):
+    # --L stays for stored configs, which pass 2 R_used; it sets nothing else.
+    assert _calibrate(estimate_json, tmp_path / "with-L") == "miss"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "another-cache"))
+    assert cli.main(["detect", "--estimate", str(estimate_json), "--calibrate",
+                     "--null-replicates", NULL_K, "--seed", NULL_SEED, "--delta", NULL_DELTA,
+                     "--out", str(tmp_path / "without-L")]) == 0
+    for name in ("calibration.json", "detect.json"):
+        assert ((tmp_path / "with-L" / name).read_bytes()
+                == (tmp_path / "without-L" / name).read_bytes())
+
+    def fail(*args, **kwargs):
+        raise AssertionError("null drawn on another box")
+    monkeypatch.setattr(spiked, "sample_gdp", fail)
+    capsys.readouterr()
+    argv = ["detect", "--estimate", str(estimate_json), "--calibrate", "--L", "12",
             "--null-replicates", NULL_K, "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("gaussdpp: error: null box side 1.5 is too small for the cutoff "
-                          "r = 0.8")
+    assert capsys.readouterr().err == (
+        "gaussdpp: error: --L 12.0 is not the estimate's box side 2 * R_used = 10.0: "
+        "the null replays the estimate's own design\n")
     assert not (tmp_path / "out" / "result.json").exists()
+
+
+@pytest.mark.parametrize("record", [{"n": 3.0}, {}], ids=["stale-n", "no-n"])
+def test_analytic_detect_reads_n_from_R_used(record, tmp_path):
+    # The record's n is |B(R_used)|; detect recomputes it rather than read it.
+    consistent = {**SPIKED_ESTIMATE_JSON, "n": count_expectation(4.0, 2)}
+    other = {k: v for k, v in SPIKED_ESTIMATE_JSON.items() if k != "n"} | record
+    outputs = []
+    for name, est in (("consistent", consistent), ("other", other)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(est))
+        assert cli.main(["detect", "--estimate", str(path), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "detect.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_warm_calibration_is_byte_identical(estimate_json, tmp_path, monkeypatch):
@@ -662,8 +740,8 @@ def test_warm_calibration_is_byte_identical(estimate_json, tmp_path, monkeypatch
 
 def test_other_delta_hits_with_its_own_threshold(estimate_json, tmp_path, monkeypatch):
     assert _calibrate(estimate_json, tmp_path / "cold") == "miss"
-    fresh = calibrate_null_threshold(2, float(NULL_L), 0.5, int(NULL_K), int(NULL_SEED),
-                                     r=NULL_R)
+    fresh = calibrate_null_threshold(2, float(NULL_L) / 2, NULL_R, 0.5, int(NULL_K),
+                                     int(NULL_SEED))
     _forbid_simulation(monkeypatch)
     assert _calibrate(estimate_json, tmp_path / "warm", delta="0.5") == "hit"
     cal = json.loads((tmp_path / "warm" / "calibration.json").read_text())
@@ -674,12 +752,14 @@ def test_other_delta_hits_with_its_own_threshold(estimate_json, tmp_path, monkey
         (tmp_path / "cold" / "calibration.json").read_text())["threshold"]
 
 
-@pytest.mark.parametrize("change", [{"seed": "8"}, {"K": "4"}, {"L": "11"}, "sources"])
+@pytest.mark.parametrize("change", [{"seed": "8"}, {"K": "4"}, {"L": "12"}, "sources"])
 def test_changed_inputs_miss(change, estimate_json, tmp_path, monkeypatch):
     assert _calibrate(estimate_json, tmp_path / "cold") == "miss"
     if change == "sources":
         monkeypatch.setattr(cli, "_source_fingerprint", lambda: "0" * 64)
         change = {}
+    elif "L" in change:  # an estimate of another window: R_used 6 against 5
+        estimate_json = _make_estimate(tmp_path / "side-12", change["L"], "--r", str(NULL_R))
     assert _calibrate(estimate_json, tmp_path / "other", **change) == "miss"
     assert len(list((tmp_path / "xdg-cache" / "gaussdpp" / "null").glob("*.json"))) == 2
 

@@ -319,3 +319,14 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             roc_auc([1.0, 2.0], [1, 1])
+
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([1.0, 2.0, 3.0], [1, 0], "scores and labels must be 1-D of equal length"),
+        ([[1.0, 2.0]], [[1, 0]], "scores and labels must be 1-D of equal length"),
+        ([1.0, 2.0, 3.0], [1, 0, 2], "labels must be binary 0/1"),
+        ([1.0, 2.0], [1, -1], "labels must be binary 0/1"),
+    ], ids=["lengths", "2-D", "label-2", "label-minus-1"])
+    def test_malformed_input_rejected(self, scores, labels, message):
+        with pytest.raises(ValueError) as exc:
+            roc_auc(scores, labels)
+        assert str(exc.value) == message

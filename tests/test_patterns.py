@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gaussdpp import (BallWindow, BoxWindow, PointPattern, extract_ball,
                       load_pattern, save_pattern)
-from gaussdpp.datasets import write_csv, write_json
+from gaussdpp.datasets import load_dataset, write_csv, write_json
 
 
 def test_window_validation():
@@ -21,6 +21,18 @@ def test_window_validation():
 def test_pattern_rejects_outside_points():
     with pytest.raises(ValueError, match="outside"):
         PointPattern(np.array([[5.0, 0.0]]), BoxWindow(4.0, 2))
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((3, 3)), "points must have shape (N, 2), got (3, 3)"),
+    (np.zeros(2), "points must have shape (N, 2), got (2,)"),
+    (np.array([[0.5, np.nan]]), "pattern has non-finite coordinates"),
+    (np.array([[-np.inf, 0.5]]), "pattern has non-finite coordinates"),
+], ids=["three-columns", "flat", "nan", "inf"])
+def test_pattern_rejects_a_wrong_shape_or_a_non_finite_point(points, message):
+    with pytest.raises(ValueError) as exc:
+        PointPattern(points, BoxWindow(4.0, 2))
+    assert str(exc.value) == message
 
 
 def test_pattern_is_read_only_copy():
@@ -57,6 +69,11 @@ class TestExtractBall:
         pat = PointPattern(np.array([[3.0, 0.0]]), BoxWindow(10.0, 2))
         assert len(extract_ball(pat, 3.0)) == 1
 
+    def test_rejects_a_pattern_on_a_ball(self):
+        pat = PointPattern(np.array([[0.5, 0.5]]), BallWindow(2.0, 2))
+        with pytest.raises(ValueError, match="expects a pattern on a box window"):
+            extract_ball(pat, 1.0)
+
     def test_rejects_oversized_ball(self):
         pat = PointPattern(np.empty((0, 2)), BoxWindow(10.0, 2))
         with pytest.raises(ValueError, match="does not fit"):
@@ -68,13 +85,23 @@ def test_save_load_round_trip_exact(tmp_path):
     pts = rng.uniform(-7.5, 7.5, size=(37, 3))
     pat = PointPattern(pts, BoxWindow(15.0, 3))
     stem = tmp_path / "pattern"
-    save_pattern(pat, stem, seed=42, sigma_entries=np.eye(3), tol=1e-6)
+    save_pattern(pat, stem, {"seed": 42, "sigma": np.eye(3).tolist(), "tol": 1e-6})
     loaded, meta = load_pattern(stem)
     assert np.array_equal(loaded.points, pat.points)
     assert loaded.window == pat.window
     assert meta["seed"] == 42
     assert meta["tol"] == 1e-6
+    assert meta["sigma"] == np.eye(3).tolist()
     assert meta["count"] == 37
+    assert sorted(meta) == ["count", "seed", "sigma", "tol", "window"]
+
+
+def test_blank_csv_lines_are_skipped(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2\n0.5,1.5\n\n-2.0,0.25\n3.0,-1.0\n")
+    data = load_dataset(path)
+    assert data.n_rows == 3
+    assert data.features.tolist() == [[0.5, 1.5], [-2.0, 0.25], [3.0, -1.0]]
 
 
 def test_save_load_ball_window(tmp_path):

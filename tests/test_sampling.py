@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from gaussdpp import sampling
-from gaussdpp import (BoxWindow, PointPattern, ScatteringMatrix, build_spectral_basis,
+from gaussdpp import (BallWindow, BoxWindow, PointPattern, ScatteringMatrix, build_spectral_basis,
                       count_dispersion_test, empirical_pair_correlation,
                       isotropic_scattering, sample_gdp, sample_poisson,
                       spectral_density, spiked_scattering, unit_ball_volume)
@@ -560,3 +560,19 @@ class TestEmpiricalPairCorrelation:
 def test_dispersion_test_validation():
     with pytest.raises(ValueError):
         count_dispersion_test([5])
+
+
+def test_dispersion_test_refuses_all_zero_counts():
+    with pytest.raises(ValueError, match="counts are identically zero"):
+        count_dispersion_test([0, 0, 0])
+
+
+@pytest.mark.parametrize("windows, message", [
+    ([BallWindow(3.0, 2)], "pair-correlation estimate expects box (torus) windows"),
+    ([BoxWindow(6.0, 2), BoxWindow(7.0, 2)], "all patterns must share the same window"),
+], ids=["ball", "two-boxes"])
+def test_pair_correlation_refuses_a_ball_or_two_windows(windows, message):
+    pats = [PointPattern([[0.5, 0.5], [1.0, 0.25]], w) for w in windows]
+    with pytest.raises(ValueError) as exc:
+        empirical_pair_correlation(pats, [0.0, 0.5, 1.0])
+    assert str(exc.value) == message

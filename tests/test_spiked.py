@@ -41,6 +41,18 @@ class TestDetectionTest:
     def test_operator_norm_uses_magnitude(self):
         assert detection_statistic(np.diag([0.5, -2.0])) == TWO_PI * 2.0
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+        (np.ones(4), "expected a square matrix, got shape (4,)"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite entries"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite entries"),
+    ], ids=["2x3", "vector", "nan", "inf"])
+    def test_rejects_a_non_square_or_non_finite_input(self, matrix, message):
+        for check in (detection_statistic, estimate_spike):
+            with pytest.raises(ValueError) as exc:
+                check(matrix)
+            assert message in str(exc.value)
+
 
 class TestEstimateSpike:
     def test_exact_spiked_input(self):
@@ -114,26 +126,26 @@ class TestSinAngle:
 class TestCalibration:
     def test_threshold_is_high_order_statistic(self):
         cal = calibrate_null_threshold(
-            d=2, side=10.0, delta=0.1, n_replicates=30, seed=4, r=0.8)
+            d=2, R=5.0, r=0.8, delta=0.1, n_replicates=30, seed=4)
         stats = np.sort(cal.statistics)
         # ceil(31 * 0.9) = 28th order statistic
         assert cal.threshold == stats[27]
 
     def test_each_replicate_takes_the_detection_statistic(self):
-        # Replicate i is drawn from the stream (seed, i, 0, 1), estimated on the
-        # inscribed ball at the given r, and scored like the data.
-        side, seed, r = 8.0, 5, 0.8
-        cal = calibrate_null_threshold(d=2, side=side, delta=0.5, n_replicates=3, seed=seed,
-                                       r=r)
+        # Replicate i is drawn from the stream (seed, i, 0, 1) on the box of
+        # side 2R, estimated on its inscribed ball B(R) at the given r, and
+        # scored like the data.
+        R, seed, r = 4.0, 5, 0.8
+        cal = calibrate_null_threshold(d=2, R=R, r=r, delta=0.5, n_replicates=3, seed=seed)
         for i, stat in enumerate(cal.statistics):
-            pattern = sample_gdp(isotropic_scattering(2), BoxWindow(side, 2), (seed, i, 0, 1))
+            pattern = sample_gdp(isotropic_scattering(2), BoxWindow(2 * R, 2), (seed, i, 0, 1))
             assert stat == detection_statistic(estimate_scattering(pattern, r).sigma_hat)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            calibrate_null_threshold(2, 10.0, 1.5, 10, 0)
+            calibrate_null_threshold(2, 5.0, 0.8, 1.5, 10, 0)
         with pytest.raises(ValueError):
-            calibrate_null_threshold(2, 10.0, 0.1, 1, 0)
+            calibrate_null_threshold(2, 5.0, 0.8, 0.1, 1, 0)
 
     def test_threshold_from_given_statistics(self):
         stats = [5.0, 1.0, 4.0, 2.0, 3.0]
