@@ -20,6 +20,11 @@ other file (`datasets.write_json`: a temporary file renamed onto it), so
 a reader never sees half of one.  Deleting the directory clears the
 cache; an unreadable entry is recomputed and an unwritable one ignored.
 
+Replicates (`sample --replicates`, `validate --replicates` and the null
+replicates of `detect --calibrate`) run in forked processes, one per
+usable CPU (`sampling.map_replicates`).  Each replicate draws from its own
+seed, so the outputs do not depend on the CPU count.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error; an option the run
 would not read, or a Sigma that cannot be built, exits 2 before any work.
 """
@@ -47,7 +52,7 @@ from .kernel import (TWO_PI, ScatteringMatrix, isotropic_scattering,
                      normalize_scattering, spiked_scattering)
 from .patterns import BoxWindow, extract_ball, load_pattern, save_pattern
 from .sampling import (DEFAULT_TOL, count_dispersion_test, empirical_pair_correlation,
-                       pair_metric, sample_gdp, sample_poisson)
+                       map_replicates, pair_metric, sample_gdp, sample_poisson)
 from .spiked import (NullCalibration, calibrate_null_threshold, detection_statistic,
                      estimate_spike)
 
@@ -158,7 +163,7 @@ def _cmd_sample(args, out: Path) -> dict:
     else:
         draw = partial(sample_gdp, args._sigma, window)
         model = {"sigma": args._sigma.entries.tolist(), "tol": DEFAULT_TOL}
-    patterns = [draw((args.seed, i)) for i in range(args.replicates)]
+    patterns = map_replicates(draw, [(args.seed, i) for i in range(args.replicates)])
     names = []
     for i, pat in enumerate(patterns):
         stem = out / ("pattern" if args.replicates == 1 else f"pattern_{i:04d}")
@@ -172,7 +177,10 @@ def _cmd_estimate(args, out: Path) -> dict:
     pattern, _meta = load_pattern(args.pattern)
     if args.ball_radius is not None:
         pattern = extract_ball(pattern, args.ball_radius)
-    payload = estimate_scattering(pattern, args.r).to_json_dict()
+    try:
+        payload = estimate_scattering(pattern, args.r).to_json_dict()
+    except OverflowError as exc:  # a window too large for a float
+        raise OverflowError(f"{Path(args.pattern).with_suffix('.json')}: {exc}") from None
     write_json(out / "estimate.json", payload)
     return payload
 
@@ -295,7 +303,8 @@ def _bin_edges(args) -> np.ndarray:
 
 def _cmd_validate(args, out: Path) -> dict:
     window = BoxWindow(args.L, args.d)
-    patterns = [sample_gdp(args._sigma, window, (args.seed, i)) for i in range(args.replicates)]
+    patterns = map_replicates(partial(sample_gdp, args._sigma, window),
+                              [(args.seed, i) for i in range(args.replicates)])
     radius = args.L / 2.0
     counts = np.asarray([len(extract_ball(p, radius)) for p in patterns])
     n_exp = count_expectation(radius, args.d)
@@ -355,6 +364,10 @@ def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
                         "normalized on load")
 
 
+_REPLICATES_HELP = ("drawn in forked processes, one per usable CPU, each from its own seed, "
+                    "so the outputs do not depend on the CPU count")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # No abbreviated options: a prefix of a live option must not stand in
     # for a removed one in a stored config.
@@ -374,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="poisson: unit intensity, takes no scattering option")
     p.add_argument("--L", type=_positive_finite, required=True, help="box side")
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--replicates", type=_positive_int, default=1)
+    p.add_argument("--replicates", type=_positive_int, default=1,
+                   help="patterns, " + _REPLICATES_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -405,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
                    default=0.05, help="with --calibrate: test level")
     p.add_argument("--null-replicates", type=_checked(int, lambda v: v >= 2, ">= 2"),
-                   default=200, help="with --calibrate: null replicates K")
+                   default=200, help="with --calibrate: null replicates K, "
+                   + _REPLICATES_HELP)
     p.add_argument("--seed", type=_seed, default=0, help="with --calibrate: null seed; replicate "
                    "i draws from (seed, i, 0, 1), a stream no sample or validate run uses")
     p.add_argument("--L", type=_positive_finite, default=None,
@@ -442,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, required=True)
     _add_sigma_flags(p)
     p.add_argument("--L", type=_positive_finite, required=True)
-    p.add_argument("--replicates", type=_checked(int, lambda v: v >= 2, ">= 2"), default=200)
+    p.add_argument("--replicates", type=_checked(int, lambda v: v >= 2, ">= 2"), default=200,
+                   help="patterns, " + _REPLICATES_HELP)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--bin-width", type=_positive_finite, default=0.1)
     p.add_argument("--r-max", type=_positive_finite, default=2.0)

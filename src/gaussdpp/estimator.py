@@ -48,10 +48,15 @@ def unit_ball_volume(d: int) -> float:
 
 
 def count_expectation(radius: float, d: int) -> float:
-    """Expected number of points in B(R) at unit density: |B(1)| R^d."""
+    """Expected number of points in B(R) at unit density: |B(1)| R^d.
+    OverflowError, naming R and d, when R^d is beyond a float."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    return unit_ball_volume(d) * radius ** d
+    try:
+        return unit_ball_volume(d) * radius ** d
+    except OverflowError:
+        raise OverflowError(f"|B(R)| for R = {radius:g} in d = {d} is out of range "
+                            "of a float") from None
 
 
 def bernstein_tail(eps: float, radius: float, d: int) -> float:

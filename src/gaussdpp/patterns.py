@@ -76,6 +76,10 @@ class PointPattern:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
+    def __reduce__(self):
+        # Rebuilt through __post_init__, so an unpickled pattern is read-only too.
+        return PointPattern, (self.points, self.window)
+
     def __len__(self):
         return self.points.shape[0]
 

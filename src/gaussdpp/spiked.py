@@ -19,7 +19,7 @@ import numpy as np
 from .estimator import estimate_scattering
 from .kernel import TWO_PI, isotropic_scattering
 from .patterns import BoxWindow
-from .sampling import sample_gdp
+from .sampling import map_replicates, sample_gdp
 
 SYMMETRY_RTOL = 1e-8
 
@@ -118,7 +118,9 @@ def calibrate_null_threshold(d: int, R: float, r: float, delta: float,
     (seed, i, 0, 1), so the first statistics do not depend on n_replicates,
     and no seed (s, i') of a `sample` or `validate` replicate i' < 2**32
     gives numpy's SeedSequence the same 32-bit words.  Replicate statistics
-    are kept for audit.
+    are kept for audit.  The replicates run in forked processes, one per
+    usable CPU (`sampling.map_replicates`); each is fixed by its own seed,
+    so the statistics do not depend on the CPU count.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -127,6 +129,8 @@ def calibrate_null_threshold(d: int, R: float, r: float, delta: float,
     if not 0 < r < R:
         raise ValueError(f"the null estimates need 0 < r < R, got r = {r:g}, R = {R:g}")
     sigma0, window = isotropic_scattering(d), BoxWindow(2.0 * R, d)
-    draws = (sample_gdp(sigma0, window, (seed, i, 0, 1)) for i in range(n_replicates))
-    stats = [detection_statistic(estimate_scattering(pat, r).sigma_hat) for pat in draws]
-    return NullCalibration.from_statistics(stats, delta)
+
+    def statistic(i):
+        pattern = sample_gdp(sigma0, window, (seed, i, 0, 1))
+        return detection_statistic(estimate_scattering(pattern, r).sigma_hat)
+    return NullCalibration.from_statistics(map_replicates(statistic, range(n_replicates)), delta)

@@ -361,7 +361,11 @@ def _json_bytes(obj) -> bytes:
     # |B(1e200)| = pi 1e400 is not a float.
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 1e200})},
      ["detect", "--estimate", "estimate.json"], 1,
-     "estimate.json: (34, 'Numerical result out of range')\n"),
+     "estimate.json: |B(R)| for R = 1e+200 in d = 2 is out of range of a float\n"),
+    ({"pattern.csv": b"x1,x2\n0.5,0.5\n",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 1e200, "dim": 2}})},
+     ["estimate", "--pattern", "pattern"], 1,
+     "pattern.json: |B(R)| for R = 5e+199 in d = 2 is out of range of a float\n"),
 ], ids=["config-no-path", "config-list", "config-not-json", "config-not-utf8",
         "config-argv-not-strings",
         "pattern-csv-empty", "pattern-csv-non-numeric", "pattern-csv-non-finite",
@@ -379,7 +383,7 @@ def _json_bytes(obj) -> bytes:
         "pattern-json-dim-4000-digits", "estimate-dim-100000-char-string", "bounds-d-400",
         "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count",
         "estimate-automatic-cutoff-ball-below-1", "estimate-analytic-d1-ball-below-1",
-        "estimate-R_used-ball-volume-beyond-float"])
+        "estimate-R_used-ball-volume-beyond-float", "pattern-json-ball-volume-beyond-float"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -663,6 +667,20 @@ def test_null_box_too_small_for_the_cutoff_fails_before_sampling(monkeypatch):
     assert str(exc.value) == "the null estimates need 0 < r < R, got r = 0.8, R = 0.5"
 
 
+def _spy(log: Path, fn, entry):
+    """fn, appending entry(*args) to log as a JSON line on each call: a file
+    sees the calls of the forked replicate processes too, a list only the caller's."""
+    def spy(*args):
+        with log.open("a") as fh:
+            fh.write(json.dumps(entry(*args)) + "\n")
+        return fn(*args)
+    return spy
+
+
+def _spied(log: Path) -> list:
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
 @pytest.mark.parametrize("options, side, r", [
     (["--r", "0.8"], 10.0, 0.8),
     (["--ball-radius", "3.5", "--r", "0.6"], 7.0, 0.6),
@@ -673,21 +691,17 @@ def test_every_null_replicate_replays_the_estimate_design(options, side, r, tmp_
     path = _make_estimate(tmp_path, "10", *options)
     est = json.loads(path.read_text())
     assert (2 * est["R_used"], est["r_used"]) == (side, r)
-    draws, estimates = [], []
-
-    def drawing(sigma, window, seed):
-        draws.append(window)
-        return sample_gdp(sigma, window, seed)
-
-    def estimating(pattern, cutoff):
-        estimates.append((pattern.window, cutoff))
-        return estimate_scattering(pattern, cutoff)
-    monkeypatch.setattr(spiked, "sample_gdp", drawing)
-    monkeypatch.setattr(spiked, "estimate_scattering", estimating)
+    draws, estimates = tmp_path / "draws.jsonl", tmp_path / "estimates.jsonl"
+    monkeypatch.setattr(spiked, "sample_gdp", _spy(
+        draws, sample_gdp, lambda sigma, window, seed: [window.side, window.dim]))
+    monkeypatch.setattr(spiked, "estimate_scattering", _spy(
+        estimates, estimate_scattering,
+        lambda pattern, cutoff: [pattern.window.side, pattern.window.dim, cutoff]))
     assert cli.main(["detect", "--estimate", str(path), "--calibrate", "--null-replicates",
                      NULL_K, "--out", str(tmp_path / "out")]) == 0
-    assert draws == [BoxWindow(side, 2)] * int(NULL_K)
-    assert estimates == [(BoxWindow(side, 2), r)] * int(NULL_K)
+    assert [BoxWindow(*w) for w in _spied(draws)] == [BoxWindow(side, 2)] * int(NULL_K)
+    assert ([(BoxWindow(s, d), cutoff) for s, d, cutoff in _spied(estimates)]
+            == [(BoxWindow(side, 2), r)] * int(NULL_K))
 
 
 def test_null_box_other_than_the_estimate_is_refused(estimate_json, tmp_path, monkeypatch,
@@ -827,11 +841,8 @@ def test_sample_replicate_prefix_is_stable(tmp_path):
 @pytest.mark.parametrize("command, calls", [("sample", 3), ("validate", 2), ("detect", 3)])
 def test_every_replicate_is_one_sample_gdp_call(command, calls, estimate_json, tmp_path,
                                                 monkeypatch):
-    seeds = []
-
-    def counting(sigma, window, seed):
-        seeds.append(seed)
-        return sample_gdp(sigma, window, seed)
+    log = tmp_path / "seeds.jsonl"
+    counting = _spy(log, sample_gdp, lambda sigma, window, seed: seed)
     monkeypatch.setattr(cli, "sample_gdp", counting)
     monkeypatch.setattr(spiked, "sample_gdp", counting)
     argv = {"sample": SAMPLE + ["--L", "6", "--replicates", "3"],
@@ -842,7 +853,51 @@ def test_every_replicate_is_one_sample_gdp_call(command, calls, estimate_json, t
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
     seed = int(argv[argv.index("--seed") + 1])
     stream = (0, 1) if command == "detect" else ()  # the null's own streams
-    assert seeds == [(seed, i, *stream) for i in range(calls)]
+    # Sorted: the replicate processes append in no fixed order.
+    assert sorted(map(tuple, _spied(log))) == [(seed, i, *stream) for i in range(calls)]
+
+
+@pytest.mark.parametrize("command", ["sample", "validate", "detect"])
+def test_replicate_outputs_do_not_depend_on_the_cpu_count(command, estimate_json, tmp_path,
+                                                          monkeypatch):
+    # Replicates run in one process per usable CPU; each draws from its own seed.
+    argv = {"sample": SAMPLE + ["--L", "6", "--replicates", "3"],
+            "validate": VALIDATE + ["--L", "8", "--replicates", "3", "--r-max", "1"],
+            "detect": ["detect", "--estimate", str(estimate_json), "--calibrate",
+                       "--null-replicates", "3"]}[command]
+    payloads = []
+    for cpus in (None, {0}, {0, 1, 2}):  # this machine's, then one and three
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        run = tmp_path / str(len(payloads))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(run / "cache"))  # every null is drawn
+        assert cli.main([*argv, "--out", str(run / "out")]) == 0
+        assert json.loads((run / "out" / "result.json").read_text()).get(
+            "calibration_cache", "miss") == "miss"
+        payloads.append({p.name: p.read_bytes() for p in (run / "out").iterdir()
+                         if p.name != "result.json"})
+        with pytest.raises(ChildProcessError):  # no replicate process outlives the command
+            os.waitpid(-1, os.WNOHANG)
+    assert len(payloads[0]) >= 3
+    assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_a_replicate_error_in_a_child_process_exits_1_with_its_message(tmp_path, monkeypatch,
+                                                                      capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller = os.getpid()
+
+    def refusing(sigma, window, seed):
+        if os.getpid() != caller:
+            raise ValueError(f"replicate {seed[1]} refused in a child")
+        return sample_gdp(sigma, window, seed)
+    monkeypatch.setattr(cli, "sample_gdp", refusing)
+    out = tmp_path / "out"
+    assert cli.main(SAMPLE + ["--L", "6", "--replicates", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "gaussdpp: error: replicate 1 refused in a child\n"
+    assert not (out / "result.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _replayed_payload_matches(first: Path, second: Path) -> None:

@@ -50,6 +50,12 @@ class TestGeometryHelpers:
         assert count_expectation(2.0, 3) == pytest.approx(33.510321638291128,
                                                           rel=1e-14)
 
+    def test_count_expectation_beyond_a_float_names_R_and_d(self):
+        # An OverflowError still: `bounds` reports it as a value out of range.
+        with pytest.raises(OverflowError) as exc:
+            count_expectation(1e200, 2)
+        assert str(exc.value) == "|B(R)| for R = 1e+200 in d = 2 is out of range of a float"
+
 
 class TestBounds:
     def test_bernstein_limit_and_value(self):

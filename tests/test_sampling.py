@@ -1,6 +1,11 @@
 import hashlib
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -576,3 +581,117 @@ def test_pair_correlation_refuses_a_ball_or_two_windows(windows, message):
     with pytest.raises(ValueError) as exc:
         empirical_pair_correlation(pats, [0.0, 0.5, 1.0])
     assert str(exc.value) == message
+
+
+def _use_cpus(monkeypatch, n: int) -> None:
+    """Make map_replicates see n usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestMapReplicates:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_results_come_back_in_item_order(self, cpus, monkeypatch):
+        _use_cpus(monkeypatch, cpus)
+        caller = os.getpid()
+        out = sampling.map_replicates(lambda i: (i * i, os.getpid() == caller), range(7))
+        assert [v for v, _ in out] == [i * i for i in range(7)]
+        # Item i is computed by worker i mod w, the caller being worker 0.
+        assert [mine for _, mine in out] == [i % cpus == 0 for i in range(7)]
+        _no_child_left()
+
+    def test_patterns_cross_unchanged_and_read_only(self, iso2, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        window = BoxWindow(6.0, 2)
+        seeds = [(5, i) for i in range(3)]
+        forked = sampling.map_replicates(lambda s: sample_gdp(iso2, window, s), seeds)
+        for pat, seed in zip(forked, seeds):
+            assert pat.window == window
+            assert pat.points.tobytes() == sample_gdp(iso2, window, seed).points.tobytes()
+            assert not pat.points.flags.writeable
+        _no_child_left()
+
+    def test_an_error_in_a_child_is_raised_with_its_type_and_message(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+
+        def fn(i):
+            if i == 3:
+                raise ValueError(f"replicate {i} refused")
+            return i
+        with pytest.raises(ValueError, match="^replicate 3 refused$"):
+            sampling.map_replicates(fn, range(6))
+        _no_child_left()
+
+    def test_a_child_killed_by_a_signal_names_its_replicate(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def fn(i):
+            if i == 3 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+        # The child holds items 1, 3 and 5: item 1 came back, item 3 did not.
+        with pytest.raises(RuntimeError, match="^replicate 3 ended without a result: its "
+                                               f"process was killed by signal {int(signal.SIGKILL)}$"):
+            sampling.map_replicates(fn, range(6))
+        _no_child_left()
+
+    def test_an_error_in_the_caller_kills_the_children(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        caller = os.getpid()
+
+        def fn(i):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise ValueError("the caller's replicate failed")
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="caller's replicate"):
+            sampling.map_replicates(fn, range(3))
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_a_failed_fork_leaves_no_child_and_no_pipe(self, monkeypatch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to list the open descriptors")
+        _use_cpus(monkeypatch, 3)
+        fork, forked = os.fork, []
+
+        def fork_once():
+            if forked:
+                raise OSError(11, "Resource temporarily unavailable")
+            forked.append(True)
+            return fork()
+        monkeypatch.setattr(os, "fork", fork_once)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="Resource temporarily unavailable"):
+            sampling.map_replicates(abs, range(3))
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        _no_child_left()
+
+    def test_fork_beside_another_thread_warns_nothing(self, monkeypatch):
+        # Python >= 3.12 warns when it forks a process with other threads.
+        _use_cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert sampling.map_replicates(abs, [-1, -2]) == [1, 2]
+        finally:
+            release.set()
+            other.join()
+        assert caught == []
+        _no_child_left()
+
+    def test_one_usable_cpu_never_forks(self, monkeypatch):
+        _use_cpus(monkeypatch, 1)
+
+        def fail():
+            raise AssertionError("forked with one usable CPU")
+        monkeypatch.setattr(os, "fork", fail)
+        assert sampling.map_replicates(abs, [-1, -2, -3]) == [1, 2, 3]
