@@ -231,6 +231,9 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
     try:  # an asymmetric Sigma_hat, or n <= 1 for the rate, fails before any null is drawn
         statistic, spike = detection_statistic(sigma_hat), estimate_spike(sigma_hat)
         n = count_expectation(R_used, d)  # bitwise the "n" that `estimate` wrote
+        if n == math.inf:  # R_used^d is a float, |B(1)| R_used^d is not
+            raise OverflowError(f"|B(R_used)| for R_used = {R_used:g} in d = {d} is out of "
+                                "range of a float")
         if not (args.calibrate or n > 1):
             raise ValueError(f"the analytic threshold needs |B(R_used)| > 1, got "
                              f"|B({R_used:g})| = {n:.3g}; --calibrate takes any R_used")

@@ -194,7 +194,8 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
     ends in N0, and pair_count, the sum of the weights, is the number of
     ordered pairs in the double sum.  The output is exactly symmetric, and
     the summation order is canonicalized so permuting the input points
-    reproduces the result bitwise.
+    reproduces the result bitwise.  OverflowError, naming r and d, when the
+    identity term is beyond a float.
     """
     R = _window_radius(pattern)
     d = pattern.dim
@@ -210,7 +211,13 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
 
     # Consistency constant; see the module docstring.
     scale = 2.0 ** (0.5 * (d + 2))
-    identity_term = scale * unit_ball_volume(d) * r ** (d + 2) / (d + 2)
+    try:
+        identity_term = scale * unit_ball_volume(d) * r ** (d + 2) / (d + 2)
+        if identity_term == math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(f"the identity term in r^(d+2) for r = {r:g} in d = {d} is out "
+                            "of range of a float") from None
     sigma_hat = identity_term * np.eye(d)
 
     # Points in lexicographic order and pairs summed in the order of i, then

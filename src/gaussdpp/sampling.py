@@ -19,7 +19,6 @@ import math
 import os
 import pickle
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -486,15 +485,17 @@ def map_replicates(fn, items) -> list:
     comprehension.  Otherwise w - 1 children are forked before any item is
     computed: each inherits fn and the caller's state, and worker k (the
     caller is worker 0) computes items k, k + w, k + 2w, ... in order.  A
-    child sends each result back on its own pipe, pickled, as soon as it is
-    done; the caller reads the pipes between its own items and reassembles
-    the results in item order.  So the result does not depend on w when
-    fn(x) depends on x alone, as a replicate drawn from its own seed does.
+    child writes each result, pickled, to an anonymous temporary file made
+    for it before the fork; the caller, its own items done, waits for each
+    child in turn and reads its file back.  So the result does not depend
+    on w when fn(x) depends on x alone, as a replicate drawn from its own
+    seed does.
 
     An exception raised by fn in a child is re-raised in the caller with its
-    type and message.  A child that ends without a result (a signal, say)
-    raises RuntimeError naming the replicate it was computing.  Every child
-    is killed and reaped before this returns or raises.  A child ends with
+    type and message, as is the error of a result that cannot be pickled.  A
+    child that ends without a result (a signal, say) raises RuntimeError
+    naming the replicate it was computing.  Every child is killed and reaped,
+    and every file closed, before this returns or raises.  A child ends with
     os._exit: it never flushes the caller's stdio or runs its exit hooks.
     """
     items = list(items)
@@ -503,13 +504,14 @@ def map_replicates(fn, items) -> list:
     if w <= 1:
         return [fn(x) for x in items]
     import signal  # only here, off the import path of every command
+    import tempfile
 
     results = [None] * len(items)
-    children = []  # (k, pid, read end, bytes received)
+    children = []  # (k, pid, temporary file)
     reaped = set()
     try:
         for k in range(1, w):
-            read_end, write_end = os.pipe()
+            out = tempfile.TemporaryFile()
             try:
                 with warnings.catch_warnings():
                     # Python >= 3.12 warns of a fork while other threads run, here
@@ -518,80 +520,55 @@ def map_replicates(fn, items) -> list:
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
             except OSError:
-                os.close(read_end)
-                os.close(write_end)
+                out.close()
                 raise
             if pid == 0:
-                _serve(fn, items[k::w], read_end, write_end)
-            os.close(write_end)
-            children.append((k, pid, read_end, bytearray()))
+                _serve(fn, items[k::w], out)
+            children.append((k, pid, out))
         for i in range(0, len(items), w):
             results[i] = fn(items[i])
-            for _, _, fd, received in children:  # a full pipe would stall its child
-                _receive(fd, received, block=False)
-        for k, pid, fd, received in children:
-            _receive(fd, received, block=True)
-            status = os.waitpid(pid, 0)[1]
+        for k, pid, out in children:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped.add(pid)
-            frames = _frames(received)
-            for j, (ok, value) in enumerate(frames):
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            out.seek(0)
+            for i in range(k, len(items), w):
+                try:  # a pickle stream delimits itself
+                    ok, value = pickle.load(out)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"replicate {i} ended without a result: "
+                                       f"its process {how}") from None
                 if not ok:
                     raise value
-                results[k + j * w] = value
-            if len(frames) < len(range(k, len(items), w)):
-                code = os.waitstatus_to_exitcode(status)
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise RuntimeError(f"replicate {k + len(frames) * w} ended without a result: "
-                                   f"its process {how}")
+                results[i] = value
         return results
     finally:
-        for _, pid, fd, _ in children:
+        for _, pid, out in children:
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            os.close(fd)
+            out.close()
 
 
-def _serve(fn, items, read_end, fd) -> NoReturn:
-    """A child's work: send (True, fn(x)) for each item in turn, or (False,
-    the exception) and stop, each as a length-prefixed pickle on fd; then
+def _serve(fn, items, out) -> NoReturn:
+    """A child's work: write (True, fn(x)) for each item in turn, or (False,
+    the exception) and stop, each pickled whole before it is written, so a
+    result that cannot be pickled sends its error, never half a record; then
     end the process without any cleanup, whatever happened."""
     code = 1
     try:
-        os.close(read_end)  # the caller's end: a write fails once no one else holds it
         for x in items:
             try:
-                frame, failed = pickle.dumps((True, fn(x))), False
+                record, failed = pickle.dumps((True, fn(x))), False
             except Exception as exc:
-                frame, failed = pickle.dumps((False, exc)), True
-            view = memoryview(len(frame).to_bytes(8, "little") + frame)
-            while view:
-                view = view[os.write(fd, view):]
+                record, failed = pickle.dumps((False, exc)), True
+            out.write(record)
+            out.flush()
             if failed:
                 break
         code = 0
     finally:
         os._exit(code)
-
-
-def _receive(fd, received: bytearray, block: bool) -> None:
-    """Append what the pipe holds to received; with block, up to its end."""
-    os.set_blocking(fd, block)
-    with suppress(BlockingIOError):  # nothing more to read for now
-        while chunk := os.read(fd, 1 << 20):
-            received += chunk
-
-
-def _frames(received: bytearray) -> list:
-    """The whole frames of received, unpickled; a cut-off last frame is dropped."""
-    frames, at = [], 0
-    while at + 8 <= len(received):
-        end = at + 8 + int.from_bytes(received[at:at + 8], "little")
-        if end > len(received):
-            break
-        frames.append(pickle.loads(received[at + 8:end]))
-        at = end
-    return frames
 
 
 def pair_metric(sigma: ScatteringMatrix) -> tuple[np.ndarray, float]:

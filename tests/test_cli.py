@@ -366,6 +366,18 @@ def _json_bytes(obj) -> bytes:
       "pattern.json": _json_bytes({"window": {"type": "box", "side": 1e200, "dim": 2}})},
      ["estimate", "--pattern", "pattern"], 1,
      "pattern.json: |B(R)| for R = 5e+199 in d = 2 is out of range of a float\n"),
+    # |B(5e99)| is a float; r^(d+2) = 1e396 is not, and 2^2 |B(1)| 1e308 / 4 is not.
+    *[({"pattern.csv": b"x1,x2\n0.5,0.5\n",
+        "pattern.json": _json_bytes({"window": {"type": "box", "side": 1e100, "dim": 2}})},
+       ["estimate", "--pattern", "pattern", "--r", r], 1,
+       f"pattern.json: the identity term in r^(d+2) for r = {float(r):g} in d = 2 is out of "
+       "range of a float\n")
+      for r in ("1e99", "1e77")],
+    # R_used^d = 1e308 is a float, |B(R_used)| = pi 1e308 is not.
+    *[({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 1e154})},
+       ["detect", "--estimate", "estimate.json", *calibrate], 1,
+       "estimate.json: |B(R_used)| for R_used = 1e+154 in d = 2 is out of range of a float\n")
+      for calibrate in ([], ["--calibrate"])],
 ], ids=["config-no-path", "config-list", "config-not-json", "config-not-utf8",
         "config-argv-not-strings",
         "pattern-csv-empty", "pattern-csv-non-numeric", "pattern-csv-non-finite",
@@ -383,7 +395,10 @@ def _json_bytes(obj) -> bytes:
         "pattern-json-dim-4000-digits", "estimate-dim-100000-char-string", "bounds-d-400",
         "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count",
         "estimate-automatic-cutoff-ball-below-1", "estimate-analytic-d1-ball-below-1",
-        "estimate-R_used-ball-volume-beyond-float", "pattern-json-ball-volume-beyond-float"])
+        "estimate-R_used-ball-volume-beyond-float", "pattern-json-ball-volume-beyond-float",
+        "pattern-json-identity-term-beyond-float", "pattern-json-identity-term-infinite",
+        "estimate-R_used-ball-volume-infinite",
+        "estimate-R_used-ball-volume-infinite-calibrated"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)

@@ -1,7 +1,9 @@
 import hashlib
 import math
 import os
+import pickle
 import signal
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -615,6 +617,16 @@ class TestMapReplicates:
             assert not pat.points.flags.writeable
         _no_child_left()
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_results_larger_than_a_pipe_come_back_whole(self, cpus, monkeypatch, tmp_path):
+        # A pipe holds 64 KiB; each child here returns three results of 1 MiB.
+        _use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        out = sampling.map_replicates(lambda i: bytes([i]) * (1 << 20), range(3 * cpus))
+        assert out == [bytes([i]) * (1 << 20) for i in range(3 * cpus)]
+        assert os.listdir(tmp_path) == []
+        _no_child_left()
+
     def test_an_error_in_a_child_is_raised_with_its_type_and_message(self, monkeypatch):
         _use_cpus(monkeypatch, 2)
 
@@ -624,6 +636,18 @@ class TestMapReplicates:
             return i
         with pytest.raises(ValueError, match="^replicate 3 refused$"):
             sampling.map_replicates(fn, range(6))
+        _no_child_left()
+
+    def test_a_result_that_cannot_be_pickled_raises_its_pickling_error(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        caller = os.getpid()
+        with pytest.raises(Exception) as unpicklable:
+            pickle.dumps(lambda: 0)
+
+        def fn(i):
+            return i if os.getpid() == caller else (lambda: i)
+        with pytest.raises(unpicklable.type, match="^Can't pickle local object"):
+            sampling.map_replicates(fn, range(4))
         _no_child_left()
 
     def test_a_child_killed_by_a_signal_names_its_replicate(self, monkeypatch):
@@ -654,10 +678,11 @@ class TestMapReplicates:
         assert time.monotonic() - start < 30
         _no_child_left()
 
-    def test_a_failed_fork_leaves_no_child_and_no_pipe(self, monkeypatch):
+    def test_a_failed_fork_leaves_no_child_and_no_descriptor(self, monkeypatch, tmp_path):
         if not os.path.isdir("/proc/self/fd"):
             pytest.skip("no /proc/self/fd to list the open descriptors")
         _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         fork, forked = os.fork, []
 
         def fork_once():
@@ -670,6 +695,7 @@ class TestMapReplicates:
         with pytest.raises(OSError, match="Resource temporarily unavailable"):
             sampling.map_replicates(abs, range(3))
         assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        assert os.listdir(tmp_path) == []
         _no_child_left()
 
     def test_fork_beside_another_thread_warns_nothing(self, monkeypatch):
