@@ -27,11 +27,25 @@ seed, so the outputs do not depend on the CPU count.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error; an option the run
 would not read, or a Sigma that cannot be built, exits 2 before any work.
+
+A process imports only what its command runs.  The package modules are
+bound here through `importlib.util.LazyLoader`: each is registered in
+sys.modules when this module is imported and executed on its first
+attribute access, and every package function is called through its module
+(`sampling.sample_gdp(...)`).  numpy is imported inside the few functions
+here that use it.  So `--version`, a usage error and `roc` (a sort and two
+running sums, in `datasets`) never import numpy; sample, estimate, detect,
+reduce, validate and bounds do, because they compute with it.  The modules
+are bound lazily rather than imported inside the functions that use them
+so that code which wraps the package's functions after importing this
+module (perfbench/traced_cli.py) finds every module in sys.modules, and
+reading a module's attributes loads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -41,20 +55,27 @@ from contextlib import suppress
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .datasets import load_dataset, read_json, write_csv, write_json
-from .dimred import dpp_embed, pca_embed, roc_auc
-from .estimator import (bernstein_tail, bias_bound, count_expectation, estimate_scattering,
-                        read_estimate, risk_rate, variance_bound)
-from .kernel import (TWO_PI, ScatteringMatrix, isotropic_scattering,
-                     normalize_scattering, spiked_scattering)
-from .patterns import BoxWindow, extract_ball, load_pattern, save_pattern
-from .sampling import (DEFAULT_TOL, count_dispersion_test, empirical_pair_correlation,
-                       map_replicates, pair_metric, sample_gdp, sample_poisson)
-from .spiked import (NullCalibration, calibrate_null_threshold, detection_statistic,
-                     estimate_spike)
+
+
+def _lazy(name: str):
+    """The package module `name`, registered in sys.modules and executed on
+    its first attribute access (see the module docstring).  A module that is
+    already imported is returned as it is, so there is only ever one copy."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+datasets, dimred, estimator, kernel, patterns, sampling, spiked = map(_lazy, [
+    "datasets", "dimred", "estimator", "kernel", "patterns", "sampling", "spiked"])
 
 SCHEMA_VERSION = 1
 
@@ -119,16 +140,18 @@ def _square_matrix(text: str) -> list[list[float]]:
     return rows
 
 
-def _parse_sigma(args, d: int) -> ScatteringMatrix:
+def _parse_sigma(args, d: int) -> kernel.ScatteringMatrix:
+    import numpy as np
+
     if args.sigma_entries:
-        sigma = ScatteringMatrix(np.asarray(args.sigma_entries))
+        sigma = kernel.ScatteringMatrix(np.asarray(args.sigma_entries))
         if sigma.dim != d:
             raise ValueError(f"--sigma-entries is {sigma.dim}x{sigma.dim} but --d is {d}")
-        return normalize_scattering(sigma)
+        return kernel.normalize_scattering(sigma)
     if args.sigma == "iso":
-        return isotropic_scattering(d)
+        return kernel.isotropic_scattering(d)
     u = np.asarray(args.u or [1.0] + [0.0] * (d - 1))  # --sigma spiked; e1 by default
-    return spiked_scattering(args.lam, u / math.hypot(*u), d)
+    return kernel.spiked_scattering(args.lam, u / math.hypot(*u), d)
 
 
 def _finish(args, out: Path, payload: dict, t0: float, status: dict) -> int:
@@ -140,12 +163,12 @@ def _finish(args, out: Path, payload: dict, t0: float, status: dict) -> int:
               "params": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
                          for k, v in vars(args).items()
                          if not k.startswith("_") and k not in ("out", "func")}}
-    write_json(out / "run_config.json", config)
+    datasets.write_json(out / "run_config.json", config)
     envelope = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
                 "command": args.command, "config": config,
                 "wall_time_s": time.perf_counter() - t0, **status,
                 "payload": payload}
-    write_json(out / "result.json", envelope)
+    datasets.write_json(out / "result.json", envelope)
     print(json.dumps({"command": args.command, "out": str(out), **_summary(payload)}))
     return 0
 
@@ -157,31 +180,31 @@ def _summary(payload: dict) -> dict:
 
 
 def _cmd_sample(args, out: Path) -> dict:
-    window = BoxWindow(args.L, args.d)
+    window = patterns.BoxWindow(args.L, args.d)
     if args.process == "poisson":
-        draw, model = partial(sample_poisson, 1.0, window), {}
+        draw, model = partial(sampling.sample_poisson, 1.0, window), {}
     else:
-        draw = partial(sample_gdp, args._sigma, window)
-        model = {"sigma": args._sigma.entries.tolist(), "tol": DEFAULT_TOL}
-    patterns = map_replicates(draw, [(args.seed, i) for i in range(args.replicates)])
+        draw = partial(sampling.sample_gdp, args._sigma, window)
+        model = {"sigma": args._sigma.entries.tolist(), "tol": sampling.DEFAULT_TOL}
+    drawn = sampling.map_replicates(draw, [(args.seed, i) for i in range(args.replicates)])
     names = []
-    for i, pat in enumerate(patterns):
+    for i, pat in enumerate(drawn):
         stem = out / ("pattern" if args.replicates == 1 else f"pattern_{i:04d}")
-        save_pattern(pat, stem, {"seed": [args.seed, i], **model, "process": args.process})
+        patterns.save_pattern(pat, stem,
+                              {"seed": [args.seed, i], **model, "process": args.process})
         names.append(stem.name)
-    return {"patterns": names, "count": len(patterns[0]),
-            "counts": [len(p) for p in patterns]}
+    return {"patterns": names, "count": len(drawn[0]), "counts": [len(p) for p in drawn]}
 
 
 def _cmd_estimate(args, out: Path) -> dict:
-    pattern, _meta = load_pattern(args.pattern)
+    pattern, _meta = patterns.load_pattern(args.pattern)
     if args.ball_radius is not None:
-        pattern = extract_ball(pattern, args.ball_radius)
+        pattern = patterns.extract_ball(pattern, args.ball_radius)
     try:
-        payload = estimate_scattering(pattern, args.r).to_json_dict()
+        payload = estimator.estimate_scattering(pattern, args.r).to_json_dict()
     except OverflowError as exc:  # a window too large for a float
         raise OverflowError(f"{Path(args.pattern).with_suffix('.json')}: {exc}") from None
-    write_json(out / "estimate.json", payload)
+    datasets.write_json(out / "estimate.json", payload)
     return payload
 
 
@@ -202,42 +225,46 @@ def _source_fingerprint() -> str:
 
 
 def _calibrate_cached(d: int, R: float, r: float, delta: float, n_replicates: int,
-                      seed: int) -> tuple[NullCalibration, str]:
+                      seed: int) -> tuple[spiked.NullCalibration, str]:
     """Null calibration through the on-disk cache (see the module
     docstring); returns it with "hit" or "miss"."""
     import hashlib
+
+    import numpy as np
+
     key = {"source_sha256": _source_fingerprint(), "numpy": np.__version__,
            "d": d, "R": R, "r": r, "null_replicates": n_replicates, "seed": seed}
     name = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
     path = _cache_dir() / f"{name}.json"
     try:
-        stored = read_json(path)
+        stored = datasets.read_json(path)
         stats = stored["statistics"]
         if (stored["key"] == key and isinstance(stats, list) and len(stats) == n_replicates
                 and all(type(v) is float and math.isfinite(v) for v in stats)):
-            return NullCalibration.from_statistics(stats, delta), "hit"
+            return spiked.NullCalibration.from_statistics(stats, delta), "hit"
     except (OSError, ValueError, KeyError):
         pass  # missing or unreadable: recompute and overwrite
-    cal = calibrate_null_threshold(d, R, r, delta, n_replicates, seed)
+    cal = spiked.calibrate_null_threshold(d, R, r, delta, n_replicates, seed)
     with suppress(OSError):  # an unwritable cache only costs the next run
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_json(path, {"key": key, "statistics": cal.statistics.tolist()})
+        datasets.write_json(path, {"key": key, "statistics": cal.statistics.tolist()})
     return cal, "miss"
 
 
 def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
-    sigma_hat, R_used, r = read_estimate(args.estimate)
+    sigma_hat, R_used, r = estimator.read_estimate(args.estimate)
     d, status = len(sigma_hat), {}
     try:  # an asymmetric Sigma_hat, or n <= 1 for the rate, fails before any null is drawn
-        statistic, spike = detection_statistic(sigma_hat), estimate_spike(sigma_hat)
-        n = count_expectation(R_used, d)  # bitwise the "n" that `estimate` wrote
+        statistic = spiked.detection_statistic(sigma_hat)
+        spike = spiked.estimate_spike(sigma_hat)
+        n = estimator.count_expectation(R_used, d)  # bitwise the "n" that `estimate` wrote
         if n == math.inf:  # R_used^d is a float, |B(1)| R_used^d is not
             raise OverflowError(f"|B(R_used)| for R_used = {R_used:g} in d = {d} is out of "
                                 "range of a float")
         if not (args.calibrate or n > 1):
             raise ValueError(f"the analytic threshold needs |B(R_used)| > 1, got "
                              f"|B({R_used:g})| = {n:.3g}; --calibrate takes any R_used")
-        rate = None if args.calibrate else risk_rate(n, d)
+        rate = None if args.calibrate else estimator.risk_rate(n, d)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{args.estimate}: {exc}") from None
     if args.calibrate:
@@ -246,83 +273,103 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
                              f"{2.0 * R_used}: the null replays the estimate's own design")
         cal, status["calibration_cache"] = _calibrate_cached(
             d, R_used, r, args.delta, args.null_replicates, args.seed)
-        write_json(out / "calibration.json", cal.to_json_dict())
+        datasets.write_json(out / "calibration.json", cal.to_json_dict())
         rule = {"mode": "calibrated", "threshold": cal.threshold, "t": None, "rate": None,
                 "delta": args.delta, "null_replicates": args.null_replicates}
     else:
         rule = {"mode": "analytic", "threshold": 1.0 + args.t * rate, "t": args.t, "rate": rate}
     payload = {"statistic": statistic, **rule, "reject": statistic > rule["threshold"],
                "spike": spike.to_json_dict()}
-    write_json(out / "detect.json", payload)
+    datasets.write_json(out / "detect.json", payload)
     return payload, status
 
 
 def _cmd_reduce(args, out: Path) -> dict:
-    dataset = load_dataset(args.data, args.label_column, args.positive_label)
+    dataset = datasets.load_dataset(args.data, args.label_column, args.positive_label)
     if args.method == "dpp":
-        proj = dpp_embed(dataset, args.k, r=args.r, standardize=args.standardize)
+        proj = dimred.dpp_embed(dataset, args.k, r=args.r, standardize=args.standardize)
     else:
-        proj = pca_embed(dataset, args.k)
+        proj = dimred.pca_embed(dataset, args.k)
     labels = dataset.labels if dataset.labels is not None else [""] * dataset.n_rows
     rows = [[i, *map(float, proj.coords[i]), labels[i]]
             for i in range(dataset.n_rows)]
-    write_csv(out / "embedding.csv",
-              ["row", *(f"coord{j + 1}" for j in range(args.k)), "label"], rows)
-    write_csv(out / "scree.csv", ["rank", "eigenvalue"], enumerate(proj.eigvals.tolist(), 1))
+    datasets.write_csv(out / "embedding.csv",
+                       ["row", *(f"coord{j + 1}" for j in range(args.k)), "label"], rows)
+    datasets.write_csv(out / "scree.csv", ["rank", "eigenvalue"],
+                       enumerate(proj.eigvals.tolist(), 1))
     payload = {"method": proj.method, "k": args.k, "count": dataset.n_rows,
                "eigvals": proj.eigvals.tolist(), "r_used": proj.r_used}
-    write_json(out / "reduce.json", payload)
+    datasets.write_json(out / "reduce.json", payload)
     return payload
+
+
+def _binary_label(path, text: str) -> int:
+    """An embedding's label cell read as 0 or 1, or a ValueError naming the
+    file and the cell."""
+    try:
+        label = int(text)
+    except ValueError:
+        raise ValueError(f"{path}: labels must be integers unless --positive-label is "
+                         f"given, got {datasets.value_text(text)}") from None
+    if label not in (0, 1):
+        raise ValueError(f"{path}: label {datasets.value_text(text)} is not 0 or 1")
+    return label
 
 
 def _cmd_roc(args, out: Path) -> dict:
-    embedding = load_dataset(args.embedding, "label", args.positive_label)
-    coords = embedding.features[:, [i for i, name in enumerate(embedding.feature_names)
-                                    if name.startswith("coord")]]
-    if not coords.shape[1]:
-        raise ValueError(f"{args.embedding}: no coord columns")
-    if args.component > coords.shape[1]:
-        raise ValueError(f"--component must be in 1..{coords.shape[1]}")
-    try:
-        labels = embedding.labels.astype(np.int64)
-    except ValueError:
-        raise ValueError(f"{args.embedding}: labels must be integers "
-                         "unless --positive-label is given") from None
-    column = coords[:, args.component - 1]  # its sign does not say which end is high risk
-    curve = roc_auc(column if args.flip else -column, labels)
-    rows = [[float(th), float(p[0]), float(p[1])]
-            for th, p in zip(curve.thresholds, curve.points)]
-    write_csv(out / "roc.csv", ["threshold", "fpr", "tpr"], rows)
+    path = args.embedding
+    names, rows, labels = datasets.read_table(path, "label", args.positive_label)
+    coords = [i for i, name in enumerate(names) if name.startswith("coord")]
+    if not coords:
+        raise ValueError(f"{path}: no coord columns")
+    if args.component > len(coords):
+        raise ValueError(f"--component must be in 1..{len(coords)}")
+    if args.positive_label is None:
+        labels = [_binary_label(path, text) for text in labels]
+    if not rows:
+        raise ValueError(f"{path}: no rows; both classes must be present")
+    if len(set(labels)) < 2:
+        only = labels[0] if args.positive_label is None else repr(args.positive_label)
+        raise ValueError(f"{path}: every label is {only}; both classes must be present")
+    column = [row[coords[args.component - 1]] for row in rows]
+    # The coordinate's sign does not say which end is high risk.
+    curve = datasets.roc_auc(column if args.flip else [-v for v in column], labels)
+    rows = [[th, fpr, tpr] for th, (fpr, tpr) in zip(curve.thresholds, curve.points)]
+    datasets.write_csv(out / "roc.csv", ["threshold", "fpr", "tpr"], rows)
     payload = {"auc": curve.auc, "n_points": len(rows), "flip": args.flip,
                "component": args.component}
-    write_json(out / "roc.json", payload)
+    datasets.write_json(out / "roc.json", payload)
     return payload
 
 
-def _bin_edges(args) -> np.ndarray:
-    """validate's pair-correlation bin edges: 0, w, 2w, ... up to --r-max."""
+def _bin_edges(args):
+    """validate's pair-correlation bin edges, an array: 0, w, 2w, ... up to --r-max."""
+    import numpy as np
+
     return np.arange(0.0, args.r_max + args.bin_width / 2, args.bin_width)
 
 
 def _cmd_validate(args, out: Path) -> dict:
-    window = BoxWindow(args.L, args.d)
-    patterns = map_replicates(partial(sample_gdp, args._sigma, window),
-                              [(args.seed, i) for i in range(args.replicates)])
+    import numpy as np
+
+    window = patterns.BoxWindow(args.L, args.d)
+    drawn = sampling.map_replicates(partial(sampling.sample_gdp, args._sigma, window),
+                                    [(args.seed, i) for i in range(args.replicates)])
     radius = args.L / 2.0
-    counts = np.asarray([len(extract_ball(p, radius)) for p in patterns])
-    n_exp = count_expectation(radius, args.d)
-    ratio, pvalue = count_dispersion_test(counts)
+    counts = np.asarray([len(patterns.extract_ball(p, radius)) for p in drawn])
+    n_exp = estimator.count_expectation(radius, args.d)
+    ratio, pvalue = sampling.count_dispersion_test(counts)
     bern = []
     for eps in (0.1, 0.2, 0.3):
         freq = float(np.mean(np.abs(counts / n_exp - 1.0) >= eps))
         bern.append({"eps": eps, "empirical": freq,
-                     "bound": bernstein_tail(eps, radius, args.d)})
+                     "bound": estimator.bernstein_tail(eps, radius, args.d)})
 
     # Binned by rho = sqrt(u'(2 pi S)^-1 u), where g = 1 - exp(-2 pi rho^2) for any S.
-    est = empirical_pair_correlation(patterns, _bin_edges(args), args._sigma)
-    theory = [1.0 - math.exp(-TWO_PI * c * c) for c, _ in est]
-    write_csv(out / "paircorr.csv", ["center", "empirical", "theoretical"],
-              [[c, g, th] for (c, g), th in zip(est, theory)])
+    est = sampling.empirical_pair_correlation(drawn, _bin_edges(args), args._sigma)
+    theory = [1.0 - math.exp(-kernel.TWO_PI * c * c) for c, _ in est]
+    datasets.write_csv(out / "paircorr.csv", ["center", "empirical", "theoretical"],
+                       [[c, g, th] for (c, g), th in zip(est, theory)])
     payload = {
         "replicates": args.replicates,
         "mean_count": float(counts.mean()),
@@ -334,16 +381,16 @@ def _cmd_validate(args, out: Path) -> dict:
         "intensity": float(counts.mean() / n_exp),
         "paircorr_max_abs_err": max(abs(g - th) for (_, g), th in zip(est, theory)),
     }
-    write_json(out / "validate.json", payload)
+    datasets.write_json(out / "validate.json", payload)
     return payload
 
 
 def _cmd_bounds(args, out: Path) -> dict:
-    bounds = {"bernstein": partial(bernstein_tail, args.eps, args.R, args.d),
-              "bias_bound": partial(bias_bound, args._sigma, args.r),
-              "variance_bound": partial(variance_bound, args.r, args.d, args.n),
-              "risk_rate": partial(risk_rate, args.n, args.d),
-              "count_expectation": partial(count_expectation, args.R, args.d)}
+    bounds = {"bernstein": partial(estimator.bernstein_tail, args.eps, args.R, args.d),
+              "bias_bound": partial(estimator.bias_bound, args._sigma, args.r),
+              "variance_bound": partial(estimator.variance_bound, args.r, args.d, args.n),
+              "risk_rate": partial(estimator.risk_rate, args.n, args.d),
+              "count_expectation": partial(estimator.count_expectation, args.R, args.d)}
     payload = {}
     for key, bound in bounds.items():
         try:
@@ -352,7 +399,7 @@ def _cmd_bounds(args, out: Path) -> dict:
             payload[key] = math.inf
         if payload[key] is not None and not math.isfinite(payload[key]):
             raise OverflowError(f"{key} is out of range of a float")
-    write_json(out / "bounds.json", payload)
+    datasets.write_json(out / "bounds.json", payload)
     return payload
 
 
@@ -489,7 +536,7 @@ def _replay_argv(argv: list[str]) -> list[str]:
         return argv
     if len(argv) < 2 or argv[1].startswith("-"):
         raise ValueError("--config requires a file path")
-    config = read_json(argv[1])
+    config = datasets.read_json(argv[1])
     command, stored = config["command"], config["argv"]
     if not (isinstance(command, str) and isinstance(stored, list)
             and all(isinstance(a, str) for a in stored)):
@@ -508,7 +555,7 @@ def _preflight(args, tokens: list[str]) -> None:
         args._sigma = _parse_sigma(args, args.d)
     if args.command == "validate":
         edges = _bin_edges(args)
-        reach = edges[-1] * pair_metric(args._sigma)[1]
+        reach = edges[-1] * sampling.pair_metric(args._sigma)[1]
         if edges.size < 2 or reach > args.L / 2:
             pairs = f", whose pairs reach {reach:g}" if reach != edges[-1] else ""
             raise ValueError(f"--r-max {args.r_max:g} and --bin-width {args.bin_width:g}" + (

@@ -7,9 +7,14 @@ file exists), keys sorted and indented, with a final newline.  `write_csv`
 writes a header row, then each float as its repr(), which parses back to
 the same double.  Both writers write a temporary file next to the target
 and rename it onto the target, so a failed or killed run never leaves half
-a file.  `load_dataset` reads a UTF-8 feature CSV (Fisher's Iris, say): a
+a file.  `read_table` reads a UTF-8 feature CSV (Fisher's Iris, say): a
 header row, numeric feature cells, and optionally one label column of any
 text.  A leading byte-order mark, as Excel writes, is skipped.
+`load_dataset` wraps what it reads in a numpy `dimred.Dataset`.
+
+`roc_auc` scores a ranking against binary labels, as `gaussdpp roc` does
+with an embedding file.  Nothing in this module imports numpy at module
+level, so `roc` runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -19,11 +24,8 @@ import json
 import math
 import os
 from contextlib import suppress
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-
-from .dimred import Dataset
 
 
 def read_json(path) -> dict:
@@ -79,20 +81,21 @@ def write_json(path, obj) -> None:
 
 def write_csv(path, header, rows) -> None:
     """Write a header row, then the rows with each float as its repr()."""
-    table = [header, *([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                        for v in row] for row in rows)]
+    table = [header, *([repr(float(v)) if isinstance(v, float) else v for v in row]
+                       for row in rows)]
     _write_atomically(path, lambda fh: csv.writer(fh).writerows(table))
 
 
-def load_dataset(path, label_column: str | None = None,
-                 positive_label=None) -> Dataset:
-    """Read a feature CSV into a Dataset.
+def read_table(path, label_column: str | None = None, positive_label=None):
+    """Parse a feature CSV with the standard library alone: its feature
+    column names, its rows of feature values as floats, and its labels (None
+    without `label_column`).
 
     All columns except `label_column` must be finite numbers; a
     non-numeric or non-finite cell is reported with its line and column.
-    When `positive_label` is given, labels are mapped to 1 for that value
-    and 0 otherwise, after checking the value actually occurs.  A
-    header-only file yields a valid empty dataset.
+    Labels are the cells' text, stripped; when `positive_label` is given
+    they are mapped to 1 for that value and 0 otherwise, after checking the
+    value actually occurs.  A header-only file yields no rows.
     """
     path = Path(path)
     if not path.exists():
@@ -137,17 +140,81 @@ def load_dataset(path, label_column: str | None = None,
                 feats.append(value)
             rows.append(feats)
 
-    features = (np.asarray(rows, dtype=float) if rows
-                else np.empty((0, len(feature_names))))
     labels = None
     if label_idx is not None:
+        labels = raw_labels
         if positive_label is not None:
             wanted = str(positive_label)
             if rows and wanted not in raw_labels:
                 raise ValueError(f"{path}: positive label {wanted!r} does not "
                                  "occur in the label column")
-            labels = np.asarray([1 if v == wanted else 0 for v in raw_labels],
-                                dtype=np.int64)
-        else:
-            labels = np.asarray(raw_labels, dtype=object)
+            labels = [1 if v == wanted else 0 for v in raw_labels]
+    return feature_names, rows, labels
+
+
+def load_dataset(path, label_column: str | None = None, positive_label=None):
+    """`read_table` into a numpy Dataset: labels mapped by `positive_label`
+    are int64, other labels an object array of their text."""
+    import numpy as np
+
+    from .dimred import Dataset
+
+    feature_names, rows, labels = read_table(path, label_column, positive_label)
+    features = (np.asarray(rows, dtype=float) if rows
+                else np.empty((0, len(feature_names))))
+    if labels is not None:
+        labels = np.asarray(labels, dtype=object if positive_label is None else np.int64)
     return Dataset(features=features, labels=labels, feature_names=feature_names)
+
+
+@dataclass(frozen=True)
+class RocCurve:
+    """Operating points from thresholding scores in descending order.
+
+    One vertex per distinct score value (ties grouped), prefixed by the
+    (0, 0) origin; both coordinates are nondecreasing and the curve ends
+    at (1, 1).  `auc` is the exact trapezoidal area, equal to the
+    Mann-Whitney statistic with ties counted one half.
+    """
+
+    points: tuple[tuple[float, float], ...]  # (fpr, tpr) at each vertex
+    thresholds: tuple[float, ...]            # score at each vertex; +inf at the origin
+    auc: float
+
+
+def roc_auc(scores, labels) -> RocCurve:
+    """ROC curve and AUC for binary labels (1 = positive class).
+
+    Scores are numbers, none NaN, and labels each equal 0 or 1.  Counting
+    is done in integers, so the AUC matches the pairwise Mann-Whitney
+    computation exactly, not merely to rounding.
+    """
+    scores, labels = list(scores), list(labels)
+    if len(scores) != len(labels) or any(isinstance(v, (list, tuple)) or getattr(v, "ndim", 0)
+                                         for v in scores + labels):
+        raise ValueError("scores and labels must be 1-D of equal length")
+    scores = [float(v) for v in scores]
+    if any(map(math.isnan, scores)):
+        raise ValueError("scores must not be NaN")
+    if not all(v in (0, 1) for v in labels):
+        raise ValueError("labels must be binary 0/1")
+    positive = [1 if v == 1 else 0 for v in labels]
+    n_pos = sum(positive)
+    n_neg = len(positive) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("both classes must be present")
+
+    ranked = sorted(zip(scores, positive), key=lambda row: -row[0])  # stable
+    points, thresholds = [(0.0, 0.0)], [math.inf]
+    tp = prev_tp = prev_fp = area2 = 0
+    for k, (score, label) in enumerate(ranked, start=1):
+        tp += label
+        if k < len(ranked) and ranked[k][0] == score:
+            continue  # a tie group ends at its last row
+        fp = k - tp
+        area2 += (fp - prev_fp) * (tp + prev_tp)
+        points.append((fp / n_neg, tp / n_pos))
+        thresholds.append(score)
+        prev_tp, prev_fp = tp, fp
+    return RocCurve(points=tuple(points), thresholds=tuple(thresholds),
+                    auc=area2 / (2 * n_pos * n_neg))

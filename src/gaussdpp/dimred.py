@@ -10,7 +10,8 @@ with the correlation PCA of `pca_embed`.  Only a finite r gives a local,
 repulsion-based embedding: S(r) is then the graph-Laplacian form
 2 X'(D - A)X of the 0/1 matrix A of pairs closer than r and its row sums D.
 
-`roc_auc` scores any per-row ranking against binary labels; `gaussdpp roc`
+`roc_auc` (defined in `datasets`, which imports no numpy, and bound here
+too) scores any per-row ranking against binary labels; `gaussdpp roc`
 ranks rows by one embedding coordinate, negated unless --flip, and
 `reduce`'s scree.csv is the embedding's descending spectrum.
 """
@@ -21,6 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import datasets
+
+roc_auc = datasets.roc_auc  # bound here too: dimred scores its own embeddings
 
 _BLOCK_ENTRIES = 1 << 20  # distance entries per row block (8 MB of float64)
 
@@ -210,57 +215,3 @@ def pca_embed(dataset: Dataset, k: int) -> ProjectionResult:
     _check_k(x, k)
     xs = _standardize(x)  # first: rejects zero variance before corrcoef divides by it
     return _project(np.corrcoef(x, rowvar=False), xs, k, "pca")
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """Operating points from thresholding scores in descending order.
-
-    One vertex per distinct score value (ties grouped), prefixed by the
-    (0, 0) origin; both coordinates are nondecreasing and the curve ends
-    at (1, 1).  `auc` is the exact trapezoidal area, equal to the
-    Mann-Whitney statistic with ties counted one half.
-    """
-
-    points: np.ndarray       # (m, 2) columns fpr, tpr
-    thresholds: np.ndarray   # (m,) score at each vertex; +inf at the origin
-    auc: float
-
-    def __post_init__(self):
-        self.points.setflags(write=False)
-        self.thresholds.setflags(write=False)
-
-
-def roc_auc(scores, labels) -> RocCurve:
-    """ROC curve and AUC for binary labels (1 = positive class).
-
-    Counting is done in integers, so the AUC matches the pairwise
-    Mann-Whitney computation exactly, not merely to rounding.
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ValueError("scores and labels must be 1-D of equal length")
-    lab = labels.astype(np.int64)
-    if not np.all((lab == 0) | (lab == 1)):
-        raise ValueError("labels must be binary 0/1")
-    n_pos = int(lab.sum())
-    n_neg = lab.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("both classes must be present")
-
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    l = lab[order]
-    boundary = np.nonzero(np.diff(s))[0]
-    ends = np.concatenate([boundary, [s.size - 1]])
-    tp = np.cumsum(l)[ends]
-    fp = (ends + 1) - tp
-    tp = np.concatenate([[0], tp])
-    fp = np.concatenate([[0], fp])
-
-    area2 = int(np.sum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1])))
-    auc = area2 / (2 * n_pos * n_neg)
-    points = np.column_stack([fp / n_neg, tp / n_pos]).astype(float)
-    thresholds = np.concatenate([[math.inf], s[ends]])
-    return RocCurve(points=points, thresholds=thresholds, auc=float(auc))

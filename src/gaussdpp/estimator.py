@@ -110,6 +110,18 @@ def risk_rate(n: float, d: int) -> float:
     return d ** 2 * math.sqrt(math.log(n)) ** (d + 1) / math.sqrt(n)
 
 
+def _finite(term: str, bound, *args) -> float | None:
+    """bound(*args), or an OverflowError "<term> is out of range of a float"
+    when it overflows or is infinite."""
+    try:
+        value = bound(*args)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError(f"{term} is out of range of a float")
+    return value
+
+
 @dataclass(frozen=True)
 class EstimateResult:
     sigma_hat: np.ndarray
@@ -123,20 +135,27 @@ class EstimateResult:
 
     def to_json_dict(self) -> dict:
         """The estimate.json record: matrix (row-major), counts, cutoffs, and
-        the theoretical bounds where applicable (plug-in scattering matrix)."""
-        d = self.sigma_hat.shape[0]
+        the theoretical bounds where applicable (plug-in scattering matrix).
+        OverflowError, naming the bound, its power and their arguments, when
+        a bound is beyond a float."""
+        d, r, n = self.sigma_hat.shape[0], self.r_used, self.n_expected
         # Not through ScatteringMatrix, which refuses a valid but ill-conditioned Sigma_hat.
         w = np.linalg.eigh(self.sigma_hat)[0]
-        bias = (_bias_bound(float(np.trace(self.sigma_hat)), float(w[-1]), d, self.r_used)
+        s = float(w[-1])
+        bias = (_finite(f"bias_bound in s^2 for s = ||Sigma_hat|| = {s:g} in d = {d}",
+                        _bias_bound, float(np.trace(self.sigma_hat)), s, d, r)
                 if w[0] > 0 else None)
-        var = variance_bound(self.r_used, d, self.n_expected)
-        rate = risk_rate(self.n_expected, d) if self.n_expected > 1 else None
+        var = _finite(f"variance_bound in r^(2d+4) for r = {r:g} in d = {d}",
+                      variance_bound, r, d, n)
+        rate = (_finite(f"risk_rate in sqrt(log n)^(d+1) for n = {n:g} in d = {d}",
+                        risk_rate, n, d)
+                if n > 1 else None)
         return {
             "sigma_hat": self.sigma_hat.reshape(-1).tolist(),
             "dim": d,
             "N": self.n_observed,
             "n": self.n_expected,
-            "r_used": self.r_used,
+            "r_used": r,
             "R_used": self.R_used,
             "pair_count": self.pair_count,
             "bias_bound": bias,

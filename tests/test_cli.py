@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaussdpp
 from gaussdpp import (BoxWindow, bernstein_tail, bias_bound, calibrate_null_threshold, cli,
                       count_expectation, estimate_scattering, isotropic_scattering, risk_rate,
                       sample_gdp, spiked, spiked_scattering, variance_bound)
@@ -219,6 +220,17 @@ def test_estimate_rejects_a_malformed_sidecar(sidecar, message, tmp_path):
     (["reduce", "--method", "pca", "--label-column", "label", "--positive-label", "yes",
       "--data"], "a,label\n1.0,no\n2.0,no\n",
      ": positive label 'yes' does not occur in the label column"),
+    (["roc", "--embedding"], "row,coord1,label\n0,1.0,yes\n1,2.0,no\n",
+     "labels must be integers unless --positive-label is given, got 'yes'"),
+    (["roc", "--embedding"], "row,coord1,label\n0,1.0,2\n1,2.0,0\n",
+     ": label '2' is not 0 or 1"),
+    (["roc", "--embedding"], "row,coord1,label\n0,1.0,99999999999999999999\n1,2.0,0\n",
+     ": label '99999999999999999999' is not 0 or 1"),
+    (["roc", "--embedding"], "row,coord1,label\n0,1.0,1\n1,2.0,1\n",
+     ": every label is 1; both classes must be present"),
+    (["roc", "--positive-label", "yes", "--embedding"], "row,coord1,label\n0,1.0,yes\n",
+     ": every label is 'yes'; both classes must be present"),
+    (["roc", "--embedding"], "row,coord1,label\n", ": no rows; both classes must be present"),
 ])
 def test_malformed_csv_is_a_runtime_error(argv, text, message, tmp_path):
     path = tmp_path / "input.csv"
@@ -373,6 +385,12 @@ def _json_bytes(obj) -> bytes:
        f"pattern.json: the identity term in r^(d+2) for r = {float(r):g} in d = 2 is out of "
        "range of a float\n")
       for r in ("1e99", "1e77")],
+    # The identity term in r^4 = 1e304 is a float; the variance bound in r^8 is not.
+    ({"pattern.csv": b"x1,x2\n0.5,0.5\n",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 1e100, "dim": 2}})},
+     ["estimate", "--pattern", "pattern", "--r", "1e76"], 1,
+     "gaussdpp: error: pattern.json: variance_bound in r^(2d+4) for r = 1e+76 in d = 2 is "
+     "out of range of a float\n"),
     # R_used^d = 1e308 is a float, |B(R_used)| = pi 1e308 is not.
     *[({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 1e154})},
        ["detect", "--estimate", "estimate.json", *calibrate], 1,
@@ -397,6 +415,7 @@ def _json_bytes(obj) -> bytes:
         "estimate-automatic-cutoff-ball-below-1", "estimate-analytic-d1-ball-below-1",
         "estimate-R_used-ball-volume-beyond-float", "pattern-json-ball-volume-beyond-float",
         "pattern-json-identity-term-beyond-float", "pattern-json-identity-term-infinite",
+        "pattern-json-variance-bound-beyond-float",
         "estimate-R_used-ball-volume-infinite",
         "estimate-R_used-ball-volume-infinite-calibrated"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
@@ -449,16 +468,57 @@ def test_os_errors_end_in_a_message(argv, named, tmp_path):
     _assert_clean_runtime_error(proc, named)
 
 
-def test_core_imports_only_numpy():
-    forbidden = ("scipy", "pytest", "hypothesis", "multiprocessing", "concurrent.futures")
-    code = ("import gaussdpp.cli, sys; "
-            f"print(sorted(m for m in {forbidden!r} if m in sys.modules))")
+def _python(code: str, *args: str) -> list[str]:
+    """Run code in a fresh interpreter importing gaussdpp from the sources;
+    its last line of output, split."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_core_imports_only_numpy():
+    # The command line binds the package modules lazily: load each one.
+    modules = sorted(p.stem for p in (SRC / "gaussdpp").glob("*.py") if p.stem != "__init__")
+    forbidden = ("scipy", "pytest", "hypothesis", "multiprocessing", "concurrent.futures")
+    code = ("import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    vars(importlib.import_module('gaussdpp.' + name))\n"
+            f"print(sorted(m for m in {forbidden!r} if m in sys.modules))")
+    assert _python(code) == ["[]"]
+
+
+# Runs the command line as `python -m gaussdpp.cli` does, then reports its
+# exit code and whether numpy was imported.
+_RUN_CLI = """import runpy, sys
+try:
+    runpy.run_module("gaussdpp.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, "numpy" in sys.modules)
+"""
+
+
+def test_a_process_imports_numpy_only_to_compute_with_it(pca_embedding, tmp_path):
+    roc = ["roc", "--embedding", str(pca_embedding), "--out", str(tmp_path / "roc")]
+    assert _python(_RUN_CLI, *roc) == ["0", "False"]
+    assert (tmp_path / "roc" / "roc.csv").is_file()
+    assert _python(_RUN_CLI, "--version") == ["0", "False"]
+    usage = ["reduce", "--data", "data.csv", "--method", "pca", "--r", "1",
+             "--out", str(tmp_path / "reduce")]
+    assert _python(_RUN_CLI, *usage) == ["2", "False"]
+    code = ("import sys, gaussdpp; print('numpy' in sys.modules, "
+            "[m for m in sys.modules if m.startswith('gaussdpp.')])")
+    assert _python(code) == ["False", "[]"]
+
+
+def test_every_public_name_is_the_object_its_home_module_defines():
+    for name in gaussdpp.__all__:
+        if name != "__version__":
+            home = sys.modules[getattr(gaussdpp, name).__module__]
+            assert home.__name__.startswith("gaussdpp.")
+            assert getattr(home, name) is getattr(gaussdpp, name), name
 
 
 def test_only_datasets_opens_files():
@@ -539,7 +599,7 @@ def _calibrate(estimate_json, out, *, L=NULL_L, K=NULL_K, seed=NULL_SEED, delta=
 def _forbid_simulation(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("calibrate_null_threshold called on a cache hit")
-    monkeypatch.setattr(cli, "calibrate_null_threshold", fail)
+    monkeypatch.setattr(cli.spiked, "calibrate_null_threshold", fail)
 
 
 def test_estimate_records_its_estimator_settings(estimate_json):
@@ -608,7 +668,7 @@ def test_bad_sigma_hat_fails_before_any_null_is_simulated(sigma_hat, tmp_path, m
                                                           capsys):
     def fail(*args, **kwargs):
         raise AssertionError("null simulated before the estimate was checked")
-    monkeypatch.setattr(cli, "calibrate_null_threshold", fail)
+    monkeypatch.setattr(cli.spiked, "calibrate_null_threshold", fail)
     path = tmp_path / "estimate.json"
     path.write_text(json.dumps({**ESTIMATE_JSON, "sigma_hat": sigma_hat}))
     argv = ["detect", "--estimate", str(path), "--calibrate", "--out", str(tmp_path / "out")]
@@ -858,7 +918,7 @@ def test_every_replicate_is_one_sample_gdp_call(command, calls, estimate_json, t
                                                 monkeypatch):
     log = tmp_path / "seeds.jsonl"
     counting = _spy(log, sample_gdp, lambda sigma, window, seed: seed)
-    monkeypatch.setattr(cli, "sample_gdp", counting)
+    monkeypatch.setattr(cli.sampling, "sample_gdp", counting)
     monkeypatch.setattr(spiked, "sample_gdp", counting)
     argv = {"sample": SAMPLE + ["--L", "6", "--replicates", "3"],
             "validate": ["validate", "--d", "1", "--L", "6", "--seed", "0", "--replicates",
@@ -906,7 +966,7 @@ def test_a_replicate_error_in_a_child_process_exits_1_with_its_message(tmp_path,
         if os.getpid() != caller:
             raise ValueError(f"replicate {seed[1]} refused in a child")
         return sample_gdp(sigma, window, seed)
-    monkeypatch.setattr(cli, "sample_gdp", refusing)
+    monkeypatch.setattr(cli.sampling, "sample_gdp", refusing)
     out = tmp_path / "out"
     assert cli.main(SAMPLE + ["--L", "6", "--replicates", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "gaussdpp: error: replicate 1 refused in a child\n"
@@ -1168,7 +1228,7 @@ def test_validate_checks_its_bins_before_sampling(options, message, tmp_path, ca
                                                   monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("validate sampled before checking its bins")
-    monkeypatch.setattr(cli, "sample_gdp", fail)
+    monkeypatch.setattr(cli.sampling, "sample_gdp", fail)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         cli.main(VALIDATE + ["--L", "8", "--replicates", "20", *options, "--out", str(out)])

@@ -312,9 +312,9 @@ class TestRocAuc:
         rng = np.random.default_rng(15)
         scores = rng.standard_normal(200)
         labels = (rng.random(200) < 0.3).astype(int)
-        curve = roc_auc(scores, labels)
-        assert np.all(np.diff(curve.points[:, 0]) >= 0)
-        assert np.all(np.diff(curve.points[:, 1]) >= 0)
+        fpr, tpr = zip(*roc_auc(scores, labels).points)
+        assert np.all(np.diff(fpr) >= 0)
+        assert np.all(np.diff(tpr) >= 0)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):

@@ -364,6 +364,23 @@ class TestEstimateScattering:
         assert record(np.diag([1.0, 1e-13])) == pytest.approx(
             18.0 * math.exp((4.0 * (1.0 + 1e-13) - 8.0) / 3.0), rel=1e-12)
 
+    @pytest.mark.parametrize("sigma_hat, n, r, message", [
+        # s^2 = 1e320; r >= sqrt(2.5 Tr) keeps the bound's exponent negative.
+        (np.eye(1) * 1e160, 10.0, 1e81,
+         "bias_bound in s^2 for s = ||Sigma_hat|| = 1e+160 in d = 1"),
+        # r^(2d+4) = 1e308 is a float; d^2 (1/d)^d r^(2d+4) / n is not.
+        (np.eye(1) * 0.1, 0.5, 1e308 ** (1 / 6),
+         f"variance_bound in r^(2d+4) for r = {1e308 ** (1 / 6):g} in d = 1"),
+        (np.eye(250) * 0.1, 1e300, 0.5,
+         "risk_rate in sqrt(log n)^(d+1) for n = 1e+300 in d = 250"),
+    ], ids=["bias", "variance-infinite", "rate"])
+    def test_json_bound_beyond_a_float_names_its_power(self, sigma_hat, n, r, message):
+        res = EstimateResult(sigma_hat=sigma_hat, n_observed=1, n_expected=n, r_used=r,
+                             R_used=2.0 * r, pair_count=0, r_requested=r)
+        with pytest.raises(OverflowError) as exc:
+            res.to_json_dict()
+        assert str(exc.value) == message + " is out of range of a float"
+
     @pytest.mark.parametrize("r", [None, 0.8], ids=["auto", "fixed"])
     def test_json_records_the_cutoff_asked_for(self, r):
         pts = np.random.default_rng(6).uniform(-10, 10, size=(400, 2))
