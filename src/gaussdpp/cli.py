@@ -200,10 +200,13 @@ def _cmd_estimate(args, out: Path) -> dict:
     pattern, _meta = patterns.load_pattern(args.pattern)
     if args.ball_radius is not None:
         pattern = patterns.extract_ball(pattern, args.ball_radius)
+    window_file = Path(args.pattern).with_suffix(".json")
     try:
         payload = estimator.estimate_scattering(pattern, args.r).to_json_dict()
     except OverflowError as exc:  # a window too large for a float
-        raise OverflowError(f"{Path(args.pattern).with_suffix('.json')}: {exc}") from None
+        raise OverflowError(f"{window_file}: {exc}") from None
+    except MemoryError as exc:  # a dimension whose cell stencil, up to 3^d cells, is too large
+        raise MemoryError(f"{window_file}: {exc}") from None
     datasets.write_json(out / "estimate.json", payload)
     return payload
 
@@ -258,9 +261,6 @@ def _cmd_detect(args, out: Path) -> tuple[dict, dict]:
         statistic = spiked.detection_statistic(sigma_hat)
         spike = spiked.estimate_spike(sigma_hat)
         n = estimator.count_expectation(R_used, d)  # bitwise the "n" that `estimate` wrote
-        if n == math.inf:  # R_used^d is a float, |B(1)| R_used^d is not
-            raise OverflowError(f"|B(R_used)| for R_used = {R_used:g} in d = {d} is out of "
-                                "range of a float")
         if not (args.calibrate or n > 1):
             raise ValueError(f"the analytic threshold needs |B(R_used)| > 1, got "
                              f"|B({R_used:g})| = {n:.3g}; --calibrate takes any R_used")
@@ -386,19 +386,13 @@ def _cmd_validate(args, out: Path) -> dict:
 
 
 def _cmd_bounds(args, out: Path) -> dict:
-    bounds = {"bernstein": partial(estimator.bernstein_tail, args.eps, args.R, args.d),
+    # count_expectation first: bernstein reads it, so an R beyond a float is blamed on it.
+    bounds = {"count_expectation": partial(estimator.count_expectation, args.R, args.d),
+              "bernstein": partial(estimator.bernstein_tail, args.eps, args.R, args.d),
               "bias_bound": partial(estimator.bias_bound, args._sigma, args.r),
               "variance_bound": partial(estimator.variance_bound, args.r, args.d, args.n),
-              "risk_rate": partial(estimator.risk_rate, args.n, args.d),
-              "count_expectation": partial(estimator.count_expectation, args.R, args.d)}
-    payload = {}
-    for key, bound in bounds.items():
-        try:
-            payload[key] = bound()
-        except OverflowError:
-            payload[key] = math.inf
-        if payload[key] is not None and not math.isfinite(payload[key]):
-            raise OverflowError(f"{key} is out of range of a float")
+              "risk_rate": partial(estimator.risk_rate, args.n, args.d)}
+    payload = {key: estimator.in_float_range(key, bound) for key, bound in bounds.items()}
     datasets.write_json(out / "bounds.json", payload)
     return payload
 
@@ -587,8 +581,8 @@ def main(argv=None) -> int:
         result = args.func(args, out)
         payload, status = result if isinstance(result, tuple) else (result, {})
         return _finish(args, out, payload, t0, status)
-    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
-        print(f"gaussdpp: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, OverflowError, MemoryError) as exc:
+        print(f"gaussdpp: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

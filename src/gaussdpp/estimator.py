@@ -31,7 +31,7 @@ uses of it: Sigma_hat, R_used and r_used, the cutoff actually used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +47,28 @@ def unit_ball_volume(d: int) -> float:
     return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
 
 
+def in_float_range(term: str, compute, *args):
+    """compute(*args), or OverflowError("<term> is out of range of a float")
+    when it raises an ArithmeticError (an overflow, or a division by a value
+    that underflowed to 0) or returns a value that is not finite.  None
+    passes.  The one place that decides whether a value fits in a float."""
+    try:
+        value = compute(*args)
+    except ArithmeticError:
+        value = math.inf
+    if value is not None and not math.isfinite(value):
+        raise OverflowError(f"{term} is out of range of a float")
+    return value
+
+
 def count_expectation(radius: float, d: int) -> float:
     """Expected number of points in B(R) at unit density: |B(1)| R^d.
-    OverflowError, naming R and d, when R^d is beyond a float."""
+    Never inf: OverflowError, naming R and d, when R^d or |B(1)| R^d is
+    beyond a float."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    try:
-        return unit_ball_volume(d) * radius ** d
-    except OverflowError:
-        raise OverflowError(f"|B(R)| for R = {radius:g} in d = {d} is out of range "
-                            "of a float") from None
+    return in_float_range(f"|B(R)| for R = {radius:g} in d = {d}",
+                          lambda: unit_ball_volume(d) * radius ** d)
 
 
 def bernstein_tail(eps: float, radius: float, d: int) -> float:
@@ -110,18 +122,6 @@ def risk_rate(n: float, d: int) -> float:
     return d ** 2 * math.sqrt(math.log(n)) ** (d + 1) / math.sqrt(n)
 
 
-def _finite(term: str, bound, *args) -> float | None:
-    """bound(*args), or an OverflowError "<term> is out of range of a float"
-    when it overflows or is infinite."""
-    try:
-        value = bound(*args)
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise OverflowError(f"{term} is out of range of a float")
-    return value
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     sigma_hat: np.ndarray
@@ -131,7 +131,6 @@ class EstimateResult:
     R_used: float
     pair_count: int
     r_requested: float | None  # the cutoff asked for; None: automatic
-    diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         """The estimate.json record: matrix (row-major), counts, cutoffs, and
@@ -142,13 +141,13 @@ class EstimateResult:
         # Not through ScatteringMatrix, which refuses a valid but ill-conditioned Sigma_hat.
         w = np.linalg.eigh(self.sigma_hat)[0]
         s = float(w[-1])
-        bias = (_finite(f"bias_bound in s^2 for s = ||Sigma_hat|| = {s:g} in d = {d}",
-                        _bias_bound, float(np.trace(self.sigma_hat)), s, d, r)
+        bias = (in_float_range(f"bias_bound in s^2 for s = ||Sigma_hat|| = {s:g} in d = {d}",
+                               _bias_bound, float(np.trace(self.sigma_hat)), s, d, r)
                 if w[0] > 0 else None)
-        var = _finite(f"variance_bound in r^(2d+4) for r = {r:g} in d = {d}",
-                      variance_bound, r, d, n)
-        rate = (_finite(f"risk_rate in sqrt(log n)^(d+1) for n = {n:g} in d = {d}",
-                        risk_rate, n, d)
+        var = in_float_range(f"variance_bound in r^(2d+4) for r = {r:g} in d = {d}",
+                             variance_bound, r, d, n)
+        rate = (in_float_range(f"risk_rate in sqrt(log n)^(d+1) for n = {n:g} in d = {d}",
+                               risk_rate, n, d)
                 if n > 1 else None)
         return {
             "sigma_hat": self.sigma_hat.reshape(-1).tolist(),
@@ -213,8 +212,9 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
     ends in N0, and pair_count, the sum of the weights, is the number of
     ordered pairs in the double sum.  The output is exactly symmetric, and
     the summation order is canonicalized so permuting the input points
-    reproduces the result bitwise.  OverflowError, naming r and d, when the
-    identity term is beyond a float.
+    reproduces the result bitwise.  OverflowError, naming the term and its
+    arguments, when |B(R)|, the identity term or the pair-sum weight is
+    beyond a float.
     """
     R = _window_radius(pattern)
     d = pattern.dim
@@ -230,13 +230,12 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
 
     # Consistency constant; see the module docstring.
     scale = 2.0 ** (0.5 * (d + 2))
-    try:
-        identity_term = scale * unit_ball_volume(d) * r ** (d + 2) / (d + 2)
-        if identity_term == math.inf:
-            raise OverflowError
-    except OverflowError:
-        raise OverflowError(f"the identity term in r^(d+2) for r = {r:g} in d = {d} is out "
-                            "of range of a float") from None
+    identity_term = in_float_range(f"the identity term in r^(d+2) for r = {r:g} in d = {d}",
+                                   lambda: scale * unit_ball_volume(d) * r ** (d + 2) / (d + 2))
+    # |B(R-r)| may underflow to 0 when R - r is tiny.
+    pair_scale = in_float_range(
+        f"the pair-sum weight 2^((d+2)/2)/|B(R-r)| for R - r = {R - r:g} in d = {d}",
+        lambda: scale / count_expectation(R - r, d))
     sigma_hat = identity_term * np.eye(d)
 
     # Points in lexicographic order and pairs summed in the order of i, then
@@ -249,9 +248,8 @@ def estimate_scattering(pattern: PointPattern, r: float | None = None) -> Estima
     kept = kept[np.lexsort((j[kept], i[kept]))]
     diff = diff[kept]
     pair_sum = np.einsum("ki,kj->ij", diff * weight[kept, None], diff)
-    sigma_hat -= (scale / (unit_ball_volume(d) * (R - r) ** d)) * pair_sum
+    sigma_hat -= pair_scale * pair_sum
 
     return EstimateResult(sigma_hat=sigma_hat, n_observed=pts.shape[0],
                           n_expected=n_expected, r_used=r, R_used=R,
-                          pair_count=int(weight.sum()), r_requested=r_requested,
-                          diagnostics={"inner_count": int(np.count_nonzero(inner))})
+                          pair_count=int(weight.sum()), r_requested=r_requested)

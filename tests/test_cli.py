@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -352,11 +353,13 @@ def _json_bytes(obj) -> bytes:
     ({"estimate.json": _json_bytes({**ESTIMATE_JSON, "dim": "x" * 100_000})},
      ["detect", "--estimate", "estimate.json"], 1,
      "estimate.json: 'dim' must be a positive integer, got '" + "x" * 35 + "...\n"),
-    ({}, ["bounds", "--d", "400"], 1, "bernstein is out of range of a float"),
+    # count_expectation is computed first: bernstein reads it.
+    ({}, ["bounds", "--d", "400"], 1, "count_expectation is out of range of a float"),
     ({}, ["bounds", "--r", "1e100", "--d", "3"], 1,
      "variance_bound is out of range of a float"),
     ({}, ["bounds", "--d", "1000", "--R", "0.5"], 1, "risk_rate is out of range of a float"),
     ({}, ["bounds", "--R", "1e154"], 1, "count_expectation is out of range of a float"),
+    ({}, ["bounds", "--R", "1e200"], 1, "count_expectation is out of range of a float"),
     ({}, ["sample", "--d", "200", "--L", "100", "--seed", "0"], 1,
      "mode count (at least 10^"),
     # |B(0.3)| = 0.6 in d=1: no automatic cutoff and no analytic threshold.
@@ -394,8 +397,19 @@ def _json_bytes(obj) -> bytes:
     # R_used^d = 1e308 is a float, |B(R_used)| = pi 1e308 is not.
     *[({"estimate.json": _json_bytes({**ESTIMATE_JSON, "R_used": 1e154})},
        ["detect", "--estimate", "estimate.json", *calibrate], 1,
-       "estimate.json: |B(R_used)| for R_used = 1e+154 in d = 2 is out of range of a float\n")
+       "estimate.json: |B(R)| for R = 1e+154 in d = 2 is out of range of a float\n")
       for calibrate in ([], ["--calibrate"])],
+    # The same |B(R)| as a window: estimate once wrote it to estimate.json as inf.
+    ({"p.csv": b"x1,x2\n0.5,0.5\n",
+      "p.json": _json_bytes({"window": {"type": "box", "side": 2e154, "dim": 2}})},
+     ["estimate", "--pattern", "p", "--r", "1"], 1,
+     "gaussdpp: error: p.json: |B(R)| for R = 1e+154 in d = 2 is out of range of a float\n"),
+    # R - r is one ulp of R = 1e-160, and |B(R - r)| underflows to 0.
+    ({"pattern.csv": b"x1,x2\n0.0,0.0\n",
+      "pattern.json": _json_bytes({"window": {"type": "box", "side": 2e-160, "dim": 2}})},
+     ["estimate", "--pattern", "pattern", "--r", repr(math.nextafter(1e-160, 0))], 1,
+     "pattern.json: the pair-sum weight 2^((d+2)/2)/|B(R-r)| for R - r = "
+     f"{1e-160 - math.nextafter(1e-160, 0):g} in d = 2 is out of range of a float\n"),
 ], ids=["config-no-path", "config-list", "config-not-json", "config-not-utf8",
         "config-argv-not-strings",
         "pattern-csv-empty", "pattern-csv-non-numeric", "pattern-csv-non-finite",
@@ -411,13 +425,15 @@ def _json_bytes(obj) -> bytes:
         "pattern-json-side-beyond-float", "estimate-dim-2501-digits",
         "estimate-dim-negative-4001-digits",
         "pattern-json-dim-4000-digits", "estimate-dim-100000-char-string", "bounds-d-400",
-        "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "sample-mode-count",
+        "bounds-r-1e100", "bounds-d-1000", "bounds-R-1e154", "bounds-R-1e200",
+        "sample-mode-count",
         "estimate-automatic-cutoff-ball-below-1", "estimate-analytic-d1-ball-below-1",
         "estimate-R_used-ball-volume-beyond-float", "pattern-json-ball-volume-beyond-float",
         "pattern-json-identity-term-beyond-float", "pattern-json-identity-term-infinite",
         "pattern-json-variance-bound-beyond-float",
         "estimate-R_used-ball-volume-infinite",
-        "estimate-R_used-ball-volume-infinite-calibrated"])
+        "estimate-R_used-ball-volume-infinite-calibrated",
+        "pattern-json-ball-volume-infinite", "pattern-json-pair-weight-underflow"])
 def test_malformed_input_file_ends_in_a_message(files, argv, code, message, tmp_path):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -1129,6 +1145,28 @@ def test_bounds_overflow_is_a_runtime_error(tmp_path):
     # |B(1)| R^d: 10^400 is not a float.
     _assert_clean_runtime_error(_run_cli("bounds", "--d", "400", "--out", "out", cwd=tmp_path),
                                 "out of range")
+
+
+@pytest.mark.parametrize("argv, callee, error, message", [
+    # Stands in for a d=30 pattern, whose cell stencil has 2^30 offsets.
+    (["estimate", "--pattern", "pattern", "--r", "0.5"], "close_pairs",
+     MemoryError("Unable to allocate 8.00 GiB"),
+     "gaussdpp: error: pattern.json: Unable to allocate 8.00 GiB\n"),
+    (["bounds"], "count_expectation", MemoryError("Unable to allocate 8.00 GiB"),
+     "gaussdpp: error: Unable to allocate 8.00 GiB\n"),
+    (["bounds"], "count_expectation", MemoryError(), "gaussdpp: error: MemoryError\n"),
+], ids=["estimate", "bounds", "bounds-bare"])
+def test_memory_error_ends_in_a_message(argv, callee, error, message, tmp_path, monkeypatch,
+                                        capsys):
+    def out_of_memory(*args):
+        raise error
+    (tmp_path / "pattern.csv").write_text("x1,x2\n0.5,0.5\n0.6,0.5\n")
+    (tmp_path / "pattern.json").write_text(
+        json.dumps({"window": {"type": "box", "side": 3.0, "dim": 2}}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.estimator, callee, out_of_memory)
+    assert cli.main([*argv, "--out", "out"]) == 1
+    assert capsys.readouterr().err == message
 
 
 def _strict_json(path: Path):
