@@ -205,7 +205,7 @@ def _cmd_estimate(args, out: Path) -> dict:
         payload = estimator.estimate_scattering(pattern, args.r).to_json_dict()
     except OverflowError as exc:  # a window too large for a float
         raise OverflowError(f"{window_file}: {exc}") from None
-    except MemoryError as exc:  # a dimension whose cell stencil, up to 3^d cells, is too large
+    except MemoryError as exc:  # more close pairs than memory holds
         raise MemoryError(f"{window_file}: {exc}") from None
     datasets.write_json(out / "estimate.json", payload)
     return payload

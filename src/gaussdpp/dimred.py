@@ -8,7 +8,7 @@ pairs (the default) S = 2N Xc'Xc, Xc the column-centered rows, so the
 embedding is covariance PCA, and "DPP vs PCA" at the defaults compares it
 with the correlation PCA of `pca_embed`.  Only a finite r gives a local,
 repulsion-based embedding: S(r) is then the graph-Laplacian form
-2 X'(D - A)X of the 0/1 matrix A of pairs closer than r and its row sums D.
+2 X'(D - A)X, A the adjacency `patterns.close_blocks` yields, D its row sums.
 
 `roc_auc` (defined in `datasets`, which imports no numpy, and bound here
 too) scores any per-row ranking against binary labels; `gaussdpp roc`
@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import datasets
+from . import datasets, patterns
 
 roc_auc = datasets.roc_auc  # bound here too: dimred scores its own embeddings
-
-_BLOCK_ENTRIES = 1 << 20  # distance entries per row block (8 MB of float64)
 
 
 @dataclass(frozen=True)
@@ -103,26 +101,6 @@ def _standardize(x: np.ndarray) -> np.ndarray:
     return (x - x.mean(axis=0)) / sd
 
 
-def _sq_dist_blocks(xc: np.ndarray):
-    """Yield (first row, squared distances from a block of rows to all rows,
-    rounding bound), from the Gram form |a|^2 + |b|^2 - 2 a.b of centered
-    rows.  Entries within the bound of a threshold may lie on either side
-    of it and must be recomputed from the differences."""
-    n, d = xc.shape
-    sq = np.einsum("ij,ij->i", xc, xc)
-    # Both this form and the sum of squared differences round by at most
-    # about d eps (|a|^2 + |b|^2); the factor leaves a wide margin.
-    rel = 8 * (d + 2) * np.finfo(float).eps
-    step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, step):
-        sq_b = sq[start:start + step]
-        d2 = xc[start:start + step] @ xc.T
-        d2 *= -2.0
-        d2 += sq_b[:, None]
-        d2 += sq
-        yield start, d2, rel * (sq_b.max() + sq.max())
-
-
 def pair_difference_sum(x: np.ndarray,
                         r: float | None = None) -> tuple[np.ndarray, int]:
     """Sum of (Xi - Xj)(Xi - Xj)' over ordered pairs i != j.
@@ -132,25 +110,15 @@ def pair_difference_sum(x: np.ndarray,
 
     Over all pairs (r None or infinite) the sum is 2N Xc'Xc, Xc the
     column-centered rows.  With a finite r it is 2 Xc'(D - A)Xc, A the 0/1
-    matrix of close pairs and D its row sums, accumulated by row blocks.
-    Distances within rounding of r are recomputed from the differences,
-    so the pair set is exactly the one defined above.
+    matrix of close pairs and D its row sums, accumulated over the row
+    blocks of A that `patterns.close_blocks` yields.
     """
     n, d = x.shape
     xc = x - x.mean(axis=0)  # the sum is translation invariant
     if r is None or math.isinf(r):
         return 2.0 * n * (xc.T @ xc), n * (n - 1)
-    r2 = r * r
-    half = np.zeros((d, d))
-    pairs = 0
-    for start, d2, tol in _sq_dist_blocks(xc):
-        adj = d2 < r2
-        near_i, near_j = np.nonzero(np.abs(d2 - r2) <= tol)
-        exact = np.zeros(near_i.size)
-        for k in range(d):
-            exact += (x[start + near_i, k] - x[near_j, k]) ** 2
-        adj[near_i, near_j] = exact < r2
-        np.fill_diagonal(adj[:, start:], False)
+    half, pairs = np.zeros((d, d)), 0
+    for start, adj in patterns.close_blocks(x, r):
         deg = adj.sum(axis=1)
         pairs += int(deg.sum())
         xb = xc[start:start + len(adj)]

@@ -9,12 +9,11 @@ that is exactly their expectation under complete independence,
                 - 1/|B(R-r)| * sum_{i in N0} sum_{j in Ni} (Xi-Xj)(Xi-Xj)' ],
 
 with Ni the points strictly within r of Xi and N0 the points strictly
-inside the shrunk ball B(R-r) (boundary guard).  The cell list
-`patterns.close_pairs` lists each close pair once with its difference,
-and the sum adds it once, weighted by how many of its ends lie in N0
-(1 or 2).  The leading constant makes the
-estimator consistent: without it the expectation of the bracket is the
-second moment of a Gaussian with covariance S/2 carrying a 2^(-d/2)
+inside the shrunk ball B(R-r) (boundary guard).  `patterns.close_pairs`
+lists each close pair once with its difference, and the sum adds it once,
+weighted by how many of its ends lie in N0 (1 or 2).  The leading constant
+makes the estimator consistent: without it the expectation of the bracket
+is the second moment of a Gaussian with covariance S/2 carrying a 2^(-d/2)
 volume factor, i.e. 2^(-(d+2)/2) v'Sv along any unit v, a fact easily
 checked by Monte Carlo.  The module also provides the theoretical bias,
 variance, rate, and count-concentration reference bounds, each returning

@@ -444,6 +444,14 @@ def _sample_projection(rng, k_sel, sin_sel, side):
     return out
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, inf where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed) -> PointPattern:
     """Draw one Gaussian DPP realization on the torus window.
 
@@ -452,7 +460,8 @@ def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed) -> PointPattern
     about L^d for a normalized scattering matrix; the count itself is a
     sum of independent Bernoullis, hence sub-Poisson.  Replicate i of a
     run with seed s is drawn with seed (s, i), so any prefix of a set of
-    replicates is reproducible whatever their number.
+    replicates is reproducible whatever their number.  MemoryError when the
+    4 m^2 bytes of the first compression, m the rank, exceed physical memory.
 
     Parameters
     ----------
@@ -463,6 +472,9 @@ def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed) -> PointPattern
     basis = build_spectral_basis(sigma, window.side)
     rng = np.random.default_rng(seed)
     k_sel, sin_sel = _realified_selection(rng, basis)
+    m = k_sel.shape[0]
+    if 4 * m * m > _physical_memory():
+        raise MemoryError(f"a draw of rank {m} needs {4 * m * m} bytes, more than physical memory")
     return PointPattern(_sample_projection(rng, k_sel, sin_sel, window.side), window)
 
 

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1148,7 +1149,7 @@ def test_bounds_overflow_is_a_runtime_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv, callee, error, message", [
-    # Stands in for a d=30 pattern, whose cell stencil has 2^30 offsets.
+    # Stands in for a pattern with more close pairs than memory holds.
     (["estimate", "--pattern", "pattern", "--r", "0.5"], "close_pairs",
      MemoryError("Unable to allocate 8.00 GiB"),
      "gaussdpp: error: pattern.json: Unable to allocate 8.00 GiB\n"),
@@ -1167,6 +1168,18 @@ def test_memory_error_ends_in_a_message(argv, callee, error, message, tmp_path, 
     monkeypatch.setattr(cli.estimator, callee, out_of_memory)
     assert cli.main([*argv, "--out", "out"]) == 1
     assert capsys.readouterr().err == message
+
+
+def test_a_draw_beyond_physical_memory_exits_1_naming_rank_and_bytes(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.setattr(cli.sampling, "_physical_memory", lambda: 1000)
+    out = tmp_path / "out"
+    assert cli.main(SAMPLE + ["--L", "6", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"gaussdpp: error: a draw of rank (\d+) needs (\d+) bytes, "
+                         r"more than physical memory\n", err)
+    assert found and int(found[2]) == 4 * int(found[1]) ** 2 > 1000, err
+    assert not (out / "result.json").exists()
 
 
 def _strict_json(path: Path):

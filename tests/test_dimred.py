@@ -8,7 +8,7 @@ from scipy import stats
 
 from gaussdpp import (BallWindow, Dataset, PointPattern, dpp_embed,
                       estimate_scattering, pca_embed, roc_auc)
-from gaussdpp import dimred
+from gaussdpp import patterns
 from gaussdpp.dimred import pair_difference_sum
 
 
@@ -213,7 +213,7 @@ class TestPairSumForms:
 
     def test_row_blocks_match_loop(self, monkeypatch):
         # 37 rows in blocks of 2 leaves a last block of one row.
-        monkeypatch.setattr(dimred, "_BLOCK_ENTRIES", 100)
+        monkeypatch.setattr(patterns, "_BLOCK_ENTRIES", 100)
         rng = np.random.default_rng(23)
         x = rng.standard_normal((37, 3))
         total, pairs = pair_difference_sum(x, r=1.2)

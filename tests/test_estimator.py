@@ -13,6 +13,7 @@ from gaussdpp import (BallWindow, BoxWindow, EstimateResult, PointPattern, Scatt
                       estimate_scattering, estimator, extract_ball, isotropic_scattering,
                       risk_rate, sample_gdp, spiked_scattering, unit_ball_volume,
                       variance_bound)
+from gaussdpp import patterns
 from gaussdpp.patterns import close_pairs
 from oracles import ordered_pair_estimate
 
@@ -147,19 +148,25 @@ class TestNeighborhoods:
                              close_pairs_bruteforce(pts, 1.1)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("side", [None, 6.0])
+    @pytest.mark.parametrize("side, d", [*((None, d) for d in (1, 2, 3, 5, 9)),
+                                         *((6.0, d) for d in (1, 2, 3, 5))])
     @pytest.mark.parametrize("r", [3.5, 2.5, 1.3, 1e-7],
                              ids=["m1", "m2", "m4", "tiny"])
-    def test_matches_bruteforce_by_metric_and_cell_count(self, d, side, r):
+    def test_matches_bruteforce_by_metric_and_cell_count(self, d, side, r, monkeypatch):
         # On the torus of side 6 the radii give 1, 2, 4 and 1024 cells per axis.
         rng = np.random.default_rng([d, int(side or 0), int(r * 10)])
         pts = rng.uniform(-3.0, 3.0, size=(120, d))
         pts[1] = pts[0]  # a coincident pair, distance 0 < any r
-        got, want = by_i_then_j(close_pairs(pts, r, side)), close_pairs_bruteforce(pts, r, side)
-        assert [a.dtype for a in got] == [np.intp, np.intp, np.float64]
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        want = close_pairs_bruteforce(pts, r, side)
+        # Each path forced: the cell list, and off the torus the row blocks,
+        # whose blocks of 7 rows leave a last block of one row.
+        monkeypatch.setattr(patterns, "_BLOCK_ENTRIES", 7 * 120)
+        for per_offset in (0, math.inf) if side is None else (0,):
+            monkeypatch.setattr(patterns, "_POINTS_PER_OFFSET", per_offset)
+            got = by_i_then_j(close_pairs(pts, r, side))
+            assert [a.dtype for a in got] == [np.intp, np.intp, np.float64]
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
         if side is not None:
             assert np.all(np.abs(got[2]) <= side / 2)
 
@@ -183,6 +190,16 @@ class TestNeighborhoods:
             for side in (None, 4.0):
                 i, j, diff = close_pairs(pts, 1.0, side)
                 assert i.size == 0 and j.size == 0 and diff.shape == (0, np.shape(pts)[1])
+
+    def test_two_points_in_d30(self):
+        # A cell stencil of 2^30 offsets, which the row blocks never build.
+        pts = np.full((2, 30), 0.5)
+        pts[1, 0] = 0.6
+        i, j, diff = close_pairs(pts, 0.5)
+        assert (i.tolist(), j.tolist()) == ([0], [1])
+        assert np.array_equal(diff, pts[:1] - pts[1:])
+        res = estimate_scattering(PointPattern(pts, BoxWindow(3.0, 30)), 0.5)
+        assert res.n_observed == 2 and res.pair_count == 0  # both ends beyond R - r = 1
 
     def test_rejects_bad_radii(self):
         pat = _ball_pattern([[0.0, 0.0]], 5.0)
