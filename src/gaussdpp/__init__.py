@@ -17,18 +17,17 @@ _HOME = {
     **dict.fromkeys(["ScatteringMatrix", "isotropic_scattering", "normalize_scattering",
                      "spectral_density", "spiked_scattering"], "kernel"),
     **dict.fromkeys(["BallWindow", "BoxWindow", "PointPattern", "extract_ball",
-                     "load_pattern", "save_pattern"], "patterns"),
+                     "load_pattern", "save_pattern", "unit_ball_volume"], "patterns"),
     **dict.fromkeys(["SpectralBasis", "build_spectral_basis", "count_dispersion_test",
                      "empirical_pair_correlation", "sample_gdp", "sample_poisson"],
                     "sampling"),
     **dict.fromkeys(["EstimateResult", "bernstein_tail", "bias_bound", "count_expectation",
                      "default_cutoff", "estimate_scattering", "risk_rate",
-                     "unit_ball_volume", "variance_bound"], "estimator"),
+                     "variance_bound"], "estimator"),
     **dict.fromkeys(["NullCalibration", "SpikeEstimate", "calibrate_null_threshold",
                      "detection_statistic", "estimate_spike"], "spiked"),
-    "Dataset": "dimred", "ProjectionResult": "dimred", "RocCurve": "datasets",
-    "dpp_embed": "dimred", "pca_embed": "dimred", "roc_auc": "datasets",
-    "load_dataset": "datasets",
+    "ProjectionResult": "dimred", "dpp_embed": "dimred", "pca_embed": "dimred",
+    **dict.fromkeys(["Dataset", "RocCurve", "load_dataset", "roc_auc"], "datasets"),
 }
 
 __all__ = [*_HOME, "__version__"]

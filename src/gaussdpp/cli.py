@@ -343,10 +343,15 @@ def _cmd_roc(args, out: Path) -> dict:
 
 
 def _bin_edges(args):
-    """validate's pair-correlation bin edges, an array: 0, w, 2w, ... up to --r-max."""
+    """validate's pair-correlation bin edges, an array: 0, w, 2w, ... up to
+    --r-max.  A last edge that is --r-max up to rounding (arange's 3 * 0.1
+    is 0.30000000000000004) is set to --r-max exactly."""
     import numpy as np
 
-    return np.arange(0.0, args.r_max + args.bin_width / 2, args.bin_width)
+    edges = np.arange(0.0, args.r_max + args.bin_width / 2, args.bin_width)
+    if math.isclose(edges[-1], args.r_max, rel_tol=1e-9):
+        edges[-1] = args.r_max
+    return edges
 
 
 def _cmd_validate(args, out: Path) -> dict:

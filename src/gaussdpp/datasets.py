@@ -10,11 +10,11 @@ and rename it onto the target, so a failed or killed run never leaves half
 a file.  `read_table` reads a UTF-8 feature CSV (Fisher's Iris, say): a
 header row, numeric feature cells, and optionally one label column of any
 text.  A leading byte-order mark, as Excel writes, is skipped.
-`load_dataset` wraps what it reads in a numpy `dimred.Dataset`.
+`load_dataset` wraps what it reads in a numpy `Dataset`.
 
 `roc_auc` scores a ranking against binary labels, as `gaussdpp roc` does
 with an embedding file.  Nothing in this module imports numpy at module
-level, so `roc` runs on the standard library alone.
+level, nor any gaussdpp module, so `roc` runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -152,16 +152,47 @@ def read_table(path, label_column: str | None = None, positive_label=None):
     return feature_names, rows, labels
 
 
+@dataclass(frozen=True)
+class Dataset:
+    """Feature matrix with optional per-row labels.
+
+    Labels may be binary (0/1 integers) or raw categorical values; ROC
+    evaluation requires the binary form.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray | None = None
+    feature_names: list[str] | None = None
+
+    def __post_init__(self):
+        import numpy as np
+
+        f = np.array(self.features, dtype=float, copy=True)
+        if f.ndim != 2:
+            raise ValueError(f"features must be 2-D, got shape {f.shape}")
+        if not np.all(np.isfinite(f)):
+            raise ValueError("features contain non-finite values")
+        f.setflags(write=False)
+        object.__setattr__(self, "features", f)
+        if self.labels is not None:
+            lab = np.asarray(self.labels)
+            if lab.shape != (f.shape[0],):
+                raise ValueError(
+                    f"labels have shape {lab.shape}, expected ({f.shape[0]},)")
+            object.__setattr__(self, "labels", lab)
+
+    @property
+    def n_rows(self) -> int:
+        return self.features.shape[0]
+
+
 def load_dataset(path, label_column: str | None = None, positive_label=None):
     """`read_table` into a numpy Dataset: labels mapped by `positive_label`
     are int64, other labels an object array of their text."""
     import numpy as np
 
-    from .dimred import Dataset
-
     feature_names, rows, labels = read_table(path, label_column, positive_label)
-    features = (np.asarray(rows, dtype=float) if rows
-                else np.empty((0, len(feature_names))))
+    features = np.array(rows, dtype=float).reshape(len(rows), len(feature_names))
     if labels is not None:
         labels = np.asarray(labels, dtype=object if positive_label is None else np.int64)
     return Dataset(features=features, labels=labels, feature_names=feature_names)

@@ -10,6 +10,7 @@ with the correlation PCA of `pca_embed`.  Only a finite r gives a local,
 repulsion-based embedding: S(r) is then the graph-Laplacian form
 2 X'(D - A)X, A the adjacency `patterns.close_blocks` yields, D its row sums.
 
+Both embeddings take a `datasets.Dataset`, the rows `load_dataset` reads.
 `roc_auc` (defined in `datasets`, which imports no numpy, and bound here
 too) scores any per-row ranking against binary labels; `gaussdpp roc`
 ranks rows by one embedding coordinate, negated unless --flip, and
@@ -26,38 +27,6 @@ import numpy as np
 from . import datasets, patterns
 
 roc_auc = datasets.roc_auc  # bound here too: dimred scores its own embeddings
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Feature matrix with optional per-row labels.
-
-    Labels may be binary (0/1 integers) or raw categorical values; ROC
-    evaluation requires the binary form.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray | None = None
-    feature_names: list[str] | None = None
-
-    def __post_init__(self):
-        f = np.array(self.features, dtype=float, copy=True)
-        if f.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("features contain non-finite values")
-        f.setflags(write=False)
-        object.__setattr__(self, "features", f)
-        if self.labels is not None:
-            lab = np.asarray(self.labels)
-            if lab.shape != (f.shape[0],):
-                raise ValueError(
-                    f"labels have shape {lab.shape}, expected ({f.shape[0]},)")
-            object.__setattr__(self, "labels", lab)
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass(frozen=True)
@@ -145,7 +114,7 @@ def _project(matrix: np.ndarray, x: np.ndarray, k: int, method: str,
                             method=method, r_used=r_used)
 
 
-def dpp_embed(dataset: Dataset, k: int, r: float | None = None,
+def dpp_embed(dataset: datasets.Dataset, k: int, r: float | None = None,
               standardize: bool = False) -> ProjectionResult:
     """Project rows onto the leading directions of the pair-difference sum.
 
@@ -175,11 +144,12 @@ def dpp_embed(dataset: Dataset, k: int, r: float | None = None,
     return _project(pair_sum / x.shape[0], x, k, "dpp", r_used=r)
 
 
-def pca_embed(dataset: Dataset, k: int) -> ProjectionResult:
+def pca_embed(dataset: datasets.Dataset, k: int) -> ProjectionResult:
     """PCA baseline: standardized rows (columns centered and scaled to unit
     variance) projected on the eigenvectors of the sample correlation
     matrix.  A zero-variance column raises ValueError."""
     x = dataset.features
     _check_k(x, k)
     xs = _standardize(x)  # first: rejects zero variance before corrcoef divides by it
-    return _project(np.corrcoef(x, rowvar=False), xs, k, "pca")
+    # corrcoef of a single column is 0-d; eigh needs the 1 x 1 matrix.
+    return _project(np.atleast_2d(np.corrcoef(x, rowvar=False)), xs, k, "pca")

@@ -36,14 +36,7 @@ import numpy as np
 
 from .datasets import finite_number, read_json, value_text
 from .kernel import ScatteringMatrix
-from .patterns import BallWindow, BoxWindow, PointPattern, close_pairs
-
-
-def unit_ball_volume(d: int) -> float:
-    """Volume of the unit Euclidean ball, pi^(d/2) / Gamma(d/2 + 1)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
+from .patterns import BallWindow, BoxWindow, PointPattern, close_pairs, unit_ball_volume
 
 
 def in_float_range(term: str, compute, *args):

@@ -3,7 +3,9 @@
 A pattern is stored as `<stem>.csv`, its coordinates (one row per point,
 columns x1..xd), and `<stem>.json`, a sidecar recording the window, the
 point count and its writer's metadata (`sample`: the seed, the process and
-the scattering matrix and truncation tolerance used to generate it).
+the scattering matrix and truncation tolerance used to generate it);
+`datasets.read_table` reads the CSV.  `unit_ball_volume`, |B(1)|, sits
+beside `BallWindow` for the estimator and the sampler.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import finite_number, load_dataset, read_json, value_text, write_csv, write_json
+from .datasets import finite_number, read_json, read_table, value_text, write_csv, write_json
 
 _BLOCK_ENTRIES = 1 << 20  # distance entries per row block (8 MB of float64)
 _POINTS_PER_OFFSET = 11  # fewer per cell-list offset, and close_blocks is faster
@@ -40,6 +42,13 @@ class BoxWindow:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return np.all(np.abs(points) <= self.side / 2, axis=-1)
+
+
+def unit_ball_volume(d: int) -> float:
+    """Volume of the unit Euclidean ball, pi^(d/2) / Gamma(d/2 + 1)."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
 
 
 @dataclass(frozen=True)
@@ -251,8 +260,8 @@ def load_pattern(path) -> tuple[PointPattern, dict]:
     except ValueError as exc:
         raise ValueError(f"{sidecar}: {exc}") from None
     table = stem.with_suffix(".csv")
-    coords = load_dataset(table)
-    if len(coords.feature_names) != window.dim:
-        raise ValueError(f"{table}: pattern CSV has {len(coords.feature_names)} columns, "
+    columns, rows, _ = read_table(table)
+    if len(columns) != window.dim:
+        raise ValueError(f"{table}: pattern CSV has {len(columns)} columns, "
                          f"window 'dim' in {sidecar} is {value_text(window.dim)}")
-    return PointPattern(coords.features, window), meta
+    return PointPattern(rows, window), meta

@@ -24,9 +24,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .estimator import unit_ball_volume
 from .kernel import TWO_PI, ScatteringMatrix, isotropic_scattering, spectral_density
-from .patterns import BoxWindow, PointPattern, close_pairs
+from .patterns import BoxWindow, PointPattern, close_pairs, unit_ball_volume
 
 DEFAULT_TOL = 1e-6
 

@@ -1,4 +1,5 @@
 import ast
+import graphlib
 import json
 import math
 import os
@@ -586,6 +587,41 @@ def test_every_kernel_function_has_a_caller_in_src():
                           for node in ast.walk(ast.parse(path.read_text()))
                           if isinstance(node, ast.Call))
     assert public and sorted(public - called) == []
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each module of the package and the package modules it imports, at
+    module level or inside a function."""
+    modules = {path.stem: path for path in (SRC / "gaussdpp").glob("*.py")}
+    graph = {}
+    for name, path in modules.items():
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                # A relative import is from the package itself, which has no subpackage.
+                base = ".".join(filter(None, ["gaussdpp" if node.level else "", node.module]))
+                imported.update([base, *(f"{base}.{a.name}" for a in node.names)])
+        graph[name] = {full.split(".")[1] for full in imported
+                       if full.startswith("gaussdpp.") and full.split(".")[1] in modules} - {name}
+    return graph
+
+
+def test_package_imports_run_one_way():
+    # The stack: datasets (file formats) at the bottom, then kernel and
+    # patterns, then the estimator, the sampler and dimred side by side, then
+    # spiked and the command line.  An edge against it makes a cycle, or makes
+    # a command load a module it does not use.
+    graph = _package_imports()
+    side_by_side = {"estimator", "sampling", "dimred"}
+    against = sorted(f"{a} -> {b}" for a, targets in graph.items() for b in targets
+                     if a == "datasets" or {a, b} <= side_by_side)
+    assert against == [], f"imports against the stack: {against}"
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 # Null calibration cache.  The estimate is made on a side-10 box at r = 0.8,
@@ -1207,6 +1243,16 @@ def test_all_pairs_reduce_writes_strict_json(cutoff, labelled_csv, tmp_path):
     assert params["r"] == ("inf" if cutoff else None)
 
 
+@pytest.mark.parametrize("method", ["pca", "dpp"])
+def test_reduce_takes_a_single_feature(method, tmp_path):
+    data = tmp_path / "one.csv"
+    data.write_text("f1,label\n1.0,0\n2.0,1\n4.0,1\n")
+    out = tmp_path / "reduce"
+    assert cli.main(["reduce", "--data", str(data), "--label-column", "label", "--method",
+                     method, "--k", "1", "--out", str(out)]) == 0
+    assert len(_strict_json(out / "reduce.json")["eigvals"]) == 1
+
+
 # The exit-code contract, one subcommand at a time: 0 success, 1 runtime
 # failure, 2 usage error.  Paths are relative to the inputs fixture; an
 # --out in a case stands in for the test's own.
@@ -1288,6 +1334,16 @@ def test_validate_checks_its_bins_before_sampling(options, message, tmp_path, ca
     assert err.startswith("usage: gaussdpp")
     assert message in err
     assert not out.exists()
+
+
+def test_validate_ends_its_bins_at_r_max(tmp_path):
+    # arange puts the last edge of 0.3 in widths of 0.1 at 0.30000000000000004,
+    # beyond --L/2 = 0.3.
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--d", "2", "--L", "0.6", "--replicates", "2", "--seed", "1",
+                     "--r-max", "0.3", "--bin-width", "0.1", "--out", str(out)]) == 0
+    centers = np.loadtxt(out / "paircorr.csv", delimiter=",", skiprows=1)[:, 0]
+    assert centers.tolist() == pytest.approx([0.05, 0.15, 0.25], rel=1e-12)
 
 
 def test_validate_bins_an_anisotropic_model_by_its_own_separation(tmp_path):

@@ -254,6 +254,13 @@ class TestPcaEmbed:
         out = pca_embed(Dataset(x), 2)
         assert out.eigvals.sum() == pytest.approx(4.0, rel=1e-9)
 
+    def test_one_feature(self):
+        col = np.array([1.0, 2.0, 4.0])
+        out = pca_embed(Dataset(col[:, None]), 1)
+        assert out.eigvals.tolist() == [1.0]
+        assert np.allclose(out.coords[:, 0], (col - col.mean()) / col.std(ddof=1),
+                           rtol=0, atol=1e-15)
+
     def test_zero_variance_column_rejected(self):
         ds = Dataset(np.column_stack([np.ones(10), np.arange(10.0)]))
         with pytest.raises(ValueError, match="zero-variance"):

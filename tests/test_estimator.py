@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ from gaussdpp import (BallWindow, BoxWindow, EstimateResult, PointPattern, Scatt
                       variance_bound)
 from gaussdpp import patterns
 from gaussdpp.patterns import close_pairs
-from oracles import ordered_pair_estimate
+from oracles import expected_sigma_hat, ordered_pair_estimate
 
 
 def close_pairs_bruteforce(points, r, side=None):
@@ -213,6 +214,14 @@ class TestNeighborhoods:
 # empty-pattern value is that constant times pi/4.
 D2_SCALE = 2.0 ** 2
 
+D2_MODELS = {"iso": isotropic_scattering(2), "spiked": spiked_scattering(3.0, [0.6, 0.8])}
+
+
+@functools.cache
+def _d2_draws(name):
+    """40 replicates of a D2_MODELS model on the side-14 box, seeds (7, i)."""
+    return [sample_gdp(D2_MODELS[name], BoxWindow(14.0, 2), (7, i)) for i in range(40)]
+
 
 class TestEstimateScattering:
     def test_empty_pattern_identity_term(self):
@@ -340,6 +349,19 @@ class TestEstimateScattering:
         identity = 2.0 ** ((d + 2) / 2) * unit_ball_volume(d) * res.r_used ** (d + 2) / (d + 2)
         assert res.pair_count == pairs > 0
         assert np.abs(res.sigma_hat - want).max() <= 1e-12 * identity
+
+    @pytest.mark.parametrize("name", ["iso", "spiked"])
+    @pytest.mark.parametrize("r", [0.6, 1.0])
+    def test_replicate_mean_is_the_closed_form_expectation(self, name, r):
+        # The replicate mean of Sigma_hat(r) is its closed-form expectation at
+        # any r; how close that is to Sigma is the cutoff's business.  An
+        # oracle scaled by 1/sqrt(2), an error in the consistency constant,
+        # reads |z| of 5.9 and 3.7 at r = 0.6.
+        sigma = D2_MODELS[name]
+        est = np.array([estimate_scattering(p, r).sigma_hat for p in _d2_draws(name)])
+        z = ((est.mean(axis=0) - expected_sigma_hat(sigma, r))
+             / (est.std(axis=0, ddof=1) / math.sqrt(len(est))))
+        assert np.abs(z).max() <= 3.5, z
 
     # SHA-256 of sigma_hat.tobytes() and the pair count at the auto cutoff,
     # recorded once the estimator added each pair once, weighted, after
