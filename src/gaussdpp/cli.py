@@ -342,18 +342,6 @@ def _cmd_roc(args, out: Path) -> dict:
     return payload
 
 
-def _bin_edges(args):
-    """validate's pair-correlation bin edges, an array: 0, w, 2w, ... up to
-    --r-max.  A last edge that is --r-max up to rounding (arange's 3 * 0.1
-    is 0.30000000000000004) is set to --r-max exactly."""
-    import numpy as np
-
-    edges = np.arange(0.0, args.r_max + args.bin_width / 2, args.bin_width)
-    if math.isclose(edges[-1], args.r_max, rel_tol=1e-9):
-        edges[-1] = args.r_max
-    return edges
-
-
 def _cmd_validate(args, out: Path) -> dict:
     import numpy as np
 
@@ -371,7 +359,7 @@ def _cmd_validate(args, out: Path) -> dict:
                      "bound": estimator.bernstein_tail(eps, radius, args.d)})
 
     # Binned by rho = sqrt(u'(2 pi S)^-1 u), where g = 1 - exp(-2 pi rho^2) for any S.
-    est = sampling.empirical_pair_correlation(drawn, _bin_edges(args), args._sigma)
+    est = sampling.empirical_pair_correlation(drawn, args._edges, args._sigma)
     theory = [1.0 - math.exp(-kernel.TWO_PI * c * c) for c, _ in est]
     datasets.write_csv(out / "paircorr.csv", ["center", "empirical", "theoretical"],
                        [[c, g, th] for (c, g), th in zip(est, theory)])
@@ -545,7 +533,8 @@ def _replay_argv(argv: list[str]) -> list[str]:
 
 def _preflight(args, tokens: list[str]) -> None:
     """Usage checks before any work, each a ValueError: refuse options the run
-    would not read, build Sigma once into args._sigma, keep validate's bins in --L/2."""
+    would not read, build Sigma once into args._sigma and validate's bin edges
+    into args._edges, and keep those bins in --L/2."""
     for commands, used, mode, options in _MODE_OPTIONS:
         given = [o for o in options if any(t == o or t.startswith(o + "=") for t in tokens)]
         if args.command in commands and given and not used(args):
@@ -553,7 +542,14 @@ def _preflight(args, tokens: list[str]) -> None:
     if args.command in _WITH_SIGMA and getattr(args, "process", "gdp") == "gdp":
         args._sigma = _parse_sigma(args, args.d)
     if args.command == "validate":
-        edges = _bin_edges(args)
+        import numpy as np
+
+        # 0, w, 2w, ... to the last edge not beyond --r-max; one that is --r-max up
+        # to rounding (arange's 3 * 0.1 is 0.30000000000000004) becomes --r-max.
+        edges = np.arange(0.0, args.r_max + args.bin_width / 2, args.bin_width)
+        args._edges = edges = edges[edges <= args.r_max * (1.0 + 1e-9)]
+        if math.isclose(edges[-1], args.r_max, rel_tol=1e-9):
+            edges[-1] = args.r_max
         reach = edges[-1] * sampling.pair_metric(args._sigma)[1]
         if edges.size < 2 or reach > args.L / 2:
             pairs = f", whose pairs reach {reach:g}" if reach != edges[-1] else ""

@@ -107,13 +107,10 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
         quad = np.einsum("ij,jl,il->i", k.astype(float), sigma.entries,
                          k.astype(float))
         mask = quad < bound
-        if mask.any():
-            kept.append(k[mask])
-            n_kept += int(mask.sum())
-            if n_kept > _MODE_CAP:
-                raise ValueError(
-                    f"mode count exceeds the cap of {_MODE_CAP}; "
-                    "reduce the window side")
+        kept.append(k[mask])
+        n_kept += int(mask.sum())
+        if n_kept > _MODE_CAP:
+            raise ValueError(f"mode count exceeds the cap of {_MODE_CAP}; reduce the window side")
     modes = np.concatenate(kept, axis=0)
     return SpectralBasis(modes=modes, eigenvalues=spectral_density(sigma, modes / side))
 
@@ -127,7 +124,8 @@ def _realified_selection(rng, basis: SpectralBasis):
     closed under k -> -k, so the zero mode sits in the middle and the
     modes after it are the positive representatives of the pairs.  Its
     eigenvalue is 1: it is always kept.  Returns the integer frequencies
-    of the selected real modes and a sine flag.
+    of the selected real modes and each mode's phase shift in turns: 1/8
+    for the zero mode, 0 for a cosine, 1/4 for a sine (see _features).
 
     The uniforms are drawn one per real mode in the order zero mode, then
     cosine and sine of each representative in turn.  The modes are
@@ -139,9 +137,9 @@ def _realified_selection(rng, basis: SpectralBasis):
     mid = basis.modes.shape[0] // 2
     reps, lam = basis.modes[mid + 1:], basis.eigenvalues[mid + 1:]
     u = rng.random(1 + 2 * lam.size)
-    cosines = reps[u[1::2] < lam]
-    k_sel = np.concatenate([basis.modes[mid:mid + 1], cosines, reps[u[2::2] < lam]])
-    return k_sel, np.arange(k_sel.shape[0]) > cosines.shape[0]
+    cosines, sines = reps[u[1::2] < lam], reps[u[2::2] < lam]
+    k_sel = np.concatenate([basis.modes[mid:mid + 1], cosines, sines])
+    return k_sel, np.repeat([0.125, 0.0, 0.25], [1, cosines.shape[0], sines.shape[0]])
 
 
 def _cos2_inverse_cdf(u: np.ndarray) -> np.ndarray:
@@ -201,7 +199,9 @@ def _householder(h):
     s = h.shape[1]
     if s <= _QR_LEAF:
         raw, tau = np.linalg.qr(h.astype(np.float64), mode="raw")
-        v = _unit_trapezoid(raw.T)
+        v = raw.T  # the reflectors, as a unit lower trapezoid
+        v[:s][~np.tri(s, dtype=bool, k=-1)] = 0.0
+        v[np.arange(s), np.arange(s)] = 1.0
         h[:] = v
         g = v.T @ v
         t = np.diag(tau)
@@ -219,14 +219,6 @@ def _householder(h):
     right[:n1] = 0.0  # R12
     t[:n1, n1:] = -t1 @ ((left[n1:].T @ right[n1:]) @ t2)
     return t
-
-
-def _unit_trapezoid(v):
-    """Zero the upper triangle of v (q, s) and put ones on its diagonal, in place."""
-    s = v.shape[1]
-    v[:s][~np.tri(s, dtype=bool, k=-1)] = 0.0
-    v[np.arange(s), np.arange(s)] = 1.0
-    return v
 
 
 def _compress(proj, a):
@@ -259,7 +251,7 @@ def _compress(proj, a):
     return proj[:, s:]
 
 
-def _sample_projection(rng, k_sel, sin_sel, side):
+def _sample_projection(rng, k_sel, shift, side):
     """Draw the rank-m projection DPP of the selected real Fourier modes.
 
     Points are sampled sequentially; each conditional density is the
@@ -325,10 +317,9 @@ def _sample_projection(rng, k_sel, sin_sel, side):
     m, d = k_sel.shape  # m >= 1: the zero mode is always selected
     out = np.empty((m, d))
     # Features carry no common factor: the acceptance test compares two
-    # squared norms of the same features.  A quarter turn makes a feature
-    # the sine of its frequency, and an eighth gives the constant mode
-    # cos(-pi/4) = 1/sqrt(2), its norm against the others.
-    shift = np.where(sin_sel, 0.25, np.where(np.all(k_sel == 0, axis=1), 0.125, 0.0))
+    # squared norms of the same features.  The shifts (in turns) make a
+    # feature the sine of its frequency at a quarter turn, and give the
+    # constant mode cos(-pi/4) = 1/sqrt(2), its norm against the others.
     k_float = k_sel.astype(float)
     omega = 2.0 * math.pi / side
 
@@ -338,28 +329,19 @@ def _sample_projection(rng, k_sel, sin_sel, side):
     # (for the constant mode every marginal is already uniform).
     pivot_axis = np.argmax(k_sel != 0, axis=1)
     pivot_freq = np.take_along_axis(k_sel, pivot_axis[:, None], axis=1)[:, 0]
-    mode_shift = np.where(sin_sel, 0.5 * math.pi, 0.0)
 
     def _draw_proposals(nb):
         x = rng.uniform(-side / 2.0, side / 2.0, size=(nb, d))
         mi = rng.integers(0, m, size=nb)
         u_quant = rng.random(nb)
         u_period = rng.random(nb)
-        k_rows = k_sel[mi]
-        ka = pivot_freq[mi]
-        live = ka != 0
-        if np.any(live):
-            axis = pivot_axis[mi]
-            t_val = _cos2_inverse_cdf(u_quant)
-            rows = np.arange(nb)
-            dot = np.einsum("bd,bd->b", k_rows.astype(float), x)
-            rest = omega * (dot - ka * x[rows, axis])
-            ka_safe = np.where(live, ka, 1)
-            base = (t_val + mode_shift[mi] - rest) / (omega * ka_safe)
-            step = side / np.abs(ka_safe)
-            xa = base + np.floor(u_period * np.abs(ka_safe)) * step
-            xa = np.mod(xa + side / 2.0, side) - side / 2.0
-            x[rows[live], axis[live]] = xa[live]
+        rows = np.flatnonzero(pivot_freq[mi])  # the proposals whose pivot moves
+        i = mi[rows]
+        axis, ka = pivot_axis[i], pivot_freq[i]
+        rest = omega * (np.einsum("bd,bd->b", k_float[i], x[rows]) - ka * x[rows, axis])
+        base = (_cos2_inverse_cdf(u_quant[rows]) + TWO_PI * shift[i] - rest) / (omega * ka)
+        xa = base + np.floor(u_period[rows] * np.abs(ka)) * (side / np.abs(ka))
+        x[rows, axis] = np.mod(xa + side / 2.0, side) - side / 2.0
         return x
 
     # Blocks hold at least 1024 rows, so an early float32 block accepts
@@ -470,11 +452,11 @@ def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed) -> PointPattern
         raise ValueError("window and scattering matrix dimensions differ")
     basis = build_spectral_basis(sigma, window.side)
     rng = np.random.default_rng(seed)
-    k_sel, sin_sel = _realified_selection(rng, basis)
+    k_sel, shift = _realified_selection(rng, basis)
     m = k_sel.shape[0]
     if 4 * m * m > _physical_memory():
         raise MemoryError(f"a draw of rank {m} needs {4 * m * m} bytes, more than physical memory")
-    return PointPattern(_sample_projection(rng, k_sel, sin_sel, window.side), window)
+    return PointPattern(_sample_projection(rng, k_sel, shift, window.side), window)
 
 
 def sample_poisson(intensity: float, window: BoxWindow, seed) -> PointPattern:

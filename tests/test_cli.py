@@ -1346,6 +1346,16 @@ def test_validate_ends_its_bins_at_r_max(tmp_path):
     assert centers.tolist() == pytest.approx([0.05, 0.15, 0.25], rel=1e-12)
 
 
+def test_validate_keeps_its_last_bin_edge_within_r_max(tmp_path):
+    # Rounded to the nearest width, --r-max 0.26 put the last edge at 0.3 (arange's
+    # 0.30000000000000004), beyond --L/2 = 0.3; it ends at the last width within.
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--d", "2", "--L", "0.6", "--replicates", "2", "--seed", "1",
+                     "--r-max", "0.26", "--bin-width", "0.1", "--out", str(out)]) == 0
+    centers = np.loadtxt(out / "paircorr.csv", delimiter=",", skiprows=1)[:, 0]
+    assert centers.tolist() == pytest.approx([0.05, 0.15], rel=1e-12)
+
+
 def test_validate_bins_an_anisotropic_model_by_its_own_separation(tmp_path):
     # The model's pair correlation depends on u through rho = sqrt(u'(2 pi S)^-1 u)
     # alone, so a correct sampler matches it as closely for a spike, along an
