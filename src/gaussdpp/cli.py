@@ -544,13 +544,15 @@ def _preflight(args, tokens: list[str]) -> None:
     if args.command == "validate":
         import numpy as np
 
-        # 0, w, 2w, ... to the last edge not beyond --r-max; one that is --r-max up
-        # to rounding (arange's 3 * 0.1 is 0.30000000000000004) becomes --r-max.
+        # 0, w, 2w, ... to the last edge within --r-max; one at --r-max, or at --L/2 in pair
+        # reach, up to rounding (arange's 3 * 0.1 is 0.30000000000000004) ends there, not beyond.
         edges = np.arange(0.0, args.r_max + args.bin_width / 2, args.bin_width)
         args._edges = edges = edges[edges <= args.r_max * (1.0 + 1e-9)]
-        if math.isclose(edges[-1], args.r_max, rel_tol=1e-9):
-            edges[-1] = args.r_max
-        reach = edges[-1] * sampling.pair_metric(args._sigma)[1]
+        stretch = sampling.pair_metric(args._sigma)[1]
+        for end in (args.r_max, args.L / 2 / stretch):
+            if math.isclose(edges[-1], end, rel_tol=1e-9):
+                edges[-1] = end - np.spacing(end) * (end * stretch > args.L / 2)
+        reach = edges[-1] * stretch
         if edges.size < 2 or reach > args.L / 2:
             pairs = f", whose pairs reach {reach:g}" if reach != edges[-1] else ""
             raise ValueError(f"--r-max {args.r_max:g} and --bin-width {args.bin_width:g}" + (

@@ -162,7 +162,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray | None = None
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         import numpy as np
@@ -192,10 +191,9 @@ def load_dataset(path, label_column: str | None = None, positive_label=None):
     import numpy as np
 
     feature_names, rows, labels = read_table(path, label_column, positive_label)
-    features = np.array(rows, dtype=float).reshape(len(rows), len(feature_names))
     if labels is not None:
         labels = np.asarray(labels, dtype=object if positive_label is None else np.int64)
-    return Dataset(features=features, labels=labels, feature_names=feature_names)
+    return Dataset(np.array(rows, dtype=float).reshape(len(rows), len(feature_names)), labels)
 
 
 @dataclass(frozen=True)

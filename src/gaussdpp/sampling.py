@@ -31,7 +31,6 @@ DEFAULT_TOL = 1e-6
 
 _MODE_CAP = 2_000_000  # largest spectral basis; more signals a window too large
 _MAX_REJECTS = 1_000_000  # consecutive rejections before the sampler gives up
-_ENUM_SLAB = 1 << 16  # candidate rows processed per slab while enumerating
 _MAX_BLOCK = 2048  # largest block of sampler proposals
 _GRAM_PANEL = 128  # candidate rows per product in the sampler's scan
 _FEATURE_CHUNK = 1 << 16  # phase entries per chunk of feature assembly
@@ -67,9 +66,10 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
     tolerances would not speed sampling up (its cost is set by the
     selected rank, not by the mode count) and only bias the count.
 
-    Raises if the mode count exceeds _MODE_CAP, which signals a window
-    too large for the dimension; when a lower bound on the count from the
-    ellipsoid's volume already exceeds it, before any enumeration.
+    Modes are built one coordinate at a time (Fincke-Pohst), so work and
+    memory follow the kept modes and their prefixes.  Raises if a count
+    exceeds _MODE_CAP, which signals a window too large for the dimension;
+    the volume lower bound checked first only guards huge windows.
     """
     if not sigma.normalized:
         raise ValueError("sampler requires a normalized scattering matrix "
@@ -82,8 +82,7 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
     # lies within sqrt(d)/2 of it, so within rho = sqrt(d ||S|| / 4) in
     # the S-norm.  The unit cells of the retained modes thus cover the
     # shrunk ellipsoid sqrt(k' S k) < sqrt(bound) - rho, whose volume
-    # bounds their count (rho carries a margin for rounding in quad).  A
-    # box whose count must exceed the cap is refused before enumeration.
+    # bounds their count (rho carries a margin for rounding in quad).
     rho = math.sqrt(0.25 * d * sigma.operator_norm) + 1e-6 * math.sqrt(bound)
     if math.sqrt(bound) > rho:
         log_min_count = (math.log(unit_ball_volume(d)) - 0.5 * sigma.log_det
@@ -92,27 +91,28 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
             raise ValueError(
                 f"mode count (at least 10^{log_min_count / math.log(10):.1f}) exceeds "
                 f"the cap of {_MODE_CAP}; reduce the window side")
-    # Bounding box of the ellipsoid k' S k < bound.
-    half = np.floor(np.sqrt(bound * np.diag(sigma.inverse))).astype(np.int64)
-    shape = tuple(int(2 * h + 1) for h in half)
-    n_candidates = math.prod(shape)
-
-    kept: list[np.ndarray] = []
-    n_kept = 0
-    # Flat-index ranges of the box in lexicographic order, at most
-    # _ENUM_SLAB candidates each, keep peak memory flat in any dimension.
-    for start in range(0, n_candidates, _ENUM_SLAB):
-        flat = np.arange(start, min(start + _ENUM_SLAB, n_candidates), dtype=np.int64)
-        k = np.stack(np.unravel_index(flat, shape), axis=1) - half
-        quad = np.einsum("ij,jl,il->i", k.astype(float), sigma.entries,
-                         k.astype(float))
-        mask = quad < bound
-        kept.append(k[mask])
-        n_kept += int(mask.sum())
-        if n_kept > _MODE_CAP:
+    # k' S k = sum_i (g_i . k)^2, g lower triangular: a prefix with terms s
+    # takes the k_i with (g_ii k_i - c)^2 < bound - s, the bound 1e-9 larger
+    # lest rounding drop a mode.  The last pass keeps modes by the one test.
+    g = np.flip(np.linalg.cholesky(np.flip(sigma.entries)).T)
+    modes, partial = np.zeros((1, 0)), np.zeros(1)  # integer modes, held as floats
+    for i in range(d + 1):
+        if i < d:
+            c, h = -(modes @ g[i, :i]), np.sqrt(np.maximum(bound * (1 + 1e-9) - partial, 0))
+            lo = np.ceil((c - h) / g[i, i])
+            counts = (np.floor((c + h) / g[i, i]) + 1 - lo).astype(np.int64)
+        else:
+            counts = np.einsum("ij,jl,il->i", modes, sigma.entries, modes) < bound
+        if i != d - 1 and counts.sum() > _MODE_CAP:  # the last coordinate by its kept modes
             raise ValueError(f"mode count exceeds the cap of {_MODE_CAP}; reduce the window side")
-    modes = np.concatenate(kept, axis=0)
-    return SpectralBasis(modes=modes, eigenvalues=spectral_density(sigma, modes / side))
+        rows = np.repeat(np.arange(counts.size), counts)
+        modes = modes[rows]
+        if i < d:  # each prefix's children in turn: lexicographic, k_1 major
+            t = lo[rows] + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+            partial = partial[rows] + (g[i, i] * t - c[rows]) ** 2
+            modes = np.column_stack([modes, t])
+    return SpectralBasis(eigenvalues=spectral_density(sigma, modes / side),
+                         modes=modes.astype(np.int64))
 
 
 def _realified_selection(rng, basis: SpectralBasis):

@@ -5,6 +5,7 @@ straight from the definitions in `gaussdpp.kernel`'s docstring; the package
 computes the same quantities in array form where it needs them.  The
 count moments of a torus draw follow from its spectral basis: the
 sampler keeps each mode independently with probability its eigenvalue.
+`modes_in_box` builds that basis by scanning the ellipsoid's bounding box.
 `sin_angle` measures how far a recovered spike direction is from the true
 one.  `ordered_pair_estimate` is the paper's scattering-matrix estimator as
 its ordered double sum, with no cell list, and `expected_sigma_hat` its
@@ -15,7 +16,8 @@ import math
 
 import numpy as np
 
-from gaussdpp.kernel import TWO_PI, ScatteringMatrix
+from gaussdpp.kernel import TWO_PI, ScatteringMatrix, spectral_density
+from gaussdpp.sampling import DEFAULT_TOL
 
 
 def _check_point(sigma: ScatteringMatrix, x) -> np.ndarray:
@@ -78,6 +80,21 @@ def count_variance(basis) -> float:
     """Variance of that count: the sum of lam (1 - lam) over the modes."""
     lam = basis.eigenvalues
     return float((lam * (1.0 - lam)).sum())
+
+
+def modes_in_box(sigma: ScatteringMatrix, side: float) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral basis of `build_spectral_basis` by brute force, as
+    (modes, eigenvalues): every integer point of the bounding box of the
+    ellipsoid k' S k < L^2 log(1/DEFAULT_TOL) / (2 pi^2), in lexicographic
+    order, tested by the same quadratic form.  No cap: keep the box small.
+    """
+    bound = side ** 2 * math.log(1.0 / DEFAULT_TOL) / (2.0 * math.pi ** 2)
+    half = np.floor(np.sqrt(bound * np.diag(sigma.inverse))).astype(np.int64)
+    shape = tuple(int(2 * h + 1) for h in half)
+    k = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1) - half
+    quad = np.einsum("ij,jl,il->i", k.astype(float), sigma.entries, k.astype(float))
+    modes = k[quad < bound]
+    return modes, spectral_density(sigma, modes / side)
 
 
 def sin_angle(u, v) -> float:

@@ -1356,6 +1356,21 @@ def test_validate_keeps_its_last_bin_edge_within_r_max(tmp_path):
     assert centers.tolist() == pytest.approx([0.05, 0.15], rel=1e-12)
 
 
+def test_validate_accepts_a_last_bin_edge_at_half_the_side(tmp_path):
+    # --r-max 0.31 put the last edge at arange's 0.30000000000000004, --L/2 = 0.3 up
+    # to rounding.  The edge ends where its pairs reach --L/2, and the estimator's
+    # own reach check passes.  The spike stretches pairs by s = 1.30384...: there
+    # --L/2 / s is 0.3 up to rounding, and (--L/2 / s) * s rounds above --L/2.
+    spiked = ["--sigma", "spiked", "--lam", "0.7", "--u", "0.6,0.8"]
+    for name, model, side in [("iso", [], "0.6"), ("spiked", spiked, "0.7823042886243179")]:
+        out = tmp_path / name
+        assert cli.main(["validate", "--d", "2", "--L", side, "--replicates", "2",
+                         "--seed", "1", *model, "--r-max", "0.31", "--bin-width", "0.1",
+                         "--out", str(out)]) == 0
+        centers = np.loadtxt(out / "paircorr.csv", delimiter=",", skiprows=1)[:, 0]
+        assert centers.tolist() == pytest.approx([0.05, 0.15, 0.25], rel=1e-9)
+
+
 def test_validate_bins_an_anisotropic_model_by_its_own_separation(tmp_path):
     # The model's pair correlation depends on u through rho = sqrt(u'(2 pi S)^-1 u)
     # alone, so a correct sampler matches it as closely for a spike, along an

@@ -19,9 +19,9 @@ from scipy.integrate import quad
 from gaussdpp import sampling
 from gaussdpp import (BallWindow, BoxWindow, PointPattern, ScatteringMatrix, build_spectral_basis,
                       count_dispersion_test, empirical_pair_correlation,
-                      isotropic_scattering, sample_gdp, sample_poisson,
+                      isotropic_scattering, normalize_scattering, sample_gdp, sample_poisson,
                       spectral_density, spiked_scattering, unit_ball_volume)
-from oracles import count_variance, mean_count
+from oracles import count_variance, mean_count, modes_in_box
 
 
 def dense_pair_correlation(patterns, bin_edges):
@@ -124,21 +124,47 @@ class TestSpectralBasis:
         assert build_spectral_basis(iso2, 40.0).modes.shape[0] == 22_105
 
     @pytest.mark.parametrize("sigma, side", [
-        (isotropic_scattering(3), 8.0), (spiked_scattering(2.0, [0.6, 0.8, 0.0]), 7.0),
-        (isotropic_scattering(4), 4.0)], ids=["iso3", "spiked3", "iso4"])
-    def test_enumeration_slabs_keep_the_mode_order(self, sigma, side, monkeypatch):
-        # Slabs of 1000 flat indices cut the box across rows of every axis.
-        whole = build_spectral_basis(sigma, side)
-        monkeypatch.setattr(sampling, "_ENUM_SLAB", 1000)
-        sliced = build_spectral_basis(sigma, side)
-        assert whole.modes.shape[0] > 1000
-        assert np.array_equal(sliced.modes, whole.modes)
-        assert np.array_equal(sliced.eigenvalues, whole.eigenvalues)
+        (isotropic_scattering(1), 30.0), (isotropic_scattering(2), 20.0),
+        (spiked_scattering(3.0, [1.0, 0.0]), 28.0), (isotropic_scattering(3), 8.0),
+        (spiked_scattering(2.0, [0.0, 0.6, 0.8]), 9.0), (isotropic_scattering(4), 5.0),
+        (spiked_scattering(1.0, [0.5, 0.5, 0.5, 0.5]), 5.0),
+        (spiked_scattering(200.0, [math.sqrt(0.5), math.sqrt(0.5)]), 20.0)],
+        ids=["iso1", "iso2", "spiked2", "iso3", "spiked3", "iso4", "spiked4", "needle"])
+    def test_modes_are_those_of_the_bounding_box(self, sigma, side):
+        # The row-by-row enumeration keeps the modes, their order and their
+        # eigenvalues of a scan of every integer point of the ellipsoid's
+        # bounding box, also for a thin needle off the axes.
+        modes, eigenvalues = modes_in_box(sigma, side)
+        basis = build_spectral_basis(sigma, side)
+        assert np.array_equal(basis.modes, modes)
+        assert np.array_equal(basis.eigenvalues, eigenvalues)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_modes_of_random_matrices_are_those_of_the_bounding_box(self, d):
+        rng = np.random.default_rng(d)
+        for side in (0.8, 9.0 / d, 13.0 / d):
+            a = rng.standard_normal((d, d + 1))
+            sigma = normalize_scattering(ScatteringMatrix(a @ a.T + 0.1 * np.eye(d)))
+            modes, eigenvalues = modes_in_box(sigma, side)
+            basis = build_spectral_basis(sigma, side)
+            assert np.array_equal(basis.modes, modes)
+            assert np.array_equal(basis.eigenvalues, eigenvalues)
+
+    def test_high_dimension_keeps_the_lattice_ball(self):
+        # At d=12, L=1 the kept modes are the k with |k|^2 <= 4: 1 + 24 + 264
+        # + 1,760 + 7,944 of the 5^12 = 2.4e8 points of the bounding box.
+        modes = build_spectral_basis(isotropic_scattering(12), 1.0).modes
+        assert modes.shape == (9_993, 12)
+        assert np.array_equal(np.bincount(np.einsum("ij,ij->i", modes, modes)),
+                              [1, 24, 264, 1_760, 7_944])
+        assert np.array_equal(np.unique(modes, axis=0), modes)  # sorted, each once
+        assert np.array_equal(modes[::-1], -modes)
 
     def test_box_over_the_cap_is_refused_before_enumeration(self):
-        # At d=4, L=30 the box holds 2.4e8 candidates and the ellipsoid
-        # about 7.7e7 modes.  Enumerating slabs of whole first-axis rows
-        # peaked at 343 MiB before the running count passed the cap.
+        # At d=4, L=30 the ellipsoid holds about 7.7e7 modes, and the prefixes
+        # of its first three coordinates alone about 1.04e6, under the cap:
+        # their 25 MB of coordinates would be built before the last
+        # coordinate's count passed the cap.  The volume bound refuses first.
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -150,8 +176,9 @@ class TestSpectralBasis:
         assert peak < 1 << 20
 
     def test_enumeration_memory_is_a_few_slabs(self):
-        # d=4, L=6: 124k modes from a box of 2.1e6 candidates.  Slabs of
-        # 2^20 candidates peaked at 41.9 MiB, 2^16 at 13.9 MiB.
+        # d=4, L=6: 124k modes, whose box holds 2.1e6 candidates.  Scanning
+        # the box in slabs of 2^20 candidates peaked at 41.9 MiB, 2^16 at
+        # 13.9 MiB; building the ellipsoid one coordinate at a time, 13.6 MiB.
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
