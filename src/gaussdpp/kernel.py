@@ -43,7 +43,6 @@ class ScatteringMatrix:
     ----------
     dim : int
     entries : ndarray, read-only
-    inverse : ndarray, read-only
     log_det : float
         log det(S), computed in eigenvalue log-space so it stays finite
         for large d where det(S) ~ (2*pi)^(-d) underflows.
@@ -51,8 +50,7 @@ class ScatteringMatrix:
         True iff det(S) = (2*pi)^(-d) to within a 1e-9 relative tolerance.
     """
 
-    __slots__ = ("entries", "dim", "eigenvalues", "eigenvectors", "inverse",
-                 "log_det", "normalized")
+    __slots__ = ("entries", "dim", "eigenvalues", "eigenvectors", "log_det", "normalized")
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
@@ -74,11 +72,10 @@ class ScatteringMatrix:
         self.dim = a.shape[0]
         self.eigenvalues = w
         self.eigenvectors = v
-        self.inverse = (v / w) @ v.T
         self.log_det = float(np.sum(np.log(w)))
         self.normalized = bool(
             abs(self.log_det + self.dim * math.log(TWO_PI)) <= NORMALIZED_RTOL)
-        for arr in (self.entries, self.eigenvalues, self.eigenvectors, self.inverse):
+        for arr in (self.entries, self.eigenvalues, self.eigenvectors):
             arr.setflags(write=False)
 
     @property

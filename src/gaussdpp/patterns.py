@@ -20,7 +20,7 @@ import numpy as np
 from .datasets import finite_number, read_json, read_table, value_text, write_csv, write_json
 
 _BLOCK_ENTRIES = 1 << 20  # distance entries per row block (8 MB of float64)
-_POINTS_PER_OFFSET = 11  # fewer per cell-list offset, and close_blocks is faster
+_POINTS_PER_OFFSET = 11  # fewest points per close_pairs offset; more offsets cost more
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,7 @@ def close_blocks(points, r: float):
     centred rows, _BLOCK_ENTRIES a block.  It and close_pairs' test on
     x_i - x_j both round by at most about d eps (|a|^2 + |b|^2); entries
     within a wide margin of that bound of r^2 are decided by that test instead.
+    `dimred`'s pair sum, which needs the adjacency by rows, is its only caller.
     """
     pts = np.asarray(points, dtype=float)
     xc = pts - pts.mean(axis=0)
@@ -150,15 +151,16 @@ def close_pairs(points, r: float,
     The metric is Euclidean, or that of the torus [-side/2, side/2]^d when
     `side` is given: there each coordinate d of x_i - x_j is taken the
     shorter way round, signed, as d - side * round(d / side).  A cell
-    list: points are binned into cells a hair wider than r, and the 3^d
-    offsets around a cell (distinct modulo the cell count on the torus) are
-    visited one at a time.  For each, every point's candidates are listed
-    by sorting and searching, with no Python loop, and kept when their
-    exact squared distance is below r^2, so the working memory is one
-    offset's candidates, about 3^-d of all.  Off the torus, with fewer than
-    _POINTS_PER_OFFSET points per offset (d >= 5 at 2000 points), the same
-    pairs come faster from `close_blocks`.  Returns i and j (intp) and the
-    (P, d) differences, each pair once, in no order.
+    list, one path for both metrics: points are binned into cells a hair
+    wider than r along the leading axes, as many as keep _POINTS_PER_OFFSET
+    points per stencil offset, and every other axis is one cell.  The
+    offsets around a cell (up to 3 per binned axis, distinct modulo the
+    cell count on the torus) are visited one at a time, at most
+    max(1, N / _POINTS_PER_OFFSET) of them.  For each, every point's
+    candidates are listed by sorting and searching, with no Python loop,
+    and kept when their exact squared distance is below r^2, so the
+    working memory is one offset's candidates.  Returns i and j (intp) and
+    the (P, d) differences, each pair once, in no order.
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
@@ -182,11 +184,8 @@ def close_pairs(points, r: float,
         radix = np.full(d, m)
     # A set, not np.unique, which imports numpy.ma on first use.
     steps = [sorted({-1 % k, 0, 1 % k}) for k in radix.tolist()]
-    if side is None and math.prod(len(s) for s in steps) * _POINTS_PER_OFFSET > n:
-        i, j = np.concatenate([np.argwhere(np.triu(adj, start + 1)) + (start, 0)
-                               for start, adj in close_blocks(pts, r)]).T
-        return i, j, pts[i] - pts[j]
-
+    binned = sum(math.prod(map(len, steps[:k])) * _POINTS_PER_OFFSET <= n for k in range(1, d + 1))
+    cells[:, binned:], radix[binned:], steps[binned:] = 0, 1, [[0]] * (d - binned)
     key = np.ravel_multi_index(tuple(cells.T), radix)
     order = np.argsort(key, kind="stable")
     cell_keys, first, count = np.unique(key[order], return_index=True, return_counts=True)

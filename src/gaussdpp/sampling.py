@@ -30,6 +30,7 @@ from .patterns import BoxWindow, PointPattern, close_pairs, unit_ball_volume
 DEFAULT_TOL = 1e-6
 
 _MODE_CAP = 2_000_000  # largest spectral basis; more signals a window too large
+_MODE_ENTRIES = 16_000_000  # most coordinates in one level of mode prefixes: the cap in d = 8
 _MAX_REJECTS = 1_000_000  # consecutive rejections before the sampler gives up
 _MAX_BLOCK = 2048  # largest block of sampler proposals
 _GRAM_PANEL = 128  # candidate rows per product in the sampler's scan
@@ -68,8 +69,10 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
 
     Modes are built one coordinate at a time (Fincke-Pohst), so work and
     memory follow the kept modes and their prefixes.  Raises if a count
-    exceeds _MODE_CAP, which signals a window too large for the dimension;
-    the volume lower bound checked first only guards huge windows.
+    exceeds _MODE_CAP, which signals a window too large for the dimension,
+    or if a level of prefixes would hold more than _MODE_ENTRIES
+    coordinates, before it is built; the volume lower bound checked first
+    only guards huge windows.
     """
     if not sigma.normalized:
         raise ValueError("sampler requires a normalized scattering matrix "
@@ -105,6 +108,9 @@ def build_spectral_basis(sigma: ScatteringMatrix, side: float) -> SpectralBasis:
             counts = np.einsum("ij,jl,il->i", modes, sigma.entries, modes) < bound
         if i != d - 1 and counts.sum() > _MODE_CAP:  # the last coordinate by its kept modes
             raise ValueError(f"mode count exceeds the cap of {_MODE_CAP}; reduce the window side")
+        if counts.sum() * min(i + 1, d) > _MODE_ENTRIES:
+            raise ValueError(f"{counts.sum()} mode prefixes of {min(i + 1, d)} coordinates exceed "
+                             f"the budget of {_MODE_ENTRIES} coordinates; reduce the window side")
         rows = np.repeat(np.arange(counts.size), counts)
         modes = modes[rows]
         if i < d:  # each prefix's children in turn: lexicographic, k_1 major

@@ -35,7 +35,7 @@ def kernel_value(sigma: ScatteringMatrix, x, y) -> float:
     Equals 1 at x = y when `sigma` is normalized.
     """
     u = _check_point(sigma, x) - _check_point(sigma, y)
-    quad = float(u @ sigma.inverse @ u)
+    quad = float(u @ np.linalg.inv(sigma.entries) @ u)
     log_k = -0.5 * (sigma.dim * math.log(TWO_PI) + sigma.log_det + quad)
     return math.exp(log_k)
 
@@ -52,7 +52,7 @@ def rho_k(sigma: ScatteringMatrix, points) -> float:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points have non-finite coordinates")
     diff = pts[:, None, :] - pts[None, :, :]
-    quad = np.einsum("ijk,kl,ijl->ij", diff, sigma.inverse, diff)
+    quad = np.einsum("ijk,kl,ijl->ij", diff, np.linalg.inv(sigma.entries), diff)
     log_k0 = -0.5 * (sigma.dim * math.log(TWO_PI) + sigma.log_det)
     gram = np.exp(log_k0 - 0.5 * quad)
     return float(np.linalg.det(gram))
@@ -67,7 +67,7 @@ def truncated_pair_correlation(sigma: ScatteringMatrix, x, y) -> float:
     if not sigma.normalized:
         raise ValueError("truncated pair correlation requires a normalized scattering matrix")
     u = _check_point(sigma, x) - _check_point(sigma, y)
-    return -math.exp(-float(u @ sigma.inverse @ u))
+    return -math.exp(-float(u @ np.linalg.inv(sigma.entries) @ u))
 
 
 def mean_count(basis) -> float:
@@ -89,7 +89,7 @@ def modes_in_box(sigma: ScatteringMatrix, side: float) -> tuple[np.ndarray, np.n
     order, tested by the same quadratic form.  No cap: keep the box small.
     """
     bound = side ** 2 * math.log(1.0 / DEFAULT_TOL) / (2.0 * math.pi ** 2)
-    half = np.floor(np.sqrt(bound * np.diag(sigma.inverse))).astype(np.int64)
+    half = np.floor(np.sqrt(bound * np.diag(np.linalg.inv(sigma.entries)))).astype(np.int64)
     shape = tuple(int(2 * h + 1) for h in half)
     k = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1) - half
     quad = np.einsum("ij,jl,il->i", k.astype(float), sigma.entries, k.astype(float))
@@ -154,7 +154,7 @@ def expected_sigma_hat(sigma: ScatteringMatrix, r: float) -> np.ndarray:
         raise ValueError("expected a normalized 2 x 2 scattering matrix")
     theta = np.arange(2048) * (TWO_PI / 2048)
     e = np.column_stack([np.cos(theta), np.sin(theta)])
-    a = np.einsum("ti,ij,tj->t", e, sigma.inverse, e)
+    a = np.einsum("ti,ij,tj->t", e, np.linalg.inv(sigma.entries), e)
     x = a * r * r
     radial = (1.0 - np.exp(-x) * (1.0 + x)) / (2.0 * a * a)
     return 2.0 ** 2 * (e.T * radial) @ e * (TWO_PI / 2048)

@@ -150,7 +150,7 @@ class TestNeighborhoods:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("side, d", [*((None, d) for d in (1, 2, 3, 5, 9)),
-                                         *((6.0, d) for d in (1, 2, 3, 5))])
+                                         *((6.0, d) for d in (1, 2, 3, 5, 9))])
     @pytest.mark.parametrize("r", [3.5, 2.5, 1.3, 1e-7],
                              ids=["m1", "m2", "m4", "tiny"])
     def test_matches_bruteforce_by_metric_and_cell_count(self, d, side, r, monkeypatch):
@@ -159,10 +159,9 @@ class TestNeighborhoods:
         pts = rng.uniform(-3.0, 3.0, size=(120, d))
         pts[1] = pts[0]  # a coincident pair, distance 0 < any r
         want = close_pairs_bruteforce(pts, r, side)
-        # Each path forced: the cell list, and off the torus the row blocks,
-        # whose blocks of 7 rows leave a last block of one row.
-        monkeypatch.setattr(patterns, "_BLOCK_ENTRIES", 7 * 120)
-        for per_offset in (0, math.inf) if side is None else (0,):
+        # Every axis binned, as many as 11 points per offset allow (the
+        # default), and none: one cell and one offset holding all pairs.
+        for per_offset in (0, patterns._POINTS_PER_OFFSET, math.inf):
             monkeypatch.setattr(patterns, "_POINTS_PER_OFFSET", per_offset)
             got = by_i_then_j(close_pairs(pts, r, side))
             assert [a.dtype for a in got] == [np.intp, np.intp, np.float64]
@@ -170,6 +169,11 @@ class TestNeighborhoods:
                 assert np.array_equal(a, b)
         if side is not None:
             assert np.all(np.abs(got[2]) <= side / 2)
+        else:  # dimred's adjacency blocks of 7 rows, the last of one row
+            monkeypatch.setattr(patterns, "_BLOCK_ENTRIES", 7 * 120)
+            i, j = np.concatenate([np.argwhere(np.triu(adj, start + 1)) + (start, 0)
+                                   for start, adj in patterns.close_blocks(pts, r)]).T
+            assert np.array_equal(i, want[0]) and np.array_equal(j, want[1])
 
     def test_working_memory_is_one_offset_of_candidates(self):
         # The validate-d3 case: 5 cells per axis, about 14 points per cell.
@@ -186,6 +190,24 @@ class TestNeighborhoods:
         assert i.size > 20_000
         assert peak < 5 << 20
 
+    def test_offsets_follow_the_points_on_the_torus(self):
+        # 120 points in d=9 on the torus of side 6, 4 cells per axis: binning
+        # every axis visits 3^9 offsets and peaked at 9.9 MiB; binning
+        # two axes, 9 offsets of about 13 points each, stays under 1 MiB.
+        pts = np.random.default_rng(9).uniform(-3.0, 3.0, size=(120, 9))
+        pts[1] = pts[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            i, j, diff = close_pairs(pts, 1.3, 6.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        want = close_pairs_bruteforce(pts, 1.3, 6.0)
+        for a, b in zip(by_i_then_j((i, j, diff)), want):
+            assert np.array_equal(a, b)
+        assert peak < 1 << 20
+
     def test_fewer_than_two_points(self):
         for pts in (np.empty((0, 2)), [[0.5, 0.5]]):
             for side in (None, 4.0):
@@ -193,7 +215,8 @@ class TestNeighborhoods:
                 assert i.size == 0 and j.size == 0 and diff.shape == (0, np.shape(pts)[1])
 
     def test_two_points_in_d30(self):
-        # A cell stencil of 2^30 offsets, which the row blocks never build.
+        # A stencil of 2^30 offsets if every axis were binned; two points
+        # bin none, so one offset is visited.
         pts = np.full((2, 30), 0.5)
         pts[1, 0] = 0.6
         i, j, diff = close_pairs(pts, 0.5)

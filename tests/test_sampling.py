@@ -175,6 +175,24 @@ class TestSpectralBasis:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_coordinate_budget_refuses_a_level_before_building_it(self, monkeypatch):
+        # d=4, L=6: the prefix levels hold 25, 497, 8,385 and 124,417 modes,
+        # the last one 3.8 MB of coordinates.  A budget one coordinate short
+        # of it is refused from the 0.2 MB of the level before.
+        monkeypatch.setattr(sampling, "_MODE_ENTRIES", 4 * 124_417 - 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match="^124417 mode prefixes of 4 coordinates "
+                                                 "exceed the budget of 497667 coordinates"):
+                build_spectral_basis(isotropic_scattering(4), 6.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20  # building the refused level alone takes 3.8 MB
+        monkeypatch.setattr(sampling, "_MODE_ENTRIES", 4 * 124_417)
+        assert build_spectral_basis(isotropic_scattering(4), 6.0).modes.shape == (124_417, 4)
+
     def test_enumeration_memory_is_a_few_slabs(self):
         # d=4, L=6: 124k modes, whose box holds 2.1e6 candidates.  Scanning
         # the box in slabs of 2^20 candidates peaked at 41.9 MiB, 2^16 at
