@@ -182,7 +182,7 @@ def _summary(payload: dict) -> dict:
 def _cmd_sample(args, out: Path) -> dict:
     window = patterns.BoxWindow(args.L, args.d)
     if args.process == "poisson":
-        draw, model = partial(sampling.sample_poisson, 1.0, window), {}
+        draw, model = partial(sampling.sample_poisson, window), {}
     else:
         draw = partial(sampling.sample_gdp, args._sigma, window)
         model = {"sigma": args._sigma.entries.tolist(), "tol": sampling.DEFAULT_TOL}

@@ -151,14 +151,15 @@ def close_pairs(points, r: float,
     The metric is Euclidean, or that of the torus [-side/2, side/2]^d when
     `side` is given: there each coordinate d of x_i - x_j is taken the
     shorter way round, signed, as d - side * round(d / side).  A cell
-    list, one path for both metrics: points are binned into cells a hair
-    wider than r along the leading axes, as many as keep _POINTS_PER_OFFSET
-    points per stencil offset, and every other axis is one cell.  The
-    offsets around a cell (up to 3 per binned axis, distinct modulo the
-    cell count on the torus) are visited one at a time, at most
-    max(1, N / _POINTS_PER_OFFSET) of them.  For each, every point's
-    candidates are listed by sorting and searching, with no Python loop,
-    and kept when their exact squared distance is below r^2, so the
+    list, one path for both metrics and every d: the leading axes are cut
+    into cells a hair wider than r, at most 1024 per axis, as many axes as
+    keep _POINTS_PER_OFFSET points per stencil offset and the product of
+    their cell counts, the int64 key's range, below 2^62; every other axis
+    is one cell.  The offsets around a cell (up to 3 per binned axis,
+    distinct modulo the cell count on the torus) are visited one at a time,
+    at most max(1, N / _POINTS_PER_OFFSET) of them.  For each, every
+    point's candidates are listed by sorting and searching, with no Python
+    loop, and kept when their exact squared distance is below r^2, so the
     working memory is one offset's candidates.  Returns i and j (intp) and
     the (P, d) differences, each pair once, in no order.
     """
@@ -169,22 +170,22 @@ def close_pairs(points, r: float,
     if n < 2:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty((0, d))
     # The margin keeps rounding in the binning from putting two points
-    # closer than r two cells apart; at most `bins` cells per axis keep the
-    # cell keys below 2^60 however small r is.
+    # closer than r two cells apart; at most 1024 cells per axis keep the
+    # grid finite however small r is, and the binned axes keep keys below 2^62.
     width = r * (1.0 + 1e-9)
-    bins = max(1, min(1024, int(2.0 ** (60 / d)) - 2))
     if side is None:
         lo = pts.min(axis=0)
-        width = max(width, float(np.max(pts.max(axis=0) - lo)) / bins)
+        width = max(width, float(np.max(pts.max(axis=0) - lo)) / 1024)
         cells = np.floor((pts - lo) / width).astype(np.int64)
         radix = cells.max(axis=0) + 2  # one empty slot beyond each end
     else:
-        m = max(1, min(bins, int(side / width)))
+        m = max(1, min(1024, int(side / width)))
         cells = np.floor((pts + side / 2) / (side / m)).astype(np.int64) % m
         radix = np.full(d, m)
     # A set, not np.unique, which imports numpy.ma on first use.
     steps = [sorted({-1 % k, 0, 1 % k}) for k in radix.tolist()]
-    binned = sum(math.prod(map(len, steps[:k])) * _POINTS_PER_OFFSET <= n for k in range(1, d + 1))
+    binned = sum(math.prod(map(len, steps[:k])) * _POINTS_PER_OFFSET <= n
+                 and math.prod(radix[:k].tolist()) < 2 ** 62 for k in range(1, d + 1))
     cells[:, binned:], radix[binned:], steps[binned:] = 0, 1, [[0]] * (d - binned)
     key = np.ravel_multi_index(tuple(cells.T), radix)
     order = np.argsort(key, kind="stable")

@@ -24,7 +24,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .kernel import TWO_PI, ScatteringMatrix, isotropic_scattering, spectral_density
+from .kernel import TWO_PI, ScatteringMatrix, spectral_density
 from .patterns import BoxWindow, PointPattern, close_pairs, unit_ball_volume
 
 DEFAULT_TOL = 1e-6
@@ -465,12 +465,10 @@ def sample_gdp(sigma: ScatteringMatrix, window: BoxWindow, seed) -> PointPattern
     return PointPattern(_sample_projection(rng, k_sel, shift, window.side), window)
 
 
-def sample_poisson(intensity: float, window: BoxWindow, seed) -> PointPattern:
-    """Homogeneous Poisson reference process on the same window."""
-    if not intensity > 0:
-        raise ValueError("intensity must be positive")
+def sample_poisson(window: BoxWindow, seed) -> PointPattern:
+    """Homogeneous Poisson reference process of unit intensity on the same window."""
     rng = np.random.default_rng(seed)
-    n = rng.poisson(intensity * window.volume)
+    n = rng.poisson(window.volume)
     pts = rng.uniform(-window.side / 2.0, window.side / 2.0, size=(n, window.dim))
     return PointPattern(pts, window)
 
@@ -581,12 +579,12 @@ def pair_metric(sigma: ScatteringMatrix) -> tuple[np.ndarray, float]:
 
 
 def empirical_pair_correlation(patterns, bin_edges,
-                               sigma: ScatteringMatrix | None = None) -> list[tuple[float, float]]:
+                               sigma: ScatteringMatrix) -> list[tuple[float, float]]:
     """Pair-correlation estimate on torus windows, binned by the separation
     rho of `pair_metric(sigma)`, at which the model's pair correlation is
-    1 - exp(-2 pi rho^2) for every sigma; None means
-    `isotropic_scattering(d)`, so rho is the torus distance.  The pairs
-    and their signed torus differences come from `patterns.close_pairs`.
+    1 - exp(-2 pi rho^2) for every sigma; for `isotropic_scattering(d)`
+    rho is the torus distance.  The pairs and their signed torus
+    differences come from `patterns.close_pairs`.
 
     For each bin the ordered-pair count at that separation (torus metric)
     is divided by the count an intensity-1 Poisson process would produce,
@@ -606,7 +604,7 @@ def empirical_pair_correlation(patterns, bin_edges,
     if not isinstance(window, BoxWindow):
         raise ValueError("pair-correlation estimate expects box (torus) windows")
     side, d = window.side, window.dim
-    whiten, stretch = pair_metric(isotropic_scattering(d) if sigma is None else sigma)
+    whiten, stretch = pair_metric(sigma)
     reach = edges[-1] * stretch  # Euclidean length of the largest separation
     if reach > side / 2:
         raise ValueError("pairs up to the largest bin edge reach beyond half the torus side")

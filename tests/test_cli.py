@@ -1361,10 +1361,13 @@ def test_validate_accepts_a_last_bin_edge_at_half_the_side(tmp_path):
     # to rounding.  The edge ends where its pairs reach --L/2, and the estimator's
     # own reach check passes.  The spike stretches pairs by s = 1.30384...: there
     # --L/2 / s is 0.3 up to rounding, and (--L/2 / s) * s rounds above --L/2.
+    # A draw here is about one point, outside the inscribed ball that validate
+    # counts in with probability 1 - pi/4; the count test refuses all-zero
+    # counts, which 16 replicates give with probability 0.215^16 = 2e-11.
     spiked = ["--sigma", "spiked", "--lam", "0.7", "--u", "0.6,0.8"]
     for name, model, side in [("iso", [], "0.6"), ("spiked", spiked, "0.7823042886243179")]:
         out = tmp_path / name
-        assert cli.main(["validate", "--d", "2", "--L", side, "--replicates", "2",
+        assert cli.main(["validate", "--d", "2", "--L", side, "--replicates", "16",
                          "--seed", "1", *model, "--r-max", "0.31", "--bin-width", "0.1",
                          "--out", str(out)]) == 0
         centers = np.loadtxt(out / "paircorr.csv", delimiter=",", skiprows=1)[:, 0]
@@ -1374,17 +1377,21 @@ def test_validate_accepts_a_last_bin_edge_at_half_the_side(tmp_path):
 def test_validate_bins_an_anisotropic_model_by_its_own_separation(tmp_path):
     # The model's pair correlation depends on u through rho = sqrt(u'(2 pi S)^-1 u)
     # alone, so a correct sampler matches it as closely for a spike, along an
-    # axis or not, as for the isotropic model.
-    errors = {}
+    # axis or not, as for the isotropic model.  The statistic is the replicate
+    # mean's excess over the model, averaged over the four bins below rho = 0.4
+    # where the model repels most.  Over seeds 0-299 it read 0.009 +- 0.012 (sd)
+    # for each model and at most 0.046 of 900 values, so the bound 0.06 is
+    # 4.2 sd away: a false-failure rate of about 4e-5 a run (normal
+    # approximation, three models), and none of the 300 seeds failed.
+    # Binning the spiked models by Euclidean distance moves it to 0.12 +- 0.016
+    # (0.09 at least over seeds 0-99, 0.10 at seed 3), 4 sd beyond the bound.
     for name, model in {"iso": [], "spiked": ["--sigma", "spiked", "--lam", "3"],
                         "diagonal": ["--sigma", "spiked", "--lam", "3", "--u", "1,1"]}.items():
-        assert cli.main(["validate", "--d", "2", "--L", "20", "--replicates", "8", "--seed",
+        assert cli.main(["validate", "--d", "2", "--L", "20", "--replicates", "16", "--seed",
                          "3", *model, "--out", str(tmp_path / name)]) == 0
-        errors[name] = json.loads((tmp_path / name / "validate.json").read_text())[
-            "paircorr_max_abs_err"]
-    assert errors["iso"] < 0.15
-    assert errors["spiked"] <= 1.25 * errors["iso"]
-    assert errors["diagonal"] <= 1.25 * errors["iso"]
+        table = np.loadtxt(tmp_path / name / "paircorr.csv", delimiter=",", skiprows=1)
+        near = table[table[:, 0] < 0.4]
+        assert abs(np.mean(near[:, 1] - near[:, 2])) <= 0.06, name
 
 
 def test_estimate_leaves_numpy_ma_unimported(tmp_path):

@@ -149,12 +149,15 @@ class TestNeighborhoods:
                              close_pairs_bruteforce(pts, 1.1)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("side, d", [*((None, d) for d in (1, 2, 3, 5, 9)),
-                                         *((6.0, d) for d in (1, 2, 3, 5, 9))])
-    @pytest.mark.parametrize("r", [3.5, 2.5, 1.3, 1e-7],
-                             ids=["m1", "m2", "m4", "tiny"])
+    # On the torus of side 6 the radii give 1, 2, 4 and 1024 cells per axis.
+    # In d=12 with about 1024 cells per axis, binning every axis would need
+    # keys up to 2^120: the int64 key's bound stops the binning at 6 axes.
+    @pytest.mark.parametrize("side, d, r", [
+        *(pytest.param(side, d, r, id=f"{name}-{side}-{d}")
+          for name, r in {"m1": 3.5, "m2": 2.5, "m4": 1.3, "tiny": 1e-7}.items()
+          for side in (None, 6.0) for d in (1, 2, 3, 5, 9)),
+        *(pytest.param(side, 12, 1e-7, id=f"tiny-{side}-12") for side in (None, 6.0))])
     def test_matches_bruteforce_by_metric_and_cell_count(self, d, side, r, monkeypatch):
-        # On the torus of side 6 the radii give 1, 2, 4 and 1024 cells per axis.
         rng = np.random.default_rng([d, int(side or 0), int(r * 10)])
         pts = rng.uniform(-3.0, 3.0, size=(120, d))
         pts[1] = pts[0]  # a coincident pair, distance 0 < any r
@@ -207,6 +210,24 @@ class TestNeighborhoods:
         for a, b in zip(by_i_then_j((i, j, diff)), want):
             assert np.array_equal(a, b)
         assert peak < 1 << 20
+
+    def test_cells_per_axis_do_not_depend_on_d(self):
+        # 2000 points in [-3, 3]^30 at r = 0.3: four axes binned, 20 cells
+        # each.  Capping the cells per axis at 2^(60/d) - 2 gave those axes
+        # 2 cells of about 125 points each and peaked at 60 MiB.
+        pts = np.random.default_rng(30).uniform(-3.0, 3.0, size=(2000, 30))
+        pts[1] = pts[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            i, j, diff = close_pairs(pts, 0.3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        want = np.concatenate([np.argwhere(np.triu(adj, start + 1)) + (start, 0)
+                               for start, adj in patterns.close_blocks(pts, 0.3)]).T
+        assert np.array_equal(by_i_then_j((i, j, diff))[:2], want)
+        assert peak < 4 << 20
 
     def test_fewer_than_two_points(self):
         for pts in (np.empty((0, 2)), [[0.5, 0.5]]):
